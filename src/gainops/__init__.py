@@ -29,6 +29,7 @@ from .kernel_solver import (
     solve_inverse_kernels,
     solve_kappa_c,
     solve_kernels,
+    solve_kernels_batch,
 )
 from .neural_op import (
     DeepONetModel,

@@ -46,14 +46,12 @@ def _family_from_args(args) -> CoefficientFamily:
 
 
 def cmd_dataset(args) -> int:
-    threads = int(os.environ.get("GAINOPS_THREADS", "1"))
     ds = data_store.generate(
         _family_from_args(args),
         n_samples=args.n_samples,
         m_coeff=args.m_coeff,
         n_grid=args.n_grid,
         seed=args.seed,
-        threads=threads,
     )
     manifest = {
         "n_samples": args.n_samples,

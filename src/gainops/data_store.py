@@ -8,7 +8,6 @@ k1 and k2 in canonical triangular flattening.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import struct
 from dataclasses import dataclass
@@ -16,16 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
+    MASK64,
     CoefficientFamily,
     CoefficientSet,
     sample_random,
     splitmix64,
 )
-from .kernel_solver import solve_kernels
+from .kernel_solver import PlantError, solve_kernels_batch
 from .numerics import IntervalGrid, TriangularGrid
 
 MAGIC = b"HKDS"
 VERSION = 1
+# plants solved per batched march; bounds the march's working memory
+BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -69,20 +71,9 @@ class Dataset:
                 raise ValueError(f"sample {k} does not match the dataset shapes")
 
 
-def _make_sample(family: CoefficientFamily, seed: int, index: int, grid: TriangularGrid) -> SampleRecord:
-    child = splitmix64((seed ^ index) & ((1 << 64) - 1))
-    coeffs = sample_random(family, child)
-    ks = solve_kernels(coeffs, grid)
-    return SampleRecord(
-        q=coeffs.q,
-        lam=coeffs.lam.copy(),
-        mu=coeffs.mu.copy(),
-        sigma=coeffs.sigma.copy(),
-        omega=coeffs.omega.copy(),
-        theta=coeffs.theta.copy(),
-        k1=ks.k1.values,
-        k2=ks.k2.values,
-    )
+def sample_seed(seed: int, index: int) -> int:
+    """Seed of sample ``index`` of a dataset drawn with ``seed``."""
+    return splitmix64((seed ^ index) & MASK64)
 
 
 def generate(
@@ -91,36 +82,32 @@ def generate(
     m_coeff: int = 101,
     n_grid: int = 50,
     seed: int = 0,
-    threads: int = 1,
 ) -> Dataset:
     """Draw coefficients and solve their kernels, one derived seed per sample.
 
-    Sample i uses splitmix64(seed XOR i), so generation order (and any
-    parallelism) cannot change the content.  Solver failures abort with the
-    failing index.
+    Sample i uses splitmix64(seed XOR i).  The kernels are solved in batches
+    of BLOCK plants, and a plant's kernels do not depend on its batch, so
+    the content is a function of (family, shapes, seed) alone.  Solver
+    failures abort with the failing index.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     family = CoefficientFamily(family.kind, family.gamma_range, family.amplitude, m_coeff)
     grid = TriangularGrid(n_grid)
-    samples: list[SampleRecord | None] = [None] * n_samples
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_make_sample, family, seed, i, grid): i for i in range(n_samples)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    samples[i] = fut.result()
-                except Exception as exc:
-                    raise RuntimeError(f"sample {i} failed: {exc}") from exc
-    else:
-        for i in range(n_samples):
-            try:
-                samples[i] = _make_sample(family, seed, i, grid)
-            except Exception as exc:
-                raise RuntimeError(f"sample {i} failed: {exc}") from exc
+    samples = []
+    for start in range(0, n_samples, BLOCK):
+        block = [
+            sample_random(family, sample_seed(seed, i))
+            for i in range(start, min(start + BLOCK, n_samples))
+        ]
+        try:
+            kernels = solve_kernels_batch(block, grid)
+        except PlantError as exc:
+            raise RuntimeError(f"sample {start + exc.index} failed: {exc}") from exc
+        samples += [
+            SampleRecord(c.q, c.lam, c.mu, c.sigma, c.omega, c.theta, ks.k1.values, ks.k2.values)
+            for c, ks in zip(block, kernels)
+        ]
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
 
 
@@ -146,13 +133,15 @@ def _read_exact(f, nbytes, what):
 
 
 def read(path) -> Dataset:
-    """Load a dataset file, validating magic, version and exact length."""
+    """Load a dataset file, validating magic, version, header, length and finite values."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MAGIC:
             raise ValueError("not a dataset file (bad magic)")
         version, n_samples, m_coeff, n_grid = struct.unpack("<IIII", _read_exact(f, 16, "header"))
         if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
+        if n_samples == 0 or m_coeff < 2 or n_grid < 2:
+            raise ValueError(f"degenerate header: {n_samples} samples, m_coeff {m_coeff}, n_grid {n_grid}")
         t = (n_grid + 1) * (n_grid + 2) // 2
         samples = []
         for i in range(n_samples):
@@ -166,6 +155,8 @@ def read(path) -> Dataset:
                 k2 = np.frombuffer(_read_exact(f, 8 * t, "k2"), dtype="<f8").copy()
             except ValueError as exc:
                 raise ValueError(f"dataset file truncated inside record {i}: {exc}") from exc
+            if not (np.isfinite(q) and all(np.all(np.isfinite(a)) for a in (*arrs, k1, k2))):
+                raise ValueError(f"dataset record {i} holds non-finite values")
             samples.append(SampleRecord(q, *arrs, k1, k2))
         if f.read(1):
             raise ValueError("dataset file has trailing bytes")

@@ -19,13 +19,14 @@ equations of the second kind driven by (k1, k2).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coefficients import CoefficientSet, resample
 from .controller import GainVector
-from .numerics import IntervalGrid, TriangularGrid, flatten_lower, unflatten_lower
+from .numerics import IntervalGrid, TriangularGrid, flatten_lower, trapezoid_weights, unflatten_lower
 
 PIVOT_TOL = 1e-12
 
@@ -81,15 +82,30 @@ class KernelSet:
         return self.k1.grid
 
 
-def _gather(row: np.ndarray, pos: np.ndarray, h: float):
-    """Linear interpolation of a row (uniform spacing h starting at 0)."""
-    t = pos / h
-    idx = np.minimum(t.astype(int), row.size - 2)
-    frac = t - idx
-    return row[idx] * (1.0 - frac) + row[idx + 1] * frac
+class PlantError(ValueError):
+    """A plant of a batch that cannot be solved; ``index`` is its place in the batch."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"plant {index}: {reason}")
+        self.index = index
+
+
+# Rows of the stacked coefficient table.  The k1 foot reads rows 2:5, the
+# diagonal crossing rows 0:5 and the k2 foot rows 5:7.
+_TABLE = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
+
+
+def _lerp(table: np.ndarray, flat: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Linear interpolation of every row of ``table`` between flat and flat + 1."""
+    return table.take(flat, axis=1) * (1.0 - frac) + table.take(flat + 1, axis=1) * frac
 
 
 def solve_kernels(coeffs: CoefficientSet, grid: TriangularGrid) -> KernelSet:
+    """Kernels of one plant: the batch of one of :func:`solve_kernels_batch`."""
+    return solve_kernels_batch([coeffs], grid)[0]
+
+
+def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) -> list[KernelSet]:
     """March the coupled Goursat system in x with a semi-Lagrangian step.
 
     At level i every node traces its characteristic back one step to level
@@ -102,84 +118,94 @@ def solve_kernels(coeffs: CoefficientSet, grid: TriangularGrid) -> KernelSet:
     boundary conditions are imposed exactly on their nodes.  Source terms use
     values at the foot, which makes the scheme first-order and keeps all
     updates functions of the previous level only.
+
+    All plants march together, one level at a time.  Every operation is
+    elementwise, so each plant's kernels are bit-identical however the batch
+    is composed.  A plant with lam + mu <= 0 somewhere or non-finite kernels
+    raises :class:`PlantError` naming its index.
     """
     n, h = grid.n, grid.h
-    cf = resample(coeffs, n)
-    lam, dlam, mu, dmu = cf["lam"], cf["dlam"], cf["mu"], cf["dmu"]
-    sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
-    if np.any(lam + mu <= 0):
-        raise ValueError("lam + mu must be positive on the whole grid")
-    q = coeffs.q
+    fields = [resample(c, n) for c in coeffs]
+    table = np.stack([np.stack([f[name] for f in fields]) for name in _TABLE])
+    lam, mu, dlam, sig, tht, dmu, omg = table
+    bad = np.flatnonzero(np.any(lam + mu <= 0, axis=1))
+    if bad.size:
+        raise PlantError(int(bad[0]), "lam + mu must be positive on the whole grid")
+    flat = table.reshape(len(_TABLE), -1)
+    # flat offset of each plant's row, so one index gathers from every plant
+    off = np.arange(len(coeffs))[:, None] * (n + 1)
     x = grid.points
-    bc_ratio = q * lam[0] / mu[0]
-
+    bc_ratio = np.array([c.q for c in coeffs])[:, None] * lam[:, :1] / mu[:, :1]
     diag_bc = -tht / (lam + mu)
-    k1 = np.zeros((n + 1, n + 1))
-    k2 = np.zeros((n + 1, n + 1))
-    k1[0, 0] = diag_bc[0]
-    k2[0, 0] = bc_ratio * k1[0, 0]
+    h_lam, h_mu = h * lam, h * mu
 
-    def coef_at(arr, pos):
-        return _gather(arr, pos, h)
+    # (k1, k2) of every plant in flat order; two contiguous buffers hold the last two levels
+    values = np.empty((2, len(coeffs), grid.node_count))
+    prev, cur = np.zeros((2, 2, len(coeffs), n + 1))
+    prev[0, :, 0] = diag_bc[:, 0]
+    prev[1, :, :1] = bc_ratio * prev[0, :, :1]
+    values[:, :, 0] = prev[:, :, 0]
 
     for i in range(1, n + 1):
-        mu_i = mu[i]
-        old1 = k1[i - 1, :i]
-        old2 = k2[i - 1, :i]
+        mu_i = mu[:, i : i + 1]
+        tau = h / mu_i  # characteristic time back to the previous level
+        prev_flat = prev.reshape(2, -1)
         x_prev = x[i - 1]
+        k1, k2 = cur
 
         # --- k1: interior nodes j = 0..i-1, diagonal node imposed ---
-        j = np.arange(i)
-        foot = x[j] + h * lam[j] / mu_i
+        foot = x[:i] + h_lam[:, :i] / mu_i
         crossed = foot > x_prev
         if i >= 2:
-            fc = np.clip(foot, 0.0, x_prev)
-            k1f = _gather(old1, fc, h)
-            k2f = _gather(old2, fc, h)
-            src = (coef_at(dlam, fc) + coef_at(sig, fc)) * k1f + coef_at(tht, fc) * k2f
-            regular = k1f + (h / mu_i) * src
+            t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
+            ic = np.minimum(t.astype(int), n - 1)
+            ik = np.minimum(ic, i - 2)
+            k1f, k2f = _lerp(prev_flat, ik + off, t - ik)
+            dlam_f, sig_f, tht_f = _lerp(flat[2:5], ic + off, t - ic)
+            regular = k1f + tau * ((dlam_f + sig_f) * k1f + tht_f * k2f)
         else:
-            regular = np.zeros(i)
+            regular = 0.0
         # diagonal crossing: data at (xc, xc), source over the remaining arc
-        slope = lam[j] / mu_i
-        xc = (x[j] + slope * x[i]) / (1.0 + slope)
-        bc = -coef_at(tht, xc) / (coef_at(lam, xc) + coef_at(mu, xc))
-        k2c = old2[-1]  # nearest available value for the coupling term
-        src_c = (coef_at(dlam, xc) + coef_at(sig, xc)) * bc + coef_at(tht, xc) * k2c
+        slope = lam[:, :i] / mu_i
+        xc = (x[:i] + slope * x[i]) / (1.0 + slope)
+        t = xc / h
+        ic = np.minimum(t.astype(int), n - 1)
+        lam_c, mu_c, dlam_c, sig_c, tht_c = _lerp(flat[:5], ic + off, t - ic)
+        bc = -tht_c / (lam_c + mu_c)
+        k2c = prev[1, :, i - 1 : i]  # nearest available value for the coupling term
+        src_c = (dlam_c + sig_c) * bc + tht_c * k2c
         from_bc = bc + ((x[i] - xc) / mu_i) * src_c
-        k1[i, :i] = np.where(crossed, from_bc, regular)
-        k1[i, i] = diag_bc[i]
+        k1[:, :i] = np.where(crossed, from_bc, regular)
+        k1[:, i] = diag_bc[:, i]
 
         # --- k2: nodes j = 1..i, bottom node imposed from this level's k1 ---
-        j = np.arange(1, i + 1)
-        foot = x[j] - h * mu[j] / mu_i
+        foot = x[1 : i + 1] - h_mu[:, 1 : i + 1] / mu_i
         crossed = foot < 0.0
-        fc = np.clip(foot, 0.0, x_prev)
+        t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
+        ic = np.minimum(t.astype(int), n - 1)
         if i >= 2:
-            k1f = _gather(old1, fc, h)
-            k2f = _gather(old2, fc, h)
+            ik = np.minimum(ic, i - 2)
+            k1f, k2f = _lerp(prev_flat, ik + off, t - ik)
         else:
-            k1f = np.full(i, old1[0])
-            k2f = np.full(i, old2[0])
-        src = -coef_at(dmu, fc) * k2f + coef_at(omg, fc) * k1f
-        regular = k2f + (h / mu_i) * src
+            k1f, k2f = prev[:, :, :1]
+        dmu_f, omg_f = _lerp(flat[5:7], ic + off, t - ic)
+        regular = k2f + tau * (-dmu_f * k2f + omg_f * k1f)
 
-        k1_bottom_new = k1[i, 0]
-        xc = x[i] - x[j] * mu_i / mu[j]
-        frac = np.clip((xc - x_prev) / h, 0.0, 1.0)
-        k1b = k1[i - 1, 0] * (1.0 - frac) + k1_bottom_new * frac
+        xc = x[i] - x[1 : i + 1] * mu_i / mu[:, 1 : i + 1]
+        frac = np.minimum(np.maximum((xc - x_prev) / h, 0.0), 1.0)
+        k1b = prev[0, :, :1] * (1.0 - frac) + k1[:, :1] * frac
         bc = bc_ratio * k1b
-        src_c = -dmu[0] * bc + omg[0] * k1b
+        src_c = -dmu[:, :1] * bc + omg[:, :1] * k1b
         from_bc = bc + ((x[i] - xc) / mu_i) * src_c
-        k2[i, 1 : i + 1] = np.where(crossed, from_bc, regular)
-        k2[i, 0] = bc_ratio * k1_bottom_new
+        k2[:, 1 : i + 1] = np.where(crossed, from_bc, regular)
+        k2[:, :1] = bc_ratio * k1[:, :1]
+        values[:, :, i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = cur[:, :, : i + 1]
+        prev, cur = cur, prev
 
-    if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k2))):
-        raise FloatingPointError("kernel marching produced non-finite values")
-    return KernelSet(
-        k1=KernelField.from_matrix(grid, k1),
-        k2=KernelField.from_matrix(grid, k2),
-    )
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=(0, 2)))
+    if bad.size:
+        raise PlantError(int(bad[0]), "kernel marching produced non-finite values")
+    return [KernelSet(k1=KernelField(grid, v1), k2=KernelField(grid, v2)) for v1, v2 in zip(*values)]
 
 
 def check_boundary_conditions(coeffs: CoefficientSet, ks: KernelSet):
@@ -218,7 +244,7 @@ def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet, c_self_coupled: bool = 
             pivot = 1.0 - 0.5 * h * k2m[j, j]
             if abs(pivot) < PIVOT_TOL:
                 raise ZeroDivisionError(f"singular Volterra pivot at row {i}, xi index {j}")
-            w = _segment_weights(j, i, h)
+            w = trapezoid_weights(i - j + 1, h)
             acc = w[1:] @ (kap[i, j + 1 : i + 1] * k2m[j + 1 : i + 1, j])
             kap[i, j] = (omg[i] * k2m[i, j] + acc) / pivot
         if c_self_coupled:
@@ -227,12 +253,12 @@ def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet, c_self_coupled: bool = 
                 pivot = 1.0 - 0.5 * h * k1m[j, j]
                 if abs(pivot) < PIVOT_TOL:
                     raise ZeroDivisionError(f"singular Volterra pivot at row {i}, xi index {j}")
-                w = _segment_weights(j, i, h)
+                w = trapezoid_weights(i - j + 1, h)
                 acc = w[1:] @ (cm[i, j + 1 : i + 1] * k1m[j + 1 : i + 1, j])
                 cm[i, j] = (omg[i] * k1m[i, j] + acc) / pivot
         else:
             for j in range(i, -1, -1):
-                w = _segment_weights(j, i, h)
+                w = trapezoid_weights(i - j + 1, h)
                 acc = w @ (kap[i, j : i + 1] * k1m[j : i + 1, j])
                 cm[i, j] = omg[i] * k1m[i, j] + acc
 
@@ -242,16 +268,6 @@ def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet, c_self_coupled: bool = 
         kappa=KernelField.from_matrix(grid, kap),
         c=KernelField.from_matrix(grid, cm),
     )
-
-
-def _segment_weights(j: int, i: int, h: float) -> np.ndarray:
-    """Trapezoid weights on nodes j..i (zero-length segments integrate to 0)."""
-    m = i - j + 1
-    if m == 1:
-        return np.zeros(1)
-    w = np.full(m, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
 
 
 def solve_inverse_kernels(ks: KernelSet) -> KernelSet:
@@ -275,7 +291,7 @@ def solve_inverse_kernels(ks: KernelSet) -> KernelSet:
             pivot = 1.0 - 0.5 * h * k2m[m, m]
             if abs(pivot) < PIVOT_TOL:
                 raise ZeroDivisionError(f"singular inverse-kernel pivot at x index {m}")
-            w = _segment_weights(j, m, h)
+            w = trapezoid_weights(m - j + 1, h)
             row_k2 = k2m[m, j:m]
             l1[m, j] = (k1m[m, j] + w[:-1] @ (row_k2 * l1[j:m, j])) / pivot
             l2[m, j] = (k2m[m, j] + w[:-1] @ (row_k2 * l2[j:m, j])) / pivot

@@ -495,7 +495,7 @@ def _read_exact(f, nbytes, what):
 
 
 def load_model(path) -> DeepONetModel:
-    """Read a model file, rejecting unknown magic bytes or versions."""
+    """Read a model file, rejecting unknown magic bytes or versions and inconsistent dims."""
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != MODEL_MAGIC:
             raise ValueError("not a model file (bad magic)")
@@ -505,6 +505,10 @@ def load_model(path) -> DeepONetModel:
         branch_dims = struct.unpack(f"<{nb}I", _read_exact(f, 4 * nb, "branch dims"))
         (nt,) = struct.unpack("<I", _read_exact(f, 4, "trunk layer count"))
         trunk_dims = struct.unpack(f"<{nt}I", _read_exact(f, 4 * nt, "trunk dims"))
+        if nb < 2 or nt < 2:
+            raise ValueError(f"model needs at least 2 branch and 2 trunk dims, got {nb} and {nt}")
+        if trunk_dims[0] != 2 or trunk_dims[-1] != p or branch_dims[-1] != 2 * p:
+            raise ValueError(f"inconsistent model dims: branch {branch_dims}, trunk {trunk_dims}, p {p}")
 
         def read_array(shape, what):
             count = int(np.prod(shape))

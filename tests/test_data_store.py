@@ -1,15 +1,23 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gainops.coefficients import CoefficientFamily
+from gainops.coefficients import CoefficientFamily, gamma_family, sample_random
 from gainops.data_store import (
+    MAGIC,
+    VERSION,
     Dataset,
     expected_file_size,
     generate,
     read,
+    sample_seed,
     validate_boundary_identities,
     write,
 )
+from gainops.kernel_solver import PlantError, solve_kernels, solve_kernels_batch
+from gainops.numerics import TriangularGrid
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +38,31 @@ class TestGenerate:
             assert np.array_equal(a.k1, b.k1)
             assert np.array_equal(a.k2, b.k2)
 
-    def test_parallel_generation_matches_sequential(self):
-        fam = CoefficientFamily("gamma", (0.5, 5.0))
-        seq = generate(fam, 8, m_coeff=31, n_grid=12, seed=5, threads=1)
-        par = generate(fam, 8, m_coeff=31, n_grid=12, seed=5, threads=4)
-        for a, b in zip(seq.samples, par.samples):
-            assert np.array_equal(a.k1, b.k1)
-            assert np.array_equal(a.lam, b.lam)
+    @pytest.mark.parametrize("n_grid", [12, 50])
+    @pytest.mark.parametrize("kind", ["gamma", "random_smooth"])
+    def test_generate_matches_single_solves(self, kind, n_grid):
+        fam = CoefficientFamily(kind)
+        grid = TriangularGrid(n_grid)
+        ds = generate(fam, 5, m_coeff=101, n_grid=n_grid, seed=11)
+        draws = [sample_random(fam, sample_seed(11, i)) for i in range(5)]
+        for r, c in zip(ds.samples, draws):
+            alone = solve_kernels(c, grid)
+            assert r.k1.tobytes() == alone.k1.values.tobytes()
+            assert r.k2.tobytes() == alone.k2.values.tobytes()
+        # the family's extremes share a batch of 7 with the draws
+        plants = [gamma_family(0.5), *draws, gamma_family(5.0)]
+        for c, ks in zip(plants, solve_kernels_batch(plants, grid)):
+            alone = solve_kernels(c, grid)
+            assert ks.k1.values.tobytes() == alone.k1.values.tobytes()
+            assert ks.k2.values.tobytes() == alone.k2.values.tobytes()
+
+    def test_batch_failure_names_the_plant(self):
+        ok = gamma_family(1.0)
+        overflow = replace(ok, theta=np.full(ok.lam.size, 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PlantError, match="plant 2: kernel marching produced non-finite") as info:
+                solve_kernels_batch([ok, ok, overflow, ok], TriangularGrid(12))
+        assert info.value.index == 2
 
     def test_boundary_identities_hold(self, small_dataset):
         validate_boundary_identities(small_dataset)
@@ -110,3 +136,35 @@ class TestRoundTrip:
         bad = small_dataset.samples[0]
         with pytest.raises(ValueError):
             Dataset(m_coeff=99, n_grid=16, samples=[bad])
+
+    @pytest.mark.parametrize(
+        "header, what",
+        [((0, 41, 16), "0 samples"), ((1, 1, 16), "m_coeff 1"), ((1, 41, 1), "n_grid 1")],
+        ids=["no_samples", "one_coefficient_node", "one_cell_grid"],
+    )
+    def test_degenerate_header_rejected(self, tmp_path, header, what):
+        path = tmp_path / "ds.bin"
+        n, m, g = header
+        path.write_bytes(MAGIC + struct.pack("<IIII", VERSION, *header) + b"\0" * (expected_file_size(n, m, g) - 20))
+        with pytest.raises(ValueError, match=what):
+            read(path)
+
+    def test_nan_q_rejected(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.bin"
+        write(small_dataset, path)
+        data = bytearray(path.read_bytes())
+        at = 20 + 3 * (expected_file_size(1, 41, 16) - 20)  # q of record 3
+        data[at : at + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="record 3 holds non-finite"):
+            read(path)
+
+    def test_infinite_kernel_value_rejected(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.bin"
+        write(small_dataset, path)
+        data = bytearray(path.read_bytes())
+        at = 20 + 6 * (expected_file_size(1, 41, 16) - 20) - 8  # last k2 value of record 5
+        data[at : at + 8] = struct.pack("<d", float("inf"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="record 5 holds non-finite"):
+            read(path)

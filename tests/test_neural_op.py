@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -259,4 +261,22 @@ class TestModelFile:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="version"):
+            nn.load_model(path)
+
+    def test_zero_branch_layers_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(nn.MODEL_MAGIC + struct.pack("<IIII", nn.MODEL_VERSION, 5, 4, 0) + struct.pack("<I", 0))
+        with pytest.raises(ValueError, match="at least 2"):
+            nn.load_model(path)
+
+    def test_inconsistent_dims_rejected(self, tiny_dataset, tmp_path):
+        model, _ = nn.train(tiny_dataset, small_config(epochs=2))
+        path = tmp_path / "model.bin"
+        nn.save_model(model, path)
+        data = bytearray(path.read_bytes())
+        # the trunk's last dim sits just before the weights
+        end = 20 + 4 * len(model.branch_dims) + 4 + 4 * len(model.trunk_dims)
+        data[end - 4 : end] = struct.pack("<I", model.p + 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="inconsistent"):
             nn.load_model(path)
