@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
-    MASK64,
     CoefficientFamily,
     CoefficientSet,
     sample_random,
@@ -72,8 +71,12 @@ class Dataset:
 
 
 def sample_seed(seed: int, index: int) -> int:
-    """Seed of sample ``index`` of a dataset drawn with ``seed``."""
-    return splitmix64((seed ^ index) & MASK64)
+    """Seed of sample ``index`` of a dataset drawn with ``seed``.
+
+    The dataset seed is mixed before the index enters, so datasets whose
+    seeds differ only in low bits draw different plants.
+    """
+    return splitmix64(splitmix64(seed) ^ index)
 
 
 def generate(
@@ -85,7 +88,7 @@ def generate(
 ) -> Dataset:
     """Draw coefficients and solve their kernels, one derived seed per sample.
 
-    Sample i uses splitmix64(seed XOR i).  The kernels are solved in batches
+    Sample i uses splitmix64(splitmix64(seed) XOR i).  The kernels are solved in batches
     of BLOCK plants, and a plant's kernels do not depend on its batch, so
     the content is a function of (family, shapes, seed) alone.  Solver
     failures abort with the failing index.

@@ -56,6 +56,14 @@ class TestGenerate:
             assert ks.k1.values.tobytes() == alone.k1.values.tobytes()
             assert ks.k2.values.tobytes() == alone.k2.values.tobytes()
 
+    def test_neighbouring_seeds_draw_disjoint_plants(self):
+        fam = CoefficientFamily("gamma")
+        draws = [{r.q for r in generate(fam, 8, m_coeff=11, n_grid=2, seed=s).samples} for s in range(4)]
+        for a in range(4):
+            assert len(draws[a]) == 8
+            for b in range(a):
+                assert not draws[a] & draws[b], (a, b)
+
     def test_batch_failure_names_the_plant(self):
         ok = gamma_family(1.0)
         overflow = replace(ok, theta=np.full(ok.lam.size, 1e300))
