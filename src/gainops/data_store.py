@@ -9,8 +9,10 @@ k1 and k2 in canonical triangular flattening.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -146,21 +148,21 @@ def read(path) -> Dataset:
         if n_samples == 0 or m_coeff < 2 or n_grid < 2:
             raise ValueError(f"degenerate header: {n_samples} samples, m_coeff {m_coeff}, n_grid {n_grid}")
         t = (n_grid + 1) * (n_grid + 2) // 2
+        # a record is q, the five coefficient arrays, then k1 and k2
+        edges = list(accumulate([0, 1] + [m_coeff] * 5 + [t, t]))
+        if 8 * edges[-1] > os.fstat(f.fileno()).st_size:  # before asking for that much memory
+            raise ValueError("dataset file truncated inside record 0: the file is shorter than one record")
         samples = []
         for i in range(n_samples):
             try:
-                (q,) = struct.unpack("<d", _read_exact(f, 8, "q"))
-                arrs = [
-                    np.frombuffer(_read_exact(f, 8 * m_coeff, "coefficients"), dtype="<f8").copy()
-                    for _ in range(5)
-                ]
-                k1 = np.frombuffer(_read_exact(f, 8 * t, "k1"), dtype="<f8").copy()
-                k2 = np.frombuffer(_read_exact(f, 8 * t, "k2"), dtype="<f8").copy()
+                buf = _read_exact(f, 8 * edges[-1], "the record")
             except ValueError as exc:
                 raise ValueError(f"dataset file truncated inside record {i}: {exc}") from exc
-            if not (np.isfinite(q) and all(np.all(np.isfinite(a)) for a in (*arrs, k1, k2))):
+            rec = np.frombuffer(buf, dtype="<f8").copy()
+            if not np.all(np.isfinite(rec)):
                 raise ValueError(f"dataset record {i} holds non-finite values")
-            samples.append(SampleRecord(q, *arrs, k1, k2))
+            q, *arrays = (rec[a:b] for a, b in zip(edges, edges[1:]))
+            samples.append(SampleRecord(float(q[0]), *arrays))
         if f.read(1):
             raise ValueError("dataset file has trailing bytes")
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)

@@ -157,6 +157,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=what):
             read(path)
 
+    @pytest.mark.parametrize("header", [(1, 101, 2**22), (1, 2**31, 50), (1, 101, 2**32 - 1)])
+    def test_header_larger_than_file_rejected(self, tmp_path, header):
+        path = tmp_path / "ds.bin"
+        path.write_bytes(MAGIC + struct.pack("<IIII", VERSION, *header) + b"\0" * 64)
+        with pytest.raises(ValueError, match="shorter than one record"):
+            read(path)
+
     def test_nan_q_rejected(self, small_dataset, tmp_path):
         path = tmp_path / "ds.bin"
         write(small_dataset, path)
