@@ -73,11 +73,7 @@ class Dataset:
 
 
 def sample_seed(seed: int, index: int) -> int:
-    """Seed of sample ``index`` of a dataset drawn with ``seed``.
-
-    The dataset seed is mixed before the index enters, so datasets whose
-    seeds differ only in low bits draw different plants.
-    """
+    """Seed of sample ``index``; mixing ``seed`` first keeps nearby seeds' plants apart."""
     return splitmix64(splitmix64(seed) ^ index)
 
 
@@ -90,10 +86,10 @@ def generate(
 ) -> Dataset:
     """Draw coefficients and solve their kernels, one derived seed per sample.
 
-    Sample i uses splitmix64(splitmix64(seed) XOR i).  The kernels are solved in batches
-    of BLOCK plants, and a plant's kernels do not depend on its batch, so
-    the content is a function of (family, shapes, seed) alone.  Solver
-    failures abort with the failing index.
+    Sample i uses splitmix64(splitmix64(seed) XOR i).  Kernels are solved in
+    batches of BLOCK plants, and a plant's kernels do not depend on its
+    batch, so the content is a function of (family, shapes, seed) alone.
+    Solver failures abort with the failing index.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -109,10 +105,8 @@ def generate(
             kernels = solve_kernels_batch(block, grid)
         except PlantError as exc:
             raise RuntimeError(f"sample {start + exc.index} failed: {exc}") from exc
-        samples += [
-            SampleRecord(c.q, c.lam, c.mu, c.sigma, c.omega, c.theta, ks.k1.values, ks.k2.values)
-            for c, ks in zip(block, kernels)
-        ]
+        for c, k in zip(block, kernels):
+            samples.append(SampleRecord(c.q, c.lam, c.mu, c.sigma, c.omega, c.theta, k.k1.values, k.k2.values))
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
 
 
