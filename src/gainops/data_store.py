@@ -23,7 +23,7 @@ from .coefficients import (
     splitmix64,
 )
 from .kernel_solver import PlantError, solve_kernels_batch
-from .numerics import IntervalGrid, TriangularGrid
+from .numerics import IntervalGrid, TriangularGrid, read_exact
 
 MAGIC = b"HKDS"
 VERSION = 1
@@ -124,19 +124,12 @@ def write(dataset: Dataset, path, manifest: dict | None = None) -> None:
             json.dump(manifest, f, indent=2)
 
 
-def _read_exact(f, nbytes, what):
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
-        raise ValueError(f"dataset file truncated while reading {what}")
-    return buf
-
-
 def read(path) -> Dataset:
-    """Load a dataset file, validating magic, version, header, length and finite values."""
+    """Load a dataset file, validating magic, version, header, length, finite values and positive speeds."""
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC:
+        if read_exact(f, 4, "magic", "dataset file") != MAGIC:
             raise ValueError("not a dataset file (bad magic)")
-        version, n_samples, m_coeff, n_grid = struct.unpack("<IIII", _read_exact(f, 16, "header"))
+        version, n_samples, m_coeff, n_grid = struct.unpack("<IIII", read_exact(f, 16, "header", "dataset file"))
         if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
         if n_samples == 0 or m_coeff < 2 or n_grid < 2:
@@ -149,13 +142,15 @@ def read(path) -> Dataset:
         samples = []
         for i in range(n_samples):
             try:
-                buf = _read_exact(f, 8 * edges[-1], "the record")
+                buf = read_exact(f, 8 * edges[-1], "the record", "dataset file")
             except ValueError as exc:
                 raise ValueError(f"dataset file truncated inside record {i}: {exc}") from exc
             rec = np.frombuffer(buf, dtype="<f8").copy()
             if not np.all(np.isfinite(rec)):
                 raise ValueError(f"dataset record {i} holds non-finite values")
             q, *arrays = (rec[a:b] for a, b in zip(edges, edges[1:]))
+            if arrays[0].min() <= 0 or arrays[1].min() <= 0:
+                raise ValueError(f"dataset record {i} has a transport speed lam or mu <= 0")
             samples.append(SampleRecord(float(q[0]), *arrays))
         if f.read(1):
             raise ValueError("dataset file has trailing bytes")

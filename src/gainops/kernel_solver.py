@@ -219,7 +219,7 @@ def check_boundary_conditions(coeffs: CoefficientSet, ks: KernelSet):
     return float(r_diag.max()), float(r_bottom.max())
 
 
-def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet, c_self_coupled: bool = False) -> KernelSet:
+def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
     """Fill kappa and c by row-wise Volterra solves.
 
     Per row (fixed x) kappa satisfies
@@ -227,9 +227,7 @@ def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet, c_self_coupled: bool = 
         kappa(x, xi) = omega(x) k2(x, xi) + int_xi^x kappa(x, s) k2(s, xi) ds
 
     which back-substitution in xi turns into a lower-triangular solve with
-    trapezoid weights.  c uses k1 with kappa in the integrand; the variant
-    with c itself in its own integrand sits behind ``c_self_coupled`` (the two
-    competing definitions only affect diagnostics, never the control law).
+    trapezoid weights.  c uses k1 with kappa in the integrand.
     """
     n, h = ks.grid.n, ks.grid.h
     cf = resample(coeffs, n)
@@ -247,20 +245,10 @@ def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet, c_self_coupled: bool = 
             w = trapezoid_weights(i - j + 1, h)
             acc = w[1:] @ (kap[i, j + 1 : i + 1] * k2m[j + 1 : i + 1, j])
             kap[i, j] = (omg[i] * k2m[i, j] + acc) / pivot
-        if c_self_coupled:
-            cm[i, i] = omg[i] * k1m[i, i]
-            for j in range(i - 1, -1, -1):
-                pivot = 1.0 - 0.5 * h * k1m[j, j]
-                if abs(pivot) < PIVOT_TOL:
-                    raise ZeroDivisionError(f"singular Volterra pivot at row {i}, xi index {j}")
-                w = trapezoid_weights(i - j + 1, h)
-                acc = w[1:] @ (cm[i, j + 1 : i + 1] * k1m[j + 1 : i + 1, j])
-                cm[i, j] = (omg[i] * k1m[i, j] + acc) / pivot
-        else:
-            for j in range(i, -1, -1):
-                w = trapezoid_weights(i - j + 1, h)
-                acc = w @ (kap[i, j : i + 1] * k1m[j : i + 1, j])
-                cm[i, j] = omg[i] * k1m[i, j] + acc
+        for j in range(i, -1, -1):
+            w = trapezoid_weights(i - j + 1, h)
+            acc = w @ (kap[i, j : i + 1] * k1m[j : i + 1, j])
+            cm[i, j] = omg[i] * k1m[i, j] + acc
 
     grid = ks.grid
     return replace(

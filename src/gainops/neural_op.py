@@ -11,6 +11,7 @@ bit-reproducible from the seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .controller import GainVector
 from .data_store import Dataset
-from .numerics import IntervalGrid, TriangularGrid, interp_linear, tri_quad_weights
+from .numerics import IntervalGrid, TriangularGrid, interp_linear, read_exact, tri_quad_weights
 
 MODEL_MAGIC = b"NOM1"
 MODEL_VERSION = 1
@@ -41,8 +42,10 @@ class TrainConfig:
     trunk_hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.m_enc, self.p) < 1:
-            raise ValueError("epochs, batch_size, m_enc and p must be positive")
+        if min(self.epochs, self.batch_size, self.p) < 1:
+            raise ValueError("epochs, batch_size and p must be positive")
+        if self.m_enc < 2:
+            raise ValueError("m_enc must be at least 2")
         if not (0 < self.train_fraction < 1):
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.learning_rate <= 0 or self.eps <= 0:
@@ -115,7 +118,10 @@ def init_model(config: TrainConfig, rng: np.random.Generator | None = None) -> D
 
 
 def encode_input(coeffs: CoefficientSet, m_enc: int) -> np.ndarray:
-    """Flattened features: five functions at m_enc uniform nodes, then q."""
+    """Flattened features: five functions at m_enc uniform nodes, then q.
+
+    Reads only lam, mu, sigma, omega, theta and q, so a dataset record works too.
+    """
     if m_enc < 2:
         raise ValueError("m_enc must be at least 2")
     xq = np.arange(m_enc) / (m_enc - 1)
@@ -126,27 +132,25 @@ def encode_input(coeffs: CoefficientSet, m_enc: int) -> np.ndarray:
     return np.concatenate([*blocks, [coeffs.q]])
 
 
-def _encode_record(rec, m_enc: int) -> np.ndarray:
-    xq = np.arange(m_enc) / (m_enc - 1)
-    blocks = [
-        np.asarray(interp_linear(arr, xq))
-        for arr in (rec.lam, rec.mu, rec.sigma, rec.omega, rec.theta)
-    ]
-    return np.concatenate([*blocks, [rec.q]])
-
-
 def _trunk_inputs(points: np.ndarray) -> np.ndarray:
     """Affine remap of (x, xi) onto [-1, 1]^2; tanh layers train poorly off-center."""
     return 2.0 * points - 1.0
 
 
 def _mlp_forward(ws, bs, x, keep=False):
-    """tanh hidden layers, linear output; optionally keep activations."""
+    """tanh hidden layers, linear output; optionally keep activations.
+
+    This pass and _mlp_backward update the arrays they create in place, so a
+    training step frees fewer large temporaries and the heap is trimmed and
+    re-faulted less.
+    """
     acts = [x]
     a = x
     for l, (w, b) in enumerate(zip(ws, bs)):
-        z = a @ w + b
-        a = z if l == len(ws) - 1 else np.tanh(z)
+        a = a @ w
+        a += b
+        if l < len(ws) - 1:
+            np.tanh(a, out=a)
         if keep:
             acts.append(a)
     return (a, acts) if keep else a
@@ -162,7 +166,9 @@ def _mlp_backward(ws, acts, delta):
         dbs[l] = delta.sum(axis=0)
         delta = delta @ ws[l].T
         if l > 0:
-            delta = delta * (1.0 - acts[l] ** 2)
+            slope = acts[l] ** 2
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
     return dws, dbs, delta
 
 
@@ -211,7 +217,7 @@ def splitmix_for_split(seed: int) -> int:
 
 
 def _dataset_tensors(dataset: Dataset, m_enc: int):
-    feats = np.stack([_encode_record(r, m_enc) for r in dataset.samples])
+    feats = np.stack([encode_input(r, m_enc) for r in dataset.samples])
     y1 = np.stack([r.k1 for r in dataset.samples])
     y2 = np.stack([r.k2 for r in dataset.samples])
     return feats, y1, y2
@@ -223,27 +229,6 @@ def relative_l2(pred: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> flo
     if denom == 0:
         return float("inf")
     return float(np.sqrt(weights @ (pred - truth) ** 2) / denom)
-
-
-def _batch_eval_rel(model, feats, y1, y2, tout, w):
-    p = model.p
-    z = (feats - model.feat_mean) / model.feat_scale
-    bout = _mlp_forward(model.branch_w, model.branch_b, z)
-    p1 = bout[:, :p] @ tout.T + model.b1
-    p2 = bout[:, p:] @ tout.T + model.b2
-    e1, e2, used1, used2 = [], [], 0, 0
-    for s in range(feats.shape[0]):
-        r1 = relative_l2(p1[s], y1[s], w)
-        r2 = relative_l2(p2[s], y2[s], w)
-        if np.isfinite(r1):
-            e1.append(r1)
-            used1 += 1
-        if np.isfinite(r2):
-            e2.append(r2)
-            used2 += 1
-    m1 = float(np.mean(e1)) if used1 else float("nan")
-    m2 = float(np.mean(e2)) if used2 else float("nan")
-    return m1, m2
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHistory]:
@@ -276,16 +261,16 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
     w_tri = tri_quad_weights(grid)
 
+    # the arrays are updated in place, so this list stays the model's
     params = model.parameters()
     adam_m = [np.zeros_like(p_) for p_ in params] + [0.0, 0.0]
     adam_v = [np.zeros_like(p_) for p_ in params] + [0.0, 0.0]
     t_step = 0
     n_train = z_tr.shape[0]
-    p = model.p
 
     hist_loss = np.zeros(config.epochs)
-    hist_te1 = np.zeros(config.epochs)
-    hist_te2 = np.zeros(config.epochs)
+    hist_te1 = np.full(config.epochs, np.nan)
+    hist_te2 = np.full(config.epochs, np.nan)
 
     for epoch in range(config.epochs):
         # cosine decay to 0.2% of the base rate; late-epoch step noise
@@ -297,17 +282,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
         n_batches = 0
         for start in range(0, n_train, config.batch_size):
             batch = order[start : start + config.batch_size]
-            zb = z_tr[batch]
-            t1, t2 = y1_tr[batch], y2_tr[batch]
-
-            bout, bacts = _mlp_forward(model.branch_w, model.branch_b, zb, keep=True)
-            tout, tacts = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
-            pred1 = bout[:, :p] @ tout.T + model.b1
-            pred2 = bout[:, p:] @ tout.T + model.b2
-            d1 = pred1 - t1
-            d2 = pred2 - t2
-            n_terms = d1.size + d2.size
-            loss = (np.sum(d1 * d1) + np.sum(d2 * d2)) / n_terms
+            loss, grads = _loss_and_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], pts)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, step {n_batches}"
@@ -315,17 +290,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
             epoch_loss += loss
             n_batches += 1
 
-            g1 = (2.0 / n_terms) * d1
-            g2 = (2.0 / n_terms) * d2
-            d_bout = np.concatenate([g1 @ tout, g2 @ tout], axis=1)
-            d_tout = g1.T @ bout[:, :p] + g2.T @ bout[:, p:]
-            db1 = float(g1.sum())
-            db2 = float(g2.sum())
-            dbw, dbb, _ = _mlp_backward(model.branch_w, bacts, d_bout)
-            dtw, dtb, _ = _mlp_backward(model.trunk_w, tacts, d_tout)
-
-            grads = [*dbw, *dbb, *dtw, *dtb, db1, db2]
-            params = [*model.branch_w, *model.branch_b, *model.trunk_w, *model.trunk_b]
             t_step += 1
             bc1 = 1.0 - config.beta1**t_step
             bc2 = 1.0 - config.beta2**t_step
@@ -344,17 +308,13 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
 
         hist_loss[epoch] = epoch_loss / max(n_batches, 1)
         if len(te_idx) > 0:
-            tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
-            hist_te1[epoch], hist_te2[epoch] = _batch_eval_rel(
-                model, f_te, y1_te, y2_te, tout, w_tri
-            )
-        else:
-            hist_te1[epoch] = hist_te2[epoch] = float("nan")
+            res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri)
+            hist_te1[epoch], hist_te2[epoch] = res.rel_l2_k1, res.rel_l2_k2
 
     _polish_readout(model, z_tr, y1_tr, y2_tr, pts)
     if len(te_idx) > 0:
-        tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
-        hist_te1[-1], hist_te2[-1] = _batch_eval_rel(model, f_te, y1_te, y2_te, tout, w_tri)
+        res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri)
+        hist_te1[-1], hist_te2[-1] = res.rel_l2_k1, res.rel_l2_k2
 
     history = TrainHistory(train_loss=hist_loss, test_rel_l2_k1=hist_te1, test_rel_l2_k2=hist_te2)
     return model, history
@@ -403,25 +363,23 @@ def evaluate(model: DeepONetModel, dataset: Dataset) -> EvalResult:
     """
     grid = TriangularGrid(dataset.n_grid)
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
-    w = tri_quad_weights(grid)
-    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     feats, y1, y2 = _dataset_tensors(dataset, model.m_enc)
-    p = model.p
+    return _evaluate(model, feats, y1, y2, pts, tri_quad_weights(grid))
+
+
+def _evaluate(model: DeepONetModel, feats, y1, y2, pts, w) -> EvalResult:
+    """The result of evaluate, from encoded features, true kernels, trunk inputs and quadrature weights."""
     z = (feats - model.feat_mean) / model.feat_scale
     bout = _mlp_forward(model.branch_w, model.branch_b, z)
-    p1 = bout[:, :p] @ tout.T + model.b1
-    p2 = bout[:, p:] @ tout.T + model.b2
-    e1 = [relative_l2(p1[s], y1[s], w) for s in range(len(dataset.samples))]
-    e2 = [relative_l2(p2[s], y2[s], w) for s in range(len(dataset.samples))]
-    f1 = [e for e in e1 if np.isfinite(e)]
-    f2 = [e for e in e2 if np.isfinite(e)]
-    return EvalResult(
-        rel_l2_k1=float(np.mean(f1)) if f1 else float("nan"),
-        rel_l2_k2=float(np.mean(f2)) if f2 else float("nan"),
-        n_samples=len(dataset.samples),
-        n_skipped_k1=len(e1) - len(f1),
-        n_skipped_k2=len(e2) - len(f2),
-    )
+    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
+    p = model.p
+    means, skipped = [], []
+    for pred, truth in ((bout[:, :p] @ tout.T + model.b1, y1), (bout[:, p:] @ tout.T + model.b2, y2)):
+        errs = [relative_l2(a, b, w) for a, b in zip(pred, truth)]
+        finite = [e for e in errs if np.isfinite(e)]
+        means.append(float(np.mean(finite)) if finite else float("nan"))
+        skipped.append(len(errs) - len(finite))
+    return EvalResult(means[0], means[1], len(feats), skipped[0], skipped[1])
 
 
 def infer_gains(model: DeepONetModel, coeffs: CoefficientSet, xi_grid: IntervalGrid) -> GainVector:
@@ -434,14 +392,22 @@ def infer_gains(model: DeepONetModel, coeffs: CoefficientSet, xi_grid: IntervalG
 
 def loss_and_gradients(model: DeepONetModel, feats: np.ndarray, y1: np.ndarray, y2: np.ndarray, pts: np.ndarray):
     """Loss plus flat analytic gradient over all parameters (for verification)."""
-    p = model.p
     z = (feats - model.feat_mean) / model.feat_scale
+    loss, grads = _loss_and_grads(model, z, y1, y2, _trunk_inputs(pts))
+    return loss, np.concatenate([np.ravel(g) for g in grads])
+
+
+def _loss_and_grads(model: DeepONetModel, z, y1, y2, pts):
+    """Training MSE on normalized features and trunk inputs, and its gradient.
+
+    The gradient comes as [*branch_w, *branch_b, *trunk_w, *trunk_b, db1, db2],
+    in the order of ``model.parameters()`` followed by the two output biases.
+    """
+    p = model.p
     bout, bacts = _mlp_forward(model.branch_w, model.branch_b, z, keep=True)
-    tout, tacts = _mlp_forward(model.trunk_w, model.trunk_b, _trunk_inputs(pts), keep=True)
-    pred1 = bout[:, :p] @ tout.T + model.b1
-    pred2 = bout[:, p:] @ tout.T + model.b2
-    d1 = pred1 - y1
-    d2 = pred2 - y2
+    tout, tacts = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
+    d1 = bout[:, :p] @ tout.T + model.b1 - y1
+    d2 = bout[:, p:] @ tout.T + model.b2 - y2
     n_terms = d1.size + d2.size
     loss = (np.sum(d1 * d1) + np.sum(d2 * d2)) / n_terms
     g1 = (2.0 / n_terms) * d1
@@ -450,10 +416,7 @@ def loss_and_gradients(model: DeepONetModel, feats: np.ndarray, y1: np.ndarray, 
     d_tout = g1.T @ bout[:, :p] + g2.T @ bout[:, p:]
     dbw, dbb, _ = _mlp_backward(model.branch_w, bacts, d_bout)
     dtw, dtb, _ = _mlp_backward(model.trunk_w, tacts, d_tout)
-    flat = np.concatenate(
-        [g.ravel() for g in (*dbw, *dbb, *dtw, *dtb)] + [[float(g1.sum())], [float(g2.sum())]]
-    )
-    return loss, flat
+    return loss, [*dbw, *dbb, *dtw, *dtb, float(g1.sum()), float(g2.sum())]
 
 
 def get_flat_params(model: DeepONetModel) -> np.ndarray:
@@ -487,32 +450,25 @@ def save_model(model: DeepONetModel, path) -> None:
         f.write(struct.pack("<dd", model.b1, model.b2))
 
 
-def _read_exact(f, nbytes, what):
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
-        raise ValueError(f"model file truncated while reading {what}")
-    return buf
-
-
 def load_model(path) -> DeepONetModel:
     """Read a model file, rejecting unknown magic bytes or versions and inconsistent dims."""
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MODEL_MAGIC:
+        if read_exact(f, 4, "magic", "model file") != MODEL_MAGIC:
             raise ValueError("not a model file (bad magic)")
-        version, m_enc, p, nb = struct.unpack("<IIII", _read_exact(f, 16, "header"))
+        version, m_enc, p, nb = struct.unpack("<IIII", read_exact(f, 16, "header", "model file"))
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
-        branch_dims = struct.unpack(f"<{nb}I", _read_exact(f, 4 * nb, "branch dims"))
-        (nt,) = struct.unpack("<I", _read_exact(f, 4, "trunk layer count"))
-        trunk_dims = struct.unpack(f"<{nt}I", _read_exact(f, 4 * nt, "trunk dims"))
+        branch_dims = struct.unpack(f"<{nb}I", read_exact(f, 4 * nb, "branch dims", "model file"))
+        (nt,) = struct.unpack("<I", read_exact(f, 4, "trunk layer count", "model file"))
+        trunk_dims = struct.unpack(f"<{nt}I", read_exact(f, 4 * nt, "trunk dims", "model file"))
         if nb < 2 or nt < 2:
             raise ValueError(f"model needs at least 2 branch and 2 trunk dims, got {nb} and {nt}")
-        if trunk_dims[0] != 2 or trunk_dims[-1] != p or branch_dims[-1] != 2 * p:
+        if trunk_dims[0] != 2 or trunk_dims[-1] != p or branch_dims[-1] != 2 * p or 0 in branch_dims + trunk_dims:
             raise ValueError(f"inconsistent model dims: branch {branch_dims}, trunk {trunk_dims}, p {p}")
 
         def read_array(shape, what):
-            count = int(np.prod(shape))
-            buf = _read_exact(f, 8 * count, what)
+            count = math.prod(shape)
+            buf = read_exact(f, 8 * count, what, "model file")
             return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
         bw = [read_array((a, b), "branch weights") for a, b in zip(branch_dims[:-1], branch_dims[1:])]
@@ -521,7 +477,7 @@ def load_model(path) -> DeepONetModel:
         tb = [read_array((b,), "trunk biases") for b in trunk_dims[1:]]
         mean = read_array((branch_dims[0],), "normalization mean")
         scale = read_array((branch_dims[0],), "normalization scale")
-        b1, b2 = struct.unpack("<dd", _read_exact(f, 16, "output biases"))
+        b1, b2 = struct.unpack("<dd", read_exact(f, 16, "output biases", "model file"))
         extra = f.read(1)
         if extra:
             raise ValueError("model file has trailing bytes")

@@ -1,7 +1,9 @@
-"""Uniform grids, quadrature and interpolation primitives shared by every solver."""
+"""Uniform grids, quadrature and interpolation primitives shared by every solver,
+and the exact-length read that both binary file readers use."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,3 +175,17 @@ def tri_interp(field, x: float, xi: float) -> float:
     vb = vals[idx(i0 + 1, i0)]
     vc = vals[idx(i0 + 1, i0 + 1)]
     return float((1 - a) * va + (a - b) * vb + b * vc)
+
+
+def read_exact(f, nbytes: int, what: str, kind: str) -> bytes:
+    """Read exactly ``nbytes`` from the binary file ``f``, or raise ValueError.
+
+    A request for more bytes than the file has left is refused before any
+    buffer is allocated; ``kind`` names the file in the message ("dataset
+    file", "model file").
+    """
+    if nbytes <= os.fstat(f.fileno()).st_size - f.tell():
+        buf = f.read(nbytes)
+        if len(buf) == nbytes:
+            return buf
+    raise ValueError(f"{kind} truncated while reading {what}")

@@ -9,6 +9,7 @@ u(0) = q v(0) and v(1) = U hold exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -83,7 +84,7 @@ def reference_initial_state(grid: IntervalGrid) -> PlantState:
     return PlantState(grid, np.ones(grid.n + 1), np.sin(grid.points))
 
 
-def _advance(u, v, cf, q, h, dt):
+def _advance(u, v, dt, cf, q, h):
     """One explicit upwind step without the actuated boundary value."""
     lam, mu = cf["lam"], cf["mu"]
     sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
@@ -101,9 +102,8 @@ def step(state: PlantState, coeffs: CoefficientSet, U: float, dt: float) -> Plan
     if dt > cfl_dt(coeffs, grid) * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the CFL bound {cfl_dt(coeffs, grid)}")
     cf = resample(coeffs, grid.n)
-    un, vn = _advance(state.u, state.v, cf, coeffs.q, grid.h, dt)
+    un, vn = _advance(state.u, state.v, dt, cf, coeffs.q, grid.h)
     vn[-1] = U
-    un[0] = coeffs.q * vn[0]
     return PlantState(grid, un, vn, state.t + dt)
 
 
@@ -111,48 +111,26 @@ def _phi_of(u, v, h):
     return trapezoid_integral(u * u, h) + trapezoid_integral(v * v, h)
 
 
-def simulate(
-    coeffs: CoefficientSet,
-    init: PlantState,
-    controller: ControllerSpec,
-    T: float,
-    snapshot_stride: int = 0,
-) -> SimTrace:
-    """Run the closed (or open) loop to time T with dt at the CFL bound.
+def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: int, advance, actuate) -> SimTrace:
+    """Trace loop shared by both simulators, with dt at the CFL bound.
 
-    For gain feedback the actuated value v(1) is solved from the scalar
-    implicit equation v(1) = quadrature(g1*u) + quadrature(g2*v), so the
-    recorded control and v(1) agree at every recorded time, including t = 0;
-    the transformed state then vanishes at x = 1 identically.  The run stops
-    early with ``blew_up`` set once phi exceeds 1e12 or turns non-finite.
+    ``advance(u, v, dt)`` returns the next state with u(0) = q v(0) already
+    set; ``actuate(u, v)`` gives the actuated value v(1), which is 0 when
+    ``actuate`` is None and is recorded as the control.  The run stops early
+    with ``blew_up`` set once phi exceeds 1e12 or turns non-finite.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     grid = init.grid
-    n, h = grid.n, grid.h
-    cf = resample(coeffs, n)
-    q = coeffs.q
-    dt_max = cfl_dt(coeffs, grid)
-    n_steps = max(1, int(np.ceil(T / dt_max)))
+    h = grid.h
+    n_steps = max(1, int(np.ceil(T / cfl_dt(coeffs, grid))))
     dt = T / n_steps
-
-    w = trapezoid_weights(n + 1, h)
-    if controller.kind == "feedback":
-        gains = controller.gains.resample(grid)
-        g1, g2 = gains.g1, gains.g2
-        closure = 1.0 - w[-1] * g2[-1]
-        if abs(closure) < 1e-12:
-            raise ZeroDivisionError("feedback closure is singular on this grid")
 
     u = init.u.copy()
     v = init.v.copy()
     # make the initial data consistent with the boundary identities
-    u[0] = q * v[0]
-    if controller.kind == "feedback":
-        partial = w @ (g1 * u) + w[:-1] @ (g2[:-1] * v[:-1])
-        v[-1] = partial / closure
-    else:
-        v[-1] = 0.0
+    u[0] = coeffs.q * v[0]
+    v[-1] = actuate(u, v) if actuate else 0.0
 
     times = [init.t]
     phi = [_phi_of(u, v, h)]
@@ -164,12 +142,8 @@ def simulate(
 
     blew_up = False
     for m in range(1, n_steps + 1):
-        u, v = _advance(u, v, cf, q, h, dt)
-        if controller.kind == "feedback":
-            partial = w @ (g1 * u) + w[:-1] @ (g2[:-1] * v[:-1])
-            v[-1] = partial / closure
-        else:
-            v[-1] = 0.0
+        u, v = advance(u, v, dt)
+        v[-1] = actuate(u, v) if actuate else 0.0
         t = init.t + m * dt
         p = _phi_of(u, v, h)
         times.append(t)
@@ -195,6 +169,39 @@ def simulate(
     )
 
 
+def simulate(
+    coeffs: CoefficientSet,
+    init: PlantState,
+    controller: ControllerSpec,
+    T: float,
+    snapshot_stride: int = 0,
+) -> SimTrace:
+    """Run the closed (or open) loop to time T with dt at the CFL bound.
+
+    For gain feedback the actuated value v(1) is solved from the scalar
+    implicit equation v(1) = quadrature(g1*u) + quadrature(g2*v), so the
+    recorded control and v(1) agree at every recorded time, including t = 0;
+    the transformed state then vanishes at x = 1 identically.  The run stops
+    early with ``blew_up`` set once phi exceeds 1e12 or turns non-finite.
+    """
+    grid = init.grid
+    n, h = grid.n, grid.h
+    actuate = None
+    if controller.kind == "feedback":
+        w = trapezoid_weights(n + 1, h)
+        gains = controller.gains.resample(grid)
+        g1, g2 = gains.g1, gains.g2
+        closure = 1.0 - w[-1] * g2[-1]
+        if abs(closure) < 1e-12:
+            raise ZeroDivisionError("feedback closure is singular on this grid")
+
+        def actuate(u, v):
+            return (w @ (g1 * u) + w[:-1] @ (g2[:-1] * v[:-1])) / closure
+
+    advance = partial(_advance, cf=resample(coeffs, n), q=coeffs.q, h=h)
+    return _trace(coeffs, init, T, snapshot_stride, advance, actuate)
+
+
 def simulate_target(
     coeffs: CoefficientSet,
     kernels,
@@ -207,12 +214,10 @@ def simulate_target(
     beta is a pure leftward transport with zero inflow; the u equation keeps
     its local terms plus the integral couplings through c and kappa, which are
     applied with row-wise trapezoid weights each step.  ``init.v`` is taken as
-    the initial beta.
+    the initial beta, and the recorded control is the zero inflow beta(1).
     """
     if kernels.kappa is None or kernels.c is None:
         raise ValueError("target simulation needs kappa and c; run solve_kappa_c")
-    if T <= 0:
-        raise ValueError("T must be positive")
     grid = init.grid
     n, h = grid.n, grid.h
     if kernels.grid.n != n:
@@ -221,9 +226,6 @@ def simulate_target(
     lam, mu = cf["lam"], cf["mu"]
     sig, omg = cf["sigma"], cf["omega"]
     q = coeffs.q
-    dt_max = cfl_dt(coeffs, grid)
-    n_steps = max(1, int(np.ceil(T / dt_max)))
-    dt = T / n_steps
 
     # fold the row-wise trapezoid weights into the kernel matrices once
     wtri = np.zeros((n + 1, n + 1))
@@ -232,20 +234,7 @@ def simulate_target(
     c_w = kernels.c.as_matrix() * wtri
     kap_w = kernels.kappa.as_matrix() * wtri
 
-    u = init.u.copy()
-    beta = init.v.copy()
-    beta[-1] = 0.0
-    u[0] = q * beta[0]
-
-    times = [init.t]
-    phi = [_phi_of(u, beta, h)]
-    u0s, b0s = [u[0]], [beta[0]]
-    snapshots = []
-    if snapshot_stride > 0:
-        snapshots.append(PlantState(grid, u.copy(), beta.copy(), init.t))
-
-    blew_up = False
-    for m in range(1, n_steps + 1):
+    def advance(u, beta, dt):
         integral = c_w @ u + kap_w @ beta
         un = u.copy()
         un[1:] = (
@@ -255,31 +244,10 @@ def simulate_target(
         )
         bn = beta.copy()
         bn[:-1] = beta[:-1] + dt * mu[:-1] * (beta[1:] - beta[:-1]) / h
-        bn[-1] = 0.0
         un[0] = q * bn[0]
-        u, beta = un, bn
-        t = init.t + m * dt
-        p = _phi_of(u, beta, h)
-        times.append(t)
-        phi.append(p)
-        u0s.append(u[0])
-        b0s.append(beta[0])
-        if snapshot_stride > 0 and (m % snapshot_stride == 0 or m == n_steps):
-            snapshots.append(PlantState(grid, u.copy(), beta.copy(), t))
-        if not np.isfinite(p) or p > BLOWUP_THRESHOLD:
-            blew_up = True
-            break
+        return un, bn
 
-    return SimTrace(
-        times=np.array(times),
-        phi=np.array(phi),
-        u_boundary=np.array(u0s),
-        v_boundary=np.array(b0s),
-        control=np.zeros(len(times)),
-        dt=dt,
-        blew_up=blew_up,
-        snapshots=snapshots,
-    )
+    return _trace(coeffs, init, T, snapshot_stride, advance, None)
 
 
 def trace_to_csv(trace: SimTrace, path) -> None:

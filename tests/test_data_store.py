@@ -174,6 +174,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="record 3 holds non-finite"):
             read(path)
 
+    @pytest.mark.parametrize("block, value", [(0, 0.0), (1, -1.0)], ids=["lam_zero", "mu_negative"])
+    def test_nonpositive_speed_rejected(self, small_dataset, tmp_path, block, value):
+        path = tmp_path / "ds.bin"
+        write(small_dataset, path)
+        data = bytearray(path.read_bytes())
+        # node 7 of lam (block 0) or mu (block 1) in record 4
+        at = 20 + 4 * (expected_file_size(1, 41, 16) - 20) + 8 + 8 * (41 * block + 7)
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="record 4 has a transport speed"):
+            read(path)
+
     def test_infinite_kernel_value_rejected(self, small_dataset, tmp_path):
         path = tmp_path / "ds.bin"
         write(small_dataset, path)

@@ -136,11 +136,6 @@ class TestKappaC:
                 worst = max(worst, abs(kap[i, j] - omg[i] * k2m[i, j] - integral))
         assert worst <= 1e-10
 
-    def test_self_coupled_variant_differs(self, gamma1, kernels_g1_n100):
-        alt = solve_kappa_c(gamma1, kernels_g1_n100, c_self_coupled=True)
-        assert np.abs(alt.c.values - kernels_g1_n100.c.values).max() > 1e-3
-        assert np.array_equal(alt.kappa.values, kernels_g1_n100.kappa.values)
-
 
 class TestInverseKernels:
     def test_zero_k2_gives_l1_equals_k1(self):

@@ -146,6 +146,12 @@ class TestTraining:
         res = nn.evaluate(model, one)
         assert res.rel_l2_k1 <= 0.1 and res.rel_l2_k2 <= 0.1
 
+    def test_single_encoding_node_rejected(self):
+        # one node leaves no spacing to interpolate on; the fit used to end in
+        # a misleading "training diverged"
+        with pytest.raises(ValueError, match="m_enc"):
+            small_config(m_enc=1)
+
     def test_empty_dataset_rejected(self, tiny_dataset):
         empty = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, [])
         with pytest.raises(ValueError):
@@ -279,4 +285,15 @@ class TestModelFile:
         data[end - 4 : end] = struct.pack("<I", model.p + 1)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="inconsistent"):
+            nn.load_model(path)
+
+    def test_dims_larger_than_file_rejected(self, tmp_path):
+        # 2**31 x 2**31 weights asked for more bytes than an index can hold
+        path = tmp_path / "model.bin"
+        dims = struct.pack("<III", 2**31, 2**31, 8)
+        path.write_bytes(
+            nn.MODEL_MAGIC + struct.pack("<IIII", nn.MODEL_VERSION, 5, 4, 3) + dims
+            + struct.pack("<I", 2) + struct.pack("<II", 2, 4) + b"\0" * 64
+        )
+        with pytest.raises(ValueError, match="model file truncated while reading branch weights"):
             nn.load_model(path)

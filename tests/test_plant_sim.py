@@ -142,6 +142,13 @@ class TestSimulateTarget:
         with pytest.raises(ValueError):
             g.simulate_target(gamma1, kernels_g1_n50, init, 0.1)
 
+    def test_records_zero_control_and_boundary_identity(self, gamma1, kernels_g1_n100):
+        grid = g.IntervalGrid(100)
+        tr = g.simulate_target(gamma1, kernels_g1_n100, g.reference_initial_state(grid), 0.2)
+        # the zero inflow beta(1) is the control: +0.0 at every recorded step
+        assert tr.control.tobytes() == bytes(8 * len(tr.times))
+        assert np.array_equal(tr.u_boundary, gamma1.q * tr.v_boundary)
+
     def test_beta_vanishes_after_transit_time(self, gamma1, kernels_g1_n100):
         # beta is uncoupled leftward transport with zero inflow; the domain
         # clears by t = int dx/mu ~ 0.38 for this coefficient set
