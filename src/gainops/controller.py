@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import IntervalGrid, interp_linear, trapezoid_weights
+from .numerics import IntervalGrid, interp_linear, row_weights, trapezoid_weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel_solver import KernelSet
@@ -50,14 +50,8 @@ def forward_transform(state: "PlantState", kernels: "KernelSet") -> np.ndarray:
     n = kernels.grid.n
     if state.grid.n != n:
         raise ValueError("state and kernels must share one grid resolution")
-    h = state.grid.h
-    k1m, k2m = kernels.k1.as_matrix(), kernels.k2.as_matrix()
-    beta = state.v.copy()
-    for i in range(1, n + 1):
-        w = trapezoid_weights(i + 1, h)
-        beta[i] -= w @ (k1m[i, : i + 1] * state.u[: i + 1])
-        beta[i] -= w @ (k2m[i, : i + 1] * state.v[: i + 1])
-    return beta
+    w = row_weights(n, state.grid.h)
+    return state.v - (kernels.k1.as_matrix() * w) @ state.u - (kernels.k2.as_matrix() * w) @ state.v
 
 
 def inverse_transform(u: np.ndarray, beta: np.ndarray, kernels: "KernelSet") -> np.ndarray:
@@ -67,11 +61,5 @@ def inverse_transform(u: np.ndarray, beta: np.ndarray, kernels: "KernelSet") -> 
     n = kernels.grid.n
     if u.shape != (n + 1,) or beta.shape != (n + 1,):
         raise ValueError("state arrays must match the kernel grid")
-    h = kernels.grid.h
-    l1m, l2m = kernels.l1.as_matrix(), kernels.l2.as_matrix()
-    v = beta.copy()
-    for i in range(1, n + 1):
-        w = trapezoid_weights(i + 1, h)
-        v[i] += w @ (l1m[i, : i + 1] * u[: i + 1])
-        v[i] += w @ (l2m[i, : i + 1] * beta[: i + 1])
-    return v
+    w = row_weights(n, kernels.grid.h)
+    return beta + (kernels.l1.as_matrix() * w) @ u + (kernels.l2.as_matrix() * w) @ beta

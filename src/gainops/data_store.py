@@ -22,7 +22,7 @@ from .coefficients import (
     sample_random,
     splitmix64,
 )
-from .kernel_solver import PlantError, solve_kernels_batch
+from .kernel_solver import KernelField, KernelSet, PlantError, check_boundary_conditions, solve_kernels_batch
 from .numerics import IntervalGrid, TriangularGrid, read_exact
 
 MAGIC = b"HKDS"
@@ -164,8 +164,6 @@ def expected_file_size(n_samples: int, m_coeff: int, n_grid: int) -> int:
 
 def validate_boundary_identities(dataset: Dataset, tol: float = 1e-12) -> None:
     """Check both kernel boundary identities on every record."""
-    from .kernel_solver import KernelField, KernelSet, check_boundary_conditions
-
     grid = TriangularGrid(dataset.n_grid)
     for i, r in enumerate(dataset.samples):
         ks = KernelSet(k1=KernelField(grid, r.k1), k2=KernelField(grid, r.k2))

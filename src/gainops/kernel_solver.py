@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, resample
 from .controller import GainVector
-from .numerics import IntervalGrid, TriangularGrid, flatten_lower, trapezoid_weights, unflatten_lower
+from .numerics import IntervalGrid, TriangularGrid, compose, flatten_lower, unflatten_lower
 
 PIVOT_TOL = 1e-12
 
@@ -213,42 +213,37 @@ def check_boundary_conditions(coeffs: CoefficientSet, ks: KernelSet):
     n = ks.grid.n
     cf = resample(coeffs, n)
     k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
-    diag = np.array([k1m[i, i] for i in range(n + 1)])
-    r_diag = np.abs(diag + cf["theta"] / (cf["lam"] + cf["mu"]))
+    r_diag = np.abs(np.diagonal(k1m) + cf["theta"] / (cf["lam"] + cf["mu"]))
     r_bottom = np.abs(cf["mu"][0] * k2m[:, 0] - coeffs.q * cf["lam"][0] * k1m[:, 0])
     return float(r_diag.max()), float(r_bottom.max())
 
 
 def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
-    """Fill kappa and c by row-wise Volterra solves.
+    """Fill kappa and c by Volterra solves marched over xi columns.
 
     Per row (fixed x) kappa satisfies
 
         kappa(x, xi) = omega(x) k2(x, xi) + int_xi^x kappa(x, s) k2(s, xi) ds
 
-    which back-substitution in xi turns into a lower-triangular solve with
-    trapezoid weights.  c uses k1 with kappa in the integrand.
+    under the trapezoid rule.  Column xi_j needs only the columns to its
+    right, so the march runs j = n-1 .. 0 with all rows of a column at once.
+    c uses k1 with kappa in the integrand.
     """
     n, h = ks.grid.n, ks.grid.h
-    cf = resample(coeffs, n)
-    omg = cf["omega"]
+    omg = resample(coeffs, n)["omega"]
     k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
-    kap = np.zeros((n + 1, n + 1))
-    cm = np.zeros((n + 1, n + 1))
+    pivot = 1.0 - 0.5 * h * np.diagonal(k2m)
+    bad = np.flatnonzero(np.abs(pivot[:n]) < PIVOT_TOL)
+    if bad.size:
+        raise ZeroDivisionError(f"singular Volterra pivot at row {bad[0] + 1}, xi index {bad[0]}")
 
-    for i in range(n + 1):
-        kap[i, i] = omg[i] * k2m[i, i]
-        for j in range(i - 1, -1, -1):
-            pivot = 1.0 - 0.5 * h * k2m[j, j]
-            if abs(pivot) < PIVOT_TOL:
-                raise ZeroDivisionError(f"singular Volterra pivot at row {i}, xi index {j}")
-            w = trapezoid_weights(i - j + 1, h)
-            acc = w[1:] @ (kap[i, j + 1 : i + 1] * k2m[j + 1 : i + 1, j])
-            kap[i, j] = (omg[i] * k2m[i, j] + acc) / pivot
-        for j in range(i, -1, -1):
-            w = trapezoid_weights(i - j + 1, h)
-            acc = w @ (kap[i, j : i + 1] * k1m[j : i + 1, j])
-            cm[i, j] = omg[i] * k1m[i, j] + acc
+    dk = omg * np.diagonal(k2m)
+    kap = np.diag(dk)
+    for j in range(n - 1, -1, -1):
+        col = k2m[j + 1 :, j]
+        acc = h * (kap[j + 1 :, j + 1 :] @ col) - 0.5 * h * dk[j + 1 :] * col
+        kap[j + 1 :, j] = (omg[j + 1 :] * col + acc) / pivot[j]
+    cm = omg[:, None] * k1m + compose(kap, k1m, h)
 
     grid = ks.grid
     return replace(
@@ -265,29 +260,28 @@ def solve_inverse_kernels(ks: KernelSet) -> KernelSet:
 
         l_i(x, xi) = k_i(x, xi) + int_xi^x k2(x, s) l_i(s, xi) ds,
 
-    marched in x; the newest node enters its own integral through the
-    trapezoid endpoint, giving a scalar implicit equation per step.
+    marched in x over whole rows of both kernels; the newest node enters its
+    own integral through the trapezoid endpoint, giving a scalar pivot per row.
     """
     n, h = ks.grid.n, ks.grid.h
-    k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
-    l1 = np.zeros((n + 1, n + 1))
-    l2 = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        l1[j, j] = k1m[j, j]
-        l2[j, j] = k2m[j, j]
-        for m in range(j + 1, n + 1):
-            pivot = 1.0 - 0.5 * h * k2m[m, m]
-            if abs(pivot) < PIVOT_TOL:
-                raise ZeroDivisionError(f"singular inverse-kernel pivot at x index {m}")
-            w = trapezoid_weights(m - j + 1, h)
-            row_k2 = k2m[m, j:m]
-            l1[m, j] = (k1m[m, j] + w[:-1] @ (row_k2 * l1[j:m, j])) / pivot
-            l2[m, j] = (k2m[m, j] + w[:-1] @ (row_k2 * l2[j:m, j])) / pivot
+    k = np.stack([ks.k1.as_matrix(), ks.k2.as_matrix()])
+    pivot = 1.0 - 0.5 * h * np.diagonal(k[1])
+    bad = np.flatnonzero(np.abs(pivot[1:]) < PIVOT_TOL)
+    if bad.size:
+        raise ZeroDivisionError(f"singular inverse-kernel pivot at x index {bad[0] + 1}")
+
+    # l and k share their diagonal
+    dl = np.diagonal(k, axis1=1, axis2=2)
+    l = k * np.eye(n + 1)
+    for m in range(1, n + 1):
+        row = k[1, m, :m]
+        acc = h * (row @ l[:, :m, :m]) - 0.5 * h * row * dl[:, :m]
+        l[:, m, :m] = (k[:, m, :m] + acc) / pivot[m]
     grid = ks.grid
     return replace(
         ks,
-        l1=KernelField.from_matrix(grid, l1),
-        l2=KernelField.from_matrix(grid, l2),
+        l1=KernelField.from_matrix(grid, l[0]),
+        l2=KernelField.from_matrix(grid, l[1]),
     )
 
 

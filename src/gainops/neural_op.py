@@ -74,6 +74,9 @@ class DeepONetModel:
             raise ValueError("output widths must be 2p (branch) and p (trunk)")
         if self.branch_dims[0] != 5 * self.m_enc + 1 or self.trunk_dims[0] != 2:
             raise ValueError("input widths must be 5*m_enc+1 (branch) and 2 (trunk)")
+        values = [*self.parameters(), self.feat_mean, self.feat_scale, [self.b1, self.b2]]
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise ValueError("model weights, biases and normalization must be finite")
         if np.any(self.feat_scale <= 0):
             raise ValueError("normalization scale must be positive")
 

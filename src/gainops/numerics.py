@@ -33,8 +33,8 @@ class IntervalGrid:
 class TriangularGrid:
     """Nodes (x_i, xi_j) with 0 <= j <= i <= n on the triangle 0 <= xi <= x <= 1.
 
-    Canonical flattening: i outer ascending, j inner ascending, so node (i, j)
-    sits at flat index i*(i+1)/2 + j.
+    Canonical flattening: i outer ascending, j inner ascending (the order of
+    ``np.tril_indices``), so node (i, j) sits at flat index i*(i+1)/2 + j.
     """
 
     n: int
@@ -58,9 +58,7 @@ class TriangularGrid:
 
     def node_indices(self):
         """Row and column indices of every node in canonical order."""
-        i = np.repeat(np.arange(self.n + 1), np.arange(1, self.n + 2))
-        j = np.concatenate([np.arange(k + 1) for k in range(self.n + 1)])
-        return i, j
+        return np.tril_indices(self.n + 1)
 
     def node_coordinates(self):
         """(x, xi) of every node in canonical order."""
@@ -70,8 +68,7 @@ class TriangularGrid:
 
 def flatten_lower(dense: np.ndarray) -> np.ndarray:
     """Canonical flattening of a dense (n+1, n+1) array's lower triangle."""
-    n = dense.shape[0] - 1
-    return np.concatenate([dense[i, : i + 1] for i in range(n + 1)])
+    return dense[np.tril_indices(dense.shape[0])]
 
 
 def unflatten_lower(values: np.ndarray, n: int) -> np.ndarray:
@@ -79,10 +76,7 @@ def unflatten_lower(values: np.ndarray, n: int) -> np.ndarray:
     if values.size != (n + 1) * (n + 2) // 2:
         raise ValueError("flattened length does not match grid size")
     dense = np.zeros((n + 1, n + 1))
-    pos = 0
-    for i in range(n + 1):
-        dense[i, : i + 1] = values[pos : pos + i + 1]
-        pos += i + 1
+    dense[np.tril_indices(n + 1)] = values
     return dense
 
 
@@ -112,6 +106,28 @@ def trapezoid_weights(m: int, h: float) -> np.ndarray:
     return w
 
 
+def row_weights(n: int, h: float) -> np.ndarray:
+    """Dense (n+1, n+1) lower-triangular trapezoid weights, row i over nodes 0..i.
+
+    Row i equals ``trapezoid_weights(i + 1, h)`` and row 0 is zero, so
+    ``(K * row_weights(n, h)) @ u`` is int_0^x K(x, s) u(s) ds at every node.
+    """
+    w = np.tril(np.full((n + 1, n + 1), h))
+    w[:, 0] = 0.5 * h
+    np.fill_diagonal(w, 0.5 * h)
+    w[0, 0] = 0.0
+    return w
+
+
+def compose(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid rule for int_xi^x a(x, s) b(s, xi) ds on lower-triangular a, b.
+
+    Entry (i, j) integrates over the nodes j..i; the diagonal is zero.
+    """
+    ends = a * np.diagonal(b) + np.diagonal(a)[:, None] * b
+    return np.tril(h * (a @ b) - 0.5 * h * ends)
+
+
 def interp_linear(grid_values, x):
     """Piecewise-linear interpolation of samples on the uniform [0, 1] grid.
 
@@ -135,10 +151,8 @@ def tri_quad_weights(grid: TriangularGrid) -> np.ndarray:
     Inner rule runs along each constant-x row, outer rule over x.  Row 0 is a
     single point and carries weight zero.
     """
-    h = grid.h
-    wx = trapezoid_weights(grid.n + 1, h)
-    rows = [wx[i] * trapezoid_weights(i + 1, h) for i in range(grid.n + 1)]
-    return np.concatenate(rows)
+    wx = trapezoid_weights(grid.n + 1, grid.h)
+    return flatten_lower(wx[:, None] * row_weights(grid.n, grid.h))
 
 
 def tri_interp(field, x: float, xi: float) -> float:

@@ -14,8 +14,8 @@ from functools import partial
 import numpy as np
 
 from .coefficients import CoefficientSet, resample, sup_bounds
-from .controller import GainVector, trapezoid_weights
-from .numerics import IntervalGrid, trapezoid_integral
+from .controller import GainVector
+from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_weights
 
 BLOWUP_THRESHOLD = 1e12
 CFL_NUMBER = 0.9
@@ -228,9 +228,7 @@ def simulate_target(
     q = coeffs.q
 
     # fold the row-wise trapezoid weights into the kernel matrices once
-    wtri = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        wtri[i, : i + 1] = trapezoid_weights(i + 1, h)
+    wtri = row_weights(n, h)
     c_w = kernels.c.as_matrix() * wtri
     kap_w = kernels.kappa.as_matrix() * wtri
 

@@ -90,6 +90,20 @@ def dense_volterra_kappa(coeffs, ks):
     return kap
 
 
+def worst_volterra_residual(field, data, a, b, h, scale=None):
+    """Max over sampled nodes of |field - scale*data - int_xi^x a(x, s) b(s, xi) ds|,
+    with the integral taken node by node with trapezoid_weights."""
+    n = field.shape[0] - 1
+    scale = np.ones(n + 1) if scale is None else scale
+    worst = 0.0
+    for i in range(0, n + 1, 7):
+        for j in range(0, i + 1, 5):
+            w = trapezoid_weights(i - j + 1, h) if i > j else np.zeros(1)
+            integral = w @ (a[i, j : i + 1] * b[j : i + 1, j])
+            worst = max(worst, abs(field[i, j] - scale[i] * data[i, j] - integral))
+    return worst
+
+
 class TestKappaC:
     def test_zero_omega_gives_zero(self, gamma1):
         c = g.CoefficientSet(
@@ -120,21 +134,50 @@ class TestKappaC:
         dense = dense_volterra_kappa(gamma1, kernels_g1_n100)
         assert np.abs(kernels_g1_n100.kappa.as_matrix() - dense).max() <= 1e-10
 
+    @pytest.mark.parametrize("singular, message", [(None, "row 1, xi index 0"), (4, "row 5, xi index 4")])
+    def test_singular_pivot_detected(self, gamma1, singular, message):
+        n = 10
+        grid = TriangularGrid(n)
+        i, j = grid.node_indices()
+        k2 = np.full(grid.node_count, 0.3)
+        k2[(i == j) if singular is None else (i == singular) & (j == singular)] = 2.0 * n  # pivot 1 - h/2*k2 = 0
+        ks = KernelSet(k1=KernelField(grid, np.zeros(grid.node_count)), k2=KernelField(grid, k2))
+        with pytest.raises(ZeroDivisionError, match=message):
+            solve_kappa_c(gamma1, ks)
+
     def test_kappa_satisfies_its_equation(self, kernels_g1_n100, gamma1):
         # substitute back into the discretized equation
-        n, h = 100, 0.01
         from gainops.coefficients import resample
 
-        omg = resample(gamma1, n)["omega"]
+        omg = resample(gamma1, 100)["omega"]
         kap = kernels_g1_n100.kappa.as_matrix()
         k2m = kernels_g1_n100.k2.as_matrix()
-        worst = 0.0
-        for i in range(0, n + 1, 7):
-            for j in range(0, i + 1, 5):
-                w = trapezoid_weights(i - j + 1, h) if i > j else np.zeros(1)
-                integral = w @ (kap[i, j : i + 1] * k2m[j : i + 1, j])
-                worst = max(worst, abs(kap[i, j] - omg[i] * k2m[i, j] - integral))
-        assert worst <= 1e-10
+        assert worst_volterra_residual(kap, k2m, kap, k2m, 0.01, omg) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def kernels_g5_n100(gamma5):
+    ks = solve_kernels(gamma5, TriangularGrid(100))
+    return solve_inverse_kernels(solve_kappa_c(gamma5, ks))
+
+
+class TestSideKernelSubstitution:
+    """c, l1 and l2 at Gamma = 5 substituted back into their discretized equations."""
+
+    def test_c_satisfies_its_equation(self, kernels_g5_n100, gamma5):
+        from gainops.coefficients import resample
+
+        ks = kernels_g5_n100
+        omg = resample(gamma5, 100)["omega"]
+        kap, k1m = ks.kappa.as_matrix(), ks.k1.as_matrix()
+        assert worst_volterra_residual(ks.c.as_matrix(), k1m, kap, k1m, 0.01, omg) <= 1e-10
+
+    @pytest.mark.parametrize("name, data", [("l1", "k1"), ("l2", "k2")])
+    def test_inverse_kernel_satisfies_its_equation(self, kernels_g5_n100, name, data):
+        ks = kernels_g5_n100
+        lm = getattr(ks, name).as_matrix()
+        k2m = ks.k2.as_matrix()
+        assert worst_volterra_residual(lm, getattr(ks, data).as_matrix(), k2m, lm, 0.01) <= 1e-10
 
 
 class TestInverseKernels:
@@ -170,7 +213,7 @@ class TestInverseKernels:
             k1=KernelField(grid, np.zeros(grid.node_count)),
             k2=KernelField(grid, np.full(grid.node_count, 2.0 * n)),  # pivot 1 - h/2*k2 = 0
         )
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="x index 1$"):
             solve_inverse_kernels(ks)
 
 

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,33 @@ class TestModelFile:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="inconsistent"):
             nn.load_model(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        # a file whose normalization scale is nan and output bias inf
+        model = nn.init_model(small_config())
+        path = tmp_path / "model.bin"
+        nn.save_model(model, path)
+        data = bytearray(path.read_bytes())
+        data[-24:-16] = struct.pack("<d", np.nan)
+        data[-16:-8] = struct.pack("<d", np.inf)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="finite"):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("name", ["branch_w", "branch_b", "trunk_w", "trunk_b", "feat_mean", "feat_scale", "b1", "b2"])
+    def test_non_finite_model_rejected(self, name):
+        model = nn.init_model(small_config())
+        value = getattr(model, name)
+        if isinstance(value, list):
+            value = [a.copy() for a in value]
+            value[-1][0] = np.nan
+        elif isinstance(value, np.ndarray):
+            value = value.copy()
+            value[0] = -np.inf
+        else:
+            value = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            replace(model, **{name: value})
 
     def test_dims_larger_than_file_rejected(self, tmp_path):
         # 2**31 x 2**31 weights asked for more bytes than an index can hold

@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from gainops.numerics import (
     IntervalGrid,
     TriangularGrid,
+    compose,
     flatten_lower,
     interp_linear,
+    row_weights,
     trapezoid_integral,
+    trapezoid_weights,
     tri_interp,
     tri_quad_weights,
     unflatten_lower,
@@ -57,6 +60,33 @@ class TestTrapezoid:
         v = slope * x + intercept
         exact = slope / 2 + intercept
         assert trapezoid_integral(v, 1.0 / n) == pytest.approx(exact, abs=1e-12)
+
+
+class TestTriangleRule:
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_row_weights_rows_are_trapezoid_weights(self, n):
+        h = 1.0 / n
+        w = row_weights(n, h)
+        assert w.shape == (n + 1, n + 1)
+        assert np.all(w[0] == 0.0)
+        for i in range(1, n + 1):
+            assert np.array_equal(w[i, : i + 1], trapezoid_weights(i + 1, h))
+            assert np.all(w[i, i + 1 :] == 0.0)
+
+    def test_compose_matches_per_node_rule(self):
+        n = 30
+        h = 1.0 / n
+        rng = np.random.default_rng(7)
+        a = np.tril(rng.normal(size=(n + 1, n + 1)))
+        b = np.tril(rng.normal(size=(n + 1, n + 1)))
+        out = compose(a, b, h)
+        ref = np.zeros((n + 1, n + 1))
+        for i in range(n + 1):
+            for j in range(i):
+                ref[i, j] = trapezoid_weights(i - j + 1, h) @ (a[i, j : i + 1] * b[j : i + 1, j])
+        assert np.abs(out - ref).max() <= 1e-14
+        assert np.all(np.diagonal(out) == 0.0)
+        assert np.all(np.triu(out, 1) == 0.0)
 
 
 class TestInterpLinear:

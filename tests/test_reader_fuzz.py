@@ -74,3 +74,6 @@ def test_model_reader_returns_model_or_value_error(tmp_path, valid_model, data):
     # magic, four header words, three branch dims, trunk count, three trunk dims
     out = _outcome(nn.load_model, tmp_path / "fuzz.bin", data.draw(_near(valid_model, 48)))
     assert out is None or isinstance(out, nn.DeepONetModel)
+    if out is not None:
+        values = [*out.parameters(), out.feat_mean, out.feat_scale, [out.b1, out.b2]]
+        assert all(np.all(np.isfinite(v)) for v in values)
