@@ -88,23 +88,16 @@ def _directional_derivatives(dense: np.ndarray, n: int, h: float):
     """
     dx = np.zeros_like(dense)
     dxi = np.zeros_like(dense)
-    for j in range(n + 1):
-        col = dense[j:, j]
-        if col.size >= 2:
-            d = np.empty_like(col)
-            d[0] = (col[1] - col[0]) / h
-            d[-1] = (col[-1] - col[-2]) / h
-            if col.size > 2:
-                d[1:-1] = (col[2:] - col[:-2]) / (2 * h)
-            dx[j:, j] = d
-    for i in range(1, n + 1):
-        row = dense[i, : i + 1]
-        d = np.empty_like(row)
-        d[0] = (row[1] - row[0]) / h
-        d[-1] = (row[-1] - row[-2]) / h
-        if row.size > 2:
-            d[1:-1] = (row[2:] - row[:-2]) / (2 * h)
-        dxi[i, : i + 1] = d
+    # centred at the interior nodes of every column (j < i < n) and row (0 < j < i)
+    dx[1:-1] = np.tril((dense[2:] - dense[:-2]) / (2 * h))
+    dxi[:, 1:-1] = np.tril((dense[:, 2:] - dense[:, :-2]) / (2 * h), -2)
+    # one-sided at the ends: a column starts on the diagonal and ends on row
+    # n, a row starts on column 0 and ends on the diagonal
+    d = np.arange(n)
+    dx[d, d] = (dense[d + 1, d] - dense[d, d]) / h
+    dx[n, :n] = (dense[n, :n] - dense[n - 1, :n]) / h
+    dxi[1:, 0] = (dense[1:, 1] - dense[1:, 0]) / h
+    dxi[d + 1, d + 1] = (dense[d + 1, d + 1] - dense[d + 1, d]) / h
     return dx, dxi
 
 

@@ -4,6 +4,13 @@ First-order explicit upwind in space, forward Euler in time, CFL 0.9.  u
 convects rightward (backward difference), v leftward (forward difference);
 coupling terms are explicit.  After every step the boundary identities
 u(0) = q v(0) and v(1) = U hold exactly.
+
+Both schemes are linear with a fixed dt.  A run therefore assembles its step
+once, as a dense 2n x 2n matrix over the free unknowns y = (u[1:], v[:-1])
+(the update applied to the identity), and iterates it with one
+matrix-vector product per step, in chunks of at most CHUNK states.  u(0),
+the actuated v(1), phi, the snapshots and the blow-up stop are computed from
+the states of a chunk at once; the trajectory itself is never kept.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ import numpy as np
 
 from .coefficients import CoefficientSet, resample, sup_bounds
 from .controller import GainVector
-from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_weights
+from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_weights  # noqa: F401  (callers read it from here)
 
 BLOWUP_THRESHOLD = 1e12
 CFL_NUMBER = 0.9
+CHUNK = 1024  # states a run holds at a time; bounds memory only
+ASSEMBLY_ROWS = 32  # rows of the step matrix assembled at a time; bounds memory only
 
 
 @dataclass(eq=False)
@@ -85,14 +94,21 @@ def reference_initial_state(grid: IntervalGrid) -> PlantState:
 
 
 def _advance(u, v, dt, cf, q, h):
-    """One explicit upwind step without the actuated boundary value."""
+    """One explicit upwind step without the actuated boundary value.
+
+    Acts on the last axis, so a stack of states advances in one call.
+    """
     lam, mu = cf["lam"], cf["mu"]
     sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
     un = u.copy()
     vn = v.copy()
-    un[1:] = u[1:] - dt * lam[1:] * (u[1:] - u[:-1]) / h + dt * (sig[1:] * u[1:] + omg[1:] * v[1:])
-    vn[:-1] = v[:-1] + dt * mu[:-1] * (v[1:] - v[:-1]) / h + dt * tht[:-1] * u[:-1]
-    un[0] = q * vn[0]
+    un[..., 1:] = (
+        u[..., 1:]
+        - dt * lam[1:] * (u[..., 1:] - u[..., :-1]) / h
+        + dt * (sig[1:] * u[..., 1:] + omg[1:] * v[..., 1:])
+    )
+    vn[..., :-1] = v[..., :-1] + dt * mu[:-1] * (v[..., 1:] - v[..., :-1]) / h + dt * tht[:-1] * u[..., :-1]
+    un[..., 0] = q * vn[..., 0]
     return un, vn
 
 
@@ -107,62 +123,106 @@ def step(state: PlantState, coeffs: CoefficientSet, U: float, dt: float) -> Plan
     return PlantState(grid, un, vn, state.t + dt)
 
 
-def _phi_of(u, v, h):
-    return trapezoid_integral(u * u, h) + trapezoid_integral(v * v, h)
+def _free(u, v):
+    """The free unknowns y = (u[1:], v[:-1]) of states on the last axis."""
+    return np.concatenate((u[..., 1:], v[..., :-1]), axis=-1)
+
+
+def _full(y, q, U):
+    """States (u, v) from free unknowns y, with u(0) = q v(0) and v(1) = U."""
+    n = y.shape[-1] // 2
+    u = np.empty(y.shape[:-1] + (n + 1,))
+    v = np.empty_like(u)
+    u[..., 1:] = y[..., :n]
+    v[..., :-1] = y[..., n:]
+    u[..., 0] = q * v[..., 0]
+    v[..., -1] = U
+    return u, v
 
 
 def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: int, advance, actuate) -> SimTrace:
     """Trace loop shared by both simulators, with dt at the CFL bound.
 
-    ``advance(u, v, dt)`` returns the next state with u(0) = q v(0) already
-    set; ``actuate(u, v)`` gives the actuated value v(1), which is 0 when
-    ``actuate`` is None and is recorded as the control.  The run stops early
-    with ``blew_up`` set once phi exceeds 1e12 or turns non-finite.
+    ``advance(u, v, dt)`` returns the next states and ``actuate(u, v)`` the
+    actuated value v(1), 0 when ``actuate`` is None; both act on the last
+    axis and are linear.  They are applied once, to the identity: that
+    assembles the step as a dense 2n x 2n matrix S over the free unknowns
+    y = (u[1:], v[:-1]), y_next = y @ S, and the closure row a, v(1) = y @ a
+    (v(1) is +0.0 without an actuator).  The run iterates S with one
+    matrix-vector product per step, into a buffer of at most CHUNK states.
+    Once per chunk it records phi, u(0) = q v(0), v(0) and the control v(1)
+    and takes the snapshots; it stops with ``blew_up`` set at the first step
+    whose phi exceeds 1e12 or is non-finite.  Only those four records and the
+    snapshots outlive a chunk.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got T = {T}")
     grid = init.grid
-    h = grid.h
+    n, h, q = grid.n, grid.h, coeffs.q
     n_steps = max(1, int(np.ceil(T / cfl_dt(coeffs, grid))))
     dt = T / n_steps
 
-    u = init.u.copy()
-    v = init.v.copy()
-    # make the initial data consistent with the boundary identities
-    u[0] = coeffs.q * v[0]
-    v[-1] = actuate(u, v) if actuate else 0.0
+    # row k of S (of a) is the next state (the control) of unknown k alone,
+    # assembled ASSEMBLY_ROWS rows at a time to keep the temporaries small
+    S = np.empty((2 * n, 2 * n))
+    a = np.empty(2 * n) if actuate else None
+    for k in range(0, 2 * n, ASSEMBLY_ROWS):
+        u, v = _full(np.eye(min(ASSEMBLY_ROWS, 2 * n - k), 2 * n, k), q, 0.0)
+        if actuate:
+            a[k : k + len(u)] = v[:, -1] = actuate(u, v)
+        S[k : k + len(u)] = _free(*advance(u, v, dt))
 
-    times = [init.t]
-    phi = [_phi_of(u, v, h)]
-    u0s, v0s = [u[0]], [v[0]]
-    controls = [v[-1]]
-    snapshots = []
-    if snapshot_stride > 0:
-        snapshots.append(PlantState(grid, u.copy(), v.copy(), init.t))
+    w = trapezoid_weights(n + 1, h)
+    wy = np.concatenate((w[1:], w[:-1]))
 
+    def records(Y):
+        """phi, u(0), v(0) and v(1) of the states in the rows of Y."""
+        v0 = Y[:, n].copy()
+        u0 = q * v0
+        U = Y @ a if actuate else np.zeros(len(Y))
+        return np.stack((np.einsum("ij,ij,j->i", Y, Y, wy) + w[0] * u0 * u0 + w[-1] * U * U, u0, v0, U))
+
+    def snapshot(y, U, m):
+        return PlantState(grid, *_full(y, q, U), init.t + m * dt)
+
+    rows = min(CHUNK, n_steps)
+    buf = np.empty((rows + 1, 2 * n))
+    buf[0] = _free(init.u, init.v)
+    views = list(buf)  # row views, made once for the step loop
+    chunks = [records(buf[:1])]
+    snapshots = [snapshot(buf[0], chunks[0][3, 0], 0)] if snapshot_stride > 0 else []
+    done = 0
     blew_up = False
-    for m in range(1, n_steps + 1):
-        u, v = advance(u, v, dt)
-        v[-1] = actuate(u, v) if actuate else 0.0
-        t = init.t + m * dt
-        p = _phi_of(u, v, h)
-        times.append(t)
-        phi.append(p)
-        u0s.append(u[0])
-        v0s.append(v[0])
-        controls.append(v[-1])
-        if snapshot_stride > 0 and (m % snapshot_stride == 0 or m == n_steps):
-            snapshots.append(PlantState(grid, u.copy(), v.copy(), t))
-        if not np.isfinite(p) or p > BLOWUP_THRESHOLD:
-            blew_up = True
-            break
+    # past a blow-up the rest of its chunk may overflow; it is not recorded
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_steps and not blew_up:
+            m = min(rows, n_steps - done)
+            for i in range(m):
+                np.dot(views[i], S, out=views[i + 1])
+            rec = records(buf[1 : m + 1])
+            bad = np.flatnonzero(~np.isfinite(rec[0]) | (rec[0] > BLOWUP_THRESHOLD))
+            if bad.size:
+                blew_up = True
+                m = int(bad[0]) + 1
+                rec = rec[:, :m]
+            chunks.append(rec)
+            if snapshot_stride > 0:
+                for i in range(1, m + 1):
+                    if (done + i) % snapshot_stride == 0 or done + i == n_steps:
+                        snapshots.append(snapshot(buf[i], rec[3, i - 1], done + i))
+            done += m
+            buf[0] = buf[m]
 
+    phi, u0, v0, control = np.concatenate(chunks, axis=1)
+    times = np.arange(done + 1.0)  # init.t + m * dt, without temporaries
+    times *= dt
+    times += init.t
     return SimTrace(
-        times=np.array(times),
-        phi=np.array(phi),
-        u_boundary=np.array(u0s),
-        v_boundary=np.array(v0s),
-        control=np.array(controls),
+        times=times,
+        phi=phi,
+        u_boundary=u0,
+        v_boundary=v0,
+        control=control,
         dt=dt,
         blew_up=blew_up,
         snapshots=snapshots,
@@ -181,8 +241,10 @@ def simulate(
     For gain feedback the actuated value v(1) is solved from the scalar
     implicit equation v(1) = quadrature(g1*u) + quadrature(g2*v), so the
     recorded control and v(1) agree at every recorded time, including t = 0;
-    the transformed state then vanishes at x = 1 identically.  The run stops
-    early with ``blew_up`` set once phi exceeds 1e12 or turns non-finite.
+    the transformed state then vanishes at x = 1 identically.  The upwind
+    step and this closure are assembled once into the step matrix that the
+    run iterates (see ``_trace``).  The run stops early with ``blew_up`` set
+    once phi exceeds 1e12 or turns non-finite.
     """
     grid = init.grid
     n, h = grid.n, grid.h
@@ -196,7 +258,7 @@ def simulate(
             raise ZeroDivisionError("feedback closure is singular on this grid")
 
         def actuate(u, v):
-            return (w @ (g1 * u) + w[:-1] @ (g2[:-1] * v[:-1])) / closure
+            return ((g1 * u) @ w + (g2[:-1] * v[..., :-1]) @ w[:-1]) / closure
 
     advance = partial(_advance, cf=resample(coeffs, n), q=coeffs.q, h=h)
     return _trace(coeffs, init, T, snapshot_stride, advance, actuate)
@@ -212,9 +274,11 @@ def simulate_target(
     """Simulate the nominal transformed system (u, beta) for cross-checks.
 
     beta is a pure leftward transport with zero inflow; the u equation keeps
-    its local terms plus the integral couplings through c and kappa, which are
-    applied with row-wise trapezoid weights each step.  ``init.v`` is taken as
-    the initial beta, and the recorded control is the zero inflow beta(1).
+    its local terms plus the integral couplings through c and kappa under the
+    row-wise trapezoid rule.  The step, integral rows included, is assembled
+    once into the dense step matrix that the run iterates (see ``_trace``).
+    ``init.v`` is taken as the initial beta, and the recorded control is the
+    zero inflow beta(1).
     """
     if kernels.kappa is None or kernels.c is None:
         raise ValueError("target simulation needs kappa and c; run solve_kappa_c")
@@ -225,24 +289,23 @@ def simulate_target(
     cf = resample(coeffs, n)
     lam, mu = cf["lam"], cf["mu"]
     sig, omg = cf["sigma"], cf["omega"]
-    q = coeffs.q
 
     # fold the row-wise trapezoid weights into the kernel matrices once
     wtri = row_weights(n, h)
-    c_w = kernels.c.as_matrix() * wtri
-    kap_w = kernels.kappa.as_matrix() * wtri
+    c_wt = (kernels.c.as_matrix() * wtri).T
+    kap_wt = (kernels.kappa.as_matrix() * wtri).T
 
     def advance(u, beta, dt):
-        integral = c_w @ u + kap_w @ beta
+        # u(0) is left to _trace, which imposes u(0) = q beta(0)
+        integral = u @ c_wt + beta @ kap_wt
         un = u.copy()
-        un[1:] = (
-            u[1:]
-            - dt * lam[1:] * (u[1:] - u[:-1]) / h
-            + dt * (sig[1:] * u[1:] + omg[1:] * beta[1:] + integral[1:])
+        un[..., 1:] = (
+            u[..., 1:]
+            - dt * lam[1:] * (u[..., 1:] - u[..., :-1]) / h
+            + dt * (sig[1:] * u[..., 1:] + omg[1:] * beta[..., 1:] + integral[..., 1:])
         )
         bn = beta.copy()
-        bn[:-1] = beta[:-1] + dt * mu[:-1] * (beta[1:] - beta[:-1]) / h
-        un[0] = q * bn[0]
+        bn[..., :-1] = beta[..., :-1] + dt * mu[:-1] * (beta[..., 1:] - beta[..., :-1]) / h
         return un, bn
 
     return _trace(coeffs, init, T, snapshot_stride, advance, None)

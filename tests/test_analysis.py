@@ -3,6 +3,7 @@ import pytest
 
 import gainops as g
 from gainops.analysis import (
+    _directional_derivatives,
     conservative_sup_bounds,
     default_p1,
     epsilon_estimate,
@@ -60,6 +61,40 @@ class TestResidualOperators:
         z = np.zeros(grid.node_count)
         with pytest.raises(ValueError):
             residual_operators(gamma1, KernelField(grid, z.copy()), KernelField(grid, z.copy()))
+
+
+def loop_directional_derivatives(dense, n, h):
+    """Reference: one-sided and centred differences column by column and row by row."""
+    dx = np.zeros_like(dense)
+    dxi = np.zeros_like(dense)
+    for j in range(n + 1):
+        col = dense[j:, j]
+        if col.size >= 2:
+            d = np.empty_like(col)
+            d[0] = (col[1] - col[0]) / h
+            d[-1] = (col[-1] - col[-2]) / h
+            if col.size > 2:
+                d[1:-1] = (col[2:] - col[:-2]) / (2 * h)
+            dx[j:, j] = d
+    for i in range(1, n + 1):
+        row = dense[i, : i + 1]
+        d = np.empty_like(row)
+        d[0] = (row[1] - row[0]) / h
+        d[-1] = (row[-1] - row[-2]) / h
+        if row.size > 2:
+            d[1:-1] = (row[2:] - row[:-2]) / (2 * h)
+        dxi[i, : i + 1] = d
+    return dx, dxi
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_directional_derivatives_match_loop_bitwise(n):
+    rng = np.random.default_rng(n)
+    dense = np.tril(rng.normal(size=(n + 1, n + 1)))
+    got = _directional_derivatives(dense, n, 1.0 / n)
+    want = loop_directional_derivatives(dense, n, 1.0 / n)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestEpsilonEstimate:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gainops as g
 from gainops.controller import forward_transform
-from gainops.numerics import trapezoid_integral
+from gainops.numerics import trapezoid_integral, trapezoid_weights
+from gainops.plant_sim import CHUNK
 
 from conftest import make_coeffs
 
@@ -110,6 +113,8 @@ class TestSimulate:
         assert tr.blew_up
         assert tr.times[-1] < 3.0
         assert tr.phi[-1] > 1e12 or not np.isfinite(tr.phi[-1])
+        # the stop is the first crossing
+        assert np.all(tr.phi[:-1] <= 1e12)
 
     def test_closed_loop_decay(self, gamma1, kernels_g1_n100):
         grid = g.IntervalGrid(100)
@@ -127,6 +132,85 @@ class TestSimulate:
         for s in tr.snapshots:
             assert s.u[0] == gamma1.q * s.v[0]
             assert s.v[-1] == pytest.approx(g.control_value(gains, s), abs=1e-13)
+
+    @pytest.mark.parametrize("T", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_horizon_rejected(self, gamma1, kernels_g1_n100, T):
+        init = g.reference_initial_state(g.IntervalGrid(100))
+        with pytest.raises(ValueError, match="T"):
+            g.simulate(gamma1, init, g.ControllerSpec.open_loop(), T)
+        with pytest.raises(ValueError, match="T"):
+            g.simulate_target(gamma1, kernels_g1_n100, init, T)
+
+    def test_memory_holds_records_not_trajectory(self):
+        # n = 50: storing every state would take 2 * 51 * 8 = 816 B per step
+        c = transport_coeffs()
+        grid = g.IntervalGrid(50)
+        dt = g.cfl_dt(c, grid)
+        peaks = {}
+        for steps in (4000, 40000):
+            tracemalloc.start()
+            tr = g.simulate(c, g.reference_initial_state(grid), g.ControllerSpec.open_loop(), (steps - 0.5) * dt)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(tr.times) == steps + 1
+            del tr
+        # five 8-byte records per step, each possibly held twice while joined
+        assert peaks[40000] - peaks[4000] <= 2 * 5 * 8 * 36000
+
+
+def reference_feedback_trace(coeffs, init, gains, T, snapshot_stride):
+    """Per-step reference: public ``g.step`` with v(1) from the closure formula."""
+    grid = init.grid
+    n, h, q = grid.n, grid.h, coeffs.q
+    w = trapezoid_weights(n + 1, h)
+    gr = gains.resample(grid)
+    closure = 1.0 - w[-1] * gr.g2[-1]
+
+    def control(u, v):
+        return (w @ (gr.g1 * u) + w[:-1] @ (gr.g2[:-1] * v[:-1])) / closure
+
+    n_steps = max(1, int(np.ceil(T / g.cfl_dt(coeffs, grid))))
+    dt = T / n_steps
+    u, v = init.u.copy(), init.v.copy()
+    u[0] = q * v[0]
+    v[-1] = control(u, v)
+    states = [g.PlantState(grid, u, v, init.t)]
+    for m in range(1, n_steps + 1):
+        s = g.step(states[-1], coeffs, 0.0, dt)
+        s.v[-1] = control(s.u, s.v)
+        states.append(g.PlantState(grid, s.u, s.v, init.t + m * dt))
+    snapshots = [s for m, s in enumerate(states) if m % snapshot_stride == 0 or m == n_steps]
+    records = {
+        "times": np.array([s.t for s in states]),
+        "phi": np.array([trapezoid_integral(s.u**2, h) + trapezoid_integral(s.v**2, h) for s in states]),
+        "u_boundary": np.array([s.u[0] for s in states]),
+        "v_boundary": np.array([s.v[0] for s in states]),
+        "control": np.array([s.v[-1] for s in states]),
+    }
+    return records, snapshots
+
+
+@pytest.mark.parametrize("plant", ["gamma5", "random_smooth"])
+def test_chunked_run_matches_per_step_reference(plant):
+    coeffs = g.gamma_family(5.0) if plant == "gamma5" else g.sample_random(g.CoefficientFamily("random_smooth"), 7)
+    n = 40
+    grid = g.IntervalGrid(n)
+    gains = g.gain_slice(g.solve_kernels(coeffs, g.TriangularGrid(n)))
+    init = g.PlantState(grid, np.ones(n + 1), np.sin(grid.points), 0.3)
+    # more than two full chunks and a partial one
+    T = (2 * CHUNK + 300.5) * g.cfl_dt(coeffs, grid)
+    tr = g.simulate(coeffs, init, g.ControllerSpec.feedback(gains), T, snapshot_stride=7)
+    want, snaps = reference_feedback_trace(coeffs, init, gains, T, 7)
+    assert not tr.blew_up and len(tr.times) == 2 * CHUNK + 302
+    assert tr.times.tobytes() == want["times"].tobytes()
+    for name in ("phi", "u_boundary", "v_boundary", "control"):
+        ref = want[name]
+        assert np.abs(getattr(tr, name) - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    assert np.array([s.t for s in tr.snapshots]).tobytes() == np.array([s.t for s in snaps]).tobytes()
+    for got, ref in zip(tr.snapshots, snaps):
+        for a, b in ((got.u, ref.u), (got.v, ref.v)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    assert tr.u_boundary.tobytes() == (coeffs.q * tr.v_boundary).tobytes()
 
 
 class TestSimulateTarget:
