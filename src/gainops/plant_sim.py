@@ -6,11 +6,13 @@ coupling terms are explicit.  After every step the boundary identities
 u(0) = q v(0) and v(1) = U hold exactly.
 
 Both schemes are linear with a fixed dt.  A run therefore assembles its step
-once, as a dense 2n x 2n matrix over the free unknowns y = (u[1:], v[:-1])
-(the update applied to the identity), and iterates it with one
-matrix-vector product per step, in chunks of at most CHUNK states.  u(0),
-the actuated v(1), phi, the snapshots and the blow-up stop are computed from
-the states of a chunk at once; the trajectory itself is never kept.
+once, as a dense 2n x 2n matrix S over the free unknowns y = (u[1:], v[:-1])
+(the update applied to the identity).  A long run also squares S up to
+P = S^BLOCK and fills each block of BLOCK states with one matrix product
+from the block before it; a short run steps with S itself, one product per
+state.  States go into a buffer of at most CHUNK states; u(0), the actuated
+v(1), phi, the snapshots and the blow-up stop are computed from the states
+of a chunk at once, and the trajectory itself is never kept.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_w
 BLOWUP_THRESHOLD = 1e12
 CFL_NUMBER = 0.9
 CHUNK = 1024  # states a run holds at a time; bounds memory only
+BLOCK = 64  # states filled by one product with S^BLOCK in a long run; a power of two
 ASSEMBLY_ROWS = 32  # rows of the step matrix assembled at a time; bounds memory only
 
 
@@ -140,6 +143,17 @@ def _full(y, q, U):
     return u, v
 
 
+def _block_length(n_steps: int, n: int) -> int:
+    """States per product of a run: BLOCK if n_steps repay the squarings, else 1.
+
+    The log2(BLOCK) squarings of the 2n x 2n step matrix cost O(n^3), a
+    one-step product O(n^2): with one BLAS thread at n = 25 .. 200 a run of
+    4n steps is faster one product per state and one of 6n to 8n steps is
+    faster in blocks, so a run blocks from 8n steps on.
+    """
+    return BLOCK if n_steps >= 8 * n else 1
+
+
 def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: int, advance, actuate) -> SimTrace:
     """Trace loop shared by both simulators, with dt at the CFL bound.
 
@@ -148,12 +162,18 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     axis and are linear.  They are applied once, to the identity: that
     assembles the step as a dense 2n x 2n matrix S over the free unknowns
     y = (u[1:], v[:-1]), y_next = y @ S, and the closure row a, v(1) = y @ a
-    (v(1) is +0.0 without an actuator).  The run iterates S with one
-    matrix-vector product per step, into a buffer of at most CHUNK states.
-    Once per chunk it records phi, u(0) = q v(0), v(0) and the control v(1)
-    and takes the snapshots; it stops with ``blew_up`` set at the first step
-    whose phi exceeds 1e12 or is non-finite.  Only those four records and the
-    snapshots outlive a chunk.
+    (v(1) is +0.0 without an actuator).
+
+    A run of b = ``_block_length`` states per product squares S up to
+    P = S^b.  States 1 .. b-1 are stepped with S, one product each; after
+    that each block of b states is one product with P of the b states
+    before it, the last block possibly short.  With b = 1, P is S and every
+    state is one product.  States go into a buffer of at most CHUNK states
+    that carries the last b across chunks.  Once per chunk the run records
+    phi, u(0) = q v(0), v(0) and the control v(1) and takes the snapshots; it
+    stops with ``blew_up`` set at the first step whose phi exceeds 1e12 or
+    is non-finite.  Only those four records and the snapshots outlive a
+    chunk.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and positive, got T = {T}")
@@ -185,21 +205,32 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     def snapshot(y, U, m):
         return PlantState(grid, *_full(y, q, U), init.t + m * dt)
 
+    # rows 0 .. block - 1 hold the last block states, up to state done in row
+    # block - 1 (only state 0 before the first chunk); new state done + i
+    # goes to row block - 1 + i
+    block = _block_length(n_steps, n)
     rows = min(CHUNK, n_steps)
-    buf = np.empty((rows + 1, 2 * n))
-    buf[0] = _free(init.u, init.v)
-    views = list(buf)  # row views, made once for the step loop
-    chunks = [records(buf[:1])]
-    snapshots = [snapshot(buf[0], chunks[0][3, 0], 0)] if snapshot_stride > 0 else []
+    buf = np.empty((block + rows, 2 * n))
+    buf[block - 1] = _free(init.u, init.v)
+    chunks = [records(buf[block - 1 : block])]
+    snapshots = [snapshot(buf[block - 1], chunks[0][3, 0], 0)] if snapshot_stride > 0 else []
     done = 0
     blew_up = False
-    # past a blow-up the rest of its chunk may overflow; it is not recorded
+    # past a blow-up the rest of its chunk may overflow; it is not recorded.
+    # P overflows only if states can grow by 1e308 in BLOCK steps: such a run
+    # blows up in its first BLOCK - 1 states or at its first non-finite block.
     with np.errstate(over="ignore", invalid="ignore"):
+        P = S
+        for _ in range(block.bit_length() - 1):
+            P = P @ P
         while done < n_steps and not blew_up:
-            m = min(rows, n_steps - done)
-            for i in range(m):
-                np.dot(views[i], S, out=views[i + 1])
-            rec = records(buf[1 : m + 1])
+            # states 1 .. block - 1 form a chunk of their own, stepped with S
+            lag, M = (1, S) if done < block - 1 else (block, P)
+            m = min(rows if lag == block else block - 1, n_steps - done)
+            for i in range(0, m, lag):
+                j, b = block + i, min(lag, m - i)
+                np.dot(buf[j - lag : j - lag + b], M, out=buf[j : j + b])
+            rec = records(buf[block : block + m])
             bad = np.flatnonzero(~np.isfinite(rec[0]) | (rec[0] > BLOWUP_THRESHOLD))
             if bad.size:
                 blew_up = True
@@ -209,9 +240,9 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
             if snapshot_stride > 0:
                 for i in range(1, m + 1):
                     if (done + i) % snapshot_stride == 0 or done + i == n_steps:
-                        snapshots.append(snapshot(buf[i], rec[3, i - 1], done + i))
+                        snapshots.append(snapshot(buf[block - 1 + i], rec[3, i - 1], done + i))
             done += m
-            buf[0] = buf[m]
+            buf[:block] = buf[m : m + block]
 
     phi, u0, v0, control = np.concatenate(chunks, axis=1)
     times = np.arange(done + 1.0)  # init.t + m * dt, without temporaries

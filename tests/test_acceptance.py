@@ -240,6 +240,7 @@ def test_c09_gradient_check():
     report("criterion 9 (gradient check)", n_params=flat.size, max_rel=float(rel.max()))
 
 
+@pytest.mark.slow
 def test_c10_training_acceptance(dataset_1000, trained_model):
     ds, _ = dataset_1000
     model, history = trained_model
@@ -259,6 +260,7 @@ def test_c10_training_acceptance(dataset_1000, trained_model):
     )
 
 
+@pytest.mark.slow
 def test_c11_neural_gain_stabilization(gamma1, kernels_g1_n100, trained_model, closed_loop_g1):
     model, _ = trained_model
     grid = g.IntervalGrid(100)
@@ -290,6 +292,7 @@ def test_c11_neural_gain_stabilization(gamma1, kernels_g1_n100, trained_model, c
     )
 
 
+@pytest.mark.slow
 def test_c12_speedup(gamma1, trained_model):
     model, _ = trained_model
     tgrid = TriangularGrid(100)
@@ -312,6 +315,7 @@ def test_c12_speedup(gamma1, trained_model):
     )
 
 
+@pytest.mark.slow
 def test_c13_persistence(dataset_1000, trained_model, tmp_path):
     ds, path = dataset_1000
     back = read(path)

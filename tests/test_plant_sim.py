@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import gainops as g
 from gainops.controller import forward_transform
 from gainops.numerics import trapezoid_integral, trapezoid_weights
-from gainops.plant_sim import CHUNK
+from gainops.plant_sim import BLOCK, CHUNK, _block_length
 
 from conftest import make_coeffs
 
@@ -158,16 +159,24 @@ class TestSimulate:
         assert peaks[40000] - peaks[4000] <= 2 * 5 * 8 * 36000
 
 
-def reference_feedback_trace(coeffs, init, gains, T, snapshot_stride):
-    """Per-step reference: public ``g.step`` with v(1) from the closure formula."""
+def reference_trace(coeffs, init, gains, T, snapshot_stride):
+    """Per-step reference: public ``g.step`` with v(1) from the closure formula.
+
+    Without gains v(1) = 0.  The loop stops after the first state whose phi
+    exceeds 1e12, as a blown-up run does.
+    """
     grid = init.grid
     n, h, q = grid.n, grid.h, coeffs.q
     w = trapezoid_weights(n + 1, h)
-    gr = gains.resample(grid)
-    closure = 1.0 - w[-1] * gr.g2[-1]
+    gr = gains.resample(grid) if gains is not None else None
 
     def control(u, v):
-        return (w @ (gr.g1 * u) + w[:-1] @ (gr.g2[:-1] * v[:-1])) / closure
+        if gr is None:
+            return 0.0
+        return (w @ (gr.g1 * u) + w[:-1] @ (gr.g2[:-1] * v[:-1])) / (1.0 - w[-1] * gr.g2[-1])
+
+    def phi(s):
+        return trapezoid_integral(s.u**2, h) + trapezoid_integral(s.v**2, h)
 
     n_steps = max(1, int(np.ceil(T / g.cfl_dt(coeffs, grid))))
     dt = T / n_steps
@@ -175,19 +184,35 @@ def reference_feedback_trace(coeffs, init, gains, T, snapshot_stride):
     u[0] = q * v[0]
     v[-1] = control(u, v)
     states = [g.PlantState(grid, u, v, init.t)]
+    phis = [phi(states[0])]
     for m in range(1, n_steps + 1):
+        if phis[-1] > 1e12:
+            break
         s = g.step(states[-1], coeffs, 0.0, dt)
         s.v[-1] = control(s.u, s.v)
         states.append(g.PlantState(grid, s.u, s.v, init.t + m * dt))
+        phis.append(phi(states[-1]))
     snapshots = [s for m, s in enumerate(states) if m % snapshot_stride == 0 or m == n_steps]
     records = {
         "times": np.array([s.t for s in states]),
-        "phi": np.array([trapezoid_integral(s.u**2, h) + trapezoid_integral(s.v**2, h) for s in states]),
+        "phi": np.array(phis),
         "u_boundary": np.array([s.u[0] for s in states]),
         "v_boundary": np.array([s.v[0] for s in states]),
         "control": np.array([s.v[-1] for s in states]),
     }
     return records, snapshots
+
+
+def assert_matches_reference(tr, want, snaps):
+    """Records and snapshots within 1e-12 of their sup; times bit-equal."""
+    assert tr.times.tobytes() == want["times"].tobytes()
+    for name in ("phi", "u_boundary", "v_boundary", "control"):
+        ref = want[name]
+        assert np.abs(getattr(tr, name) - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    assert np.array([s.t for s in tr.snapshots]).tobytes() == np.array([s.t for s in snaps]).tobytes()
+    for got, ref in zip(tr.snapshots, snaps):
+        for a, b in ((got.u, ref.u), (got.v, ref.v)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("plant", ["gamma5", "random_smooth"])
@@ -200,17 +225,66 @@ def test_chunked_run_matches_per_step_reference(plant):
     # more than two full chunks and a partial one
     T = (2 * CHUNK + 300.5) * g.cfl_dt(coeffs, grid)
     tr = g.simulate(coeffs, init, g.ControllerSpec.feedback(gains), T, snapshot_stride=7)
-    want, snaps = reference_feedback_trace(coeffs, init, gains, T, 7)
-    assert not tr.blew_up and len(tr.times) == 2 * CHUNK + 302
-    assert tr.times.tobytes() == want["times"].tobytes()
-    for name in ("phi", "u_boundary", "v_boundary", "control"):
-        ref = want[name]
-        assert np.abs(getattr(tr, name) - ref).max() <= 1e-12 * np.abs(ref).max(), name
-    assert np.array([s.t for s in tr.snapshots]).tobytes() == np.array([s.t for s in snaps]).tobytes()
-    for got, ref in zip(tr.snapshots, snaps):
-        for a, b in ((got.u, ref.u), (got.v, ref.v)):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    want, snaps = reference_trace(coeffs, init, gains, T, 7)
+    n_steps = 2 * CHUNK + 301
+    assert not tr.blew_up and len(tr.times) == n_steps + 1
+    # blocks hold states [j BLOCK, (j + 1) BLOCK) from j = 1 on; the last is short
+    assert _block_length(n_steps, n) == BLOCK and (n_steps + 1) % BLOCK
+    assert_matches_reference(tr, want, snaps)
     assert tr.u_boundary.tobytes() == (coeffs.q * tr.v_boundary).tobytes()
+
+
+def test_blowup_inside_a_block_stops_at_the_per_step_reference(gamma5):
+    n, T = 16, 5.0
+    grid = g.IntervalGrid(n)
+    init = g.reference_initial_state(grid)
+    tr = g.simulate(gamma5, init, g.ControllerSpec.open_loop(), T, snapshot_stride=97)
+    want, snaps = reference_trace(gamma5, init, None, T, 97)
+    assert _block_length(int(np.ceil(T / g.cfl_dt(gamma5, grid))), n) == BLOCK
+    stop = len(tr.times) - 1
+    assert tr.blew_up and stop == len(want["times"]) - 1
+    # the crossing state is neither the first nor the last of its block
+    assert stop > BLOCK and stop % BLOCK not in (0, BLOCK - 1)
+    assert np.all(tr.phi[:-1] <= 1e12) and tr.phi[-1] > 1e12
+    assert_matches_reference(tr, want, snaps)
+
+
+def test_overflowing_block_matrix_stops_as_a_blowup():
+    # one step multiplies u by about 1 + dt sigma = 4.5e5, so S^BLOCK overflows
+    c = make_coeffs(m=101, sigma=lambda x: 1e7)
+    n = 20
+    grid = g.IntervalGrid(n)
+    T = 400 * g.cfl_dt(c, grid)
+    init = g.reference_initial_state(grid)
+    tr = g.simulate(c, init, g.ControllerSpec.open_loop(), T)
+    want, _ = reference_trace(c, init, None, T, 1)
+    assert _block_length(400, n) == BLOCK
+    assert tr.blew_up and tr.times.tobytes() == want["times"].tobytes()
+    assert np.abs(tr.phi - want["phi"]).max() <= 1e-12 * want["phi"].max()
+
+
+def test_short_run_iterates_the_step_matrix_bitwise(gamma1, kernels_g1_n100):
+    # certify's target run: 100 steps at n = 100, below the block threshold
+    n = 100
+    grid = g.IntervalGrid(n)
+    T = 99.5 * g.cfl_dt(gamma1, grid)
+    tr = g.simulate_target(gamma1, kernels_g1_n100, g.reference_initial_state(grid), T, snapshot_stride=1)
+    assert len(tr.times) == 101 and _block_length(100, n) == 1
+
+    def free(s):
+        return np.concatenate((s.u[1:], s.v[:-1]))
+
+    def one_step(y):
+        state = g.PlantState(grid, np.r_[0.0, y[:n]], np.r_[y[n:], 0.0])
+        return free(g.simulate_target(gamma1, kernels_g1_n100, state, tr.dt, snapshot_stride=1).snapshots[-1])
+
+    # row k of S is one step of the k-th free unknown alone
+    S = np.array([one_step(e) for e in np.eye(2 * n)])
+    ys = [free(tr.snapshots[0])]
+    for _ in range(100):
+        ys.append(np.dot(ys[-1], S))
+    got = hashlib.sha256(b"".join(free(s).tobytes() for s in tr.snapshots)).hexdigest()
+    assert got == hashlib.sha256(b"".join(y.tobytes() for y in ys)).hexdigest()
 
 
 class TestSimulateTarget:
