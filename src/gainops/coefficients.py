@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import IntervalGrid, interp_linear
+from .numerics import IntervalGrid
 
 MASK64 = (1 << 64) - 1
 
@@ -177,7 +177,12 @@ def sup_bounds(c: CoefficientSet) -> SupBounds:
 
 
 def resample(c: CoefficientSet, n: int) -> dict[str, np.ndarray]:
-    """Coefficient arrays linearly interpolated onto an n-cell grid."""
+    """Coefficient arrays linearly interpolated onto an n-cell grid.
+
+    The queries lie in [0, 1], so this is :func:`interp_linear` without its
+    checks, bit for bit.
+    """
     x = np.arange(n + 1) / n
+    nodes = c.grid.points
     names = ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta")
-    return {name: np.asarray(interp_linear(getattr(c, name), x)) for name in names}
+    return {name: np.interp(x, nodes, getattr(c, name)) for name in names}

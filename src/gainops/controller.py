@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import IntervalGrid, interp_linear, row_weights, trapezoid_weights
+from .numerics import IntervalGrid, interp_unit, row_weights, trapezoid_weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel_solver import KernelSet
@@ -33,7 +33,7 @@ class GainVector:
         if grid.n == self.grid.n:
             return self
         x = grid.points
-        return GainVector(grid, np.asarray(interp_linear(self.g1, x)), np.asarray(interp_linear(self.g2, x)))
+        return GainVector(grid, interp_unit(self.g1, x), interp_unit(self.g2, x))
 
 
 def control_value(gains: GainVector, state: "PlantState") -> float:

@@ -93,11 +93,87 @@ class PlantError(ValueError):
 # Rows of the stacked coefficient table.  The k1 foot reads rows 2:5, the
 # diagonal crossing rows 0:5 and the k2 foot rows 5:7.
 _TABLE = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
+GEOMETRY_NODES = 2048  # node-plant pairs of march geometry computed at a time; bounds memory only
 
 
-def _lerp(table: np.ndarray, flat: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Linear interpolation of every row of ``table`` between flat and flat + 1."""
-    return table.take(flat, axis=1) * (1.0 - frac) + table.take(flat + 1, axis=1) * frac
+def _lerp(table: np.ndarray, at: np.ndarray, frac: np.ndarray, stride: int) -> np.ndarray:
+    """Linear interpolation of every row of ``table`` between flat indices at and at + stride."""
+    out = table.take(at, axis=1)
+    out *= 1.0 - frac
+    right = table.take(at + stride, axis=1)
+    right *= frac
+    out += right
+    return out
+
+
+def _level_groups(n: int, plants: int):
+    """Runs [a, b) of levels 1..n whose nodes times plants stay within GEOMETRY_NODES."""
+    a = 1
+    while a <= n:
+        b, size = a + 1, a
+        while b <= n and (size + b) * plants <= GEOMETRY_NODES:
+            size += b
+            b += 1
+        yield a, b
+        a = b
+
+
+def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int):
+    """Everything levels a..b-1 of the march compute without the previous level.
+
+    ``table`` is the node-major (7, n+1, B) coefficient table.  Level i owns
+    rows o..o+i-1 of every returned (rows, B) array, o being the sum of the
+    levels before it in the run: the k1 nodes j = 0..i-1 and the k2 nodes
+    j = 1..i.  The lerps of the previous level at the k1 and the k2 feet are
+    returned as ``at``, the flat indices ``node * B + plant`` of their left
+    and right values, and ``weight``, both (left/right, k1/k2, rows, B);
+    level 1 has no such lerp, and its entries are not used.
+    """
+    _, m, plants = table.shape
+    n = m - 1
+    flat = table.reshape(len(_TABLE), -1)
+    lam, mu = table[:2]
+    levels = np.arange(a, b)
+    level = np.repeat(levels, levels)
+    j = np.arange(level.size) - np.repeat(np.cumsum(levels) - levels, levels)
+    col = np.arange(plants)
+    mu_i = mu[level]
+    x_i, x_prev = x[level][:, None], x[level - 1][:, None]
+
+    def coeff_lerp(rows, t):
+        ic = np.minimum(t.astype(int), n - 1)
+        return _lerp(flat[rows], ic * plants + col, t - ic, plants)
+
+    at = np.empty((2, 2, level.size, plants), dtype=int)
+    weight = np.empty((2, 2, level.size, plants))
+
+    def foot_lerp(foot, rows, k):
+        """Coefficients at the foot; the lerp of the previous level there goes to at, weight [:, k]."""
+        t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
+        ik = np.minimum(t.astype(int), level[:, None] - 2)
+        frac = np.subtract(t, ik, out=weight[1, k])
+        np.subtract(1.0, frac, out=weight[0, k])
+        np.add(ik * plants, col, out=at[0, k])
+        np.add(at[0, k], plants, out=at[1, k])
+        return coeff_lerp(rows, t)
+
+    # --- k1 at nodes j: the foot, and the crossing of the diagonal ---
+    foot = x[j][:, None] + h * lam[j] / mu_i
+    dlam_f, sig_f, tht_f = foot_lerp(foot, slice(2, 5), 0)
+    slope = lam[j] / mu_i
+    xc = (x[j][:, None] + slope * x_i) / (1.0 + slope)
+    lam_c, mu_c, dlam_c, sig_c, tht_c = coeff_lerp(slice(0, 5), xc / h)
+    bc = -tht_c / (lam_c + mu_c)
+    k1 = (foot > x_prev, dlam_f + sig_f, tht_f, bc, (dlam_c + sig_c) * bc, tht_c, (x_i - xc) / mu_i)
+
+    # --- k2 at nodes j + 1: the foot, and the crossing of the bottom edge ---
+    j += 1
+    foot = x[j][:, None] - h * mu[j] / mu_i
+    dmu_f, omg_f = foot_lerp(foot, slice(5, 7), 1)
+    xc = x_i - x[j][:, None] * mu_i / mu[j]
+    frac = np.minimum(np.maximum((xc - x_prev) / h, 0.0), 1.0)
+    k2 = (foot < 0.0, -dmu_f, omg_f, 1.0 - frac, frac, (x_i - xc) / mu_i)
+    return at, weight, k1, k2
 
 
 def solve_kernels(coeffs: CoefficientSet, grid: TriangularGrid) -> KernelSet:
@@ -119,88 +195,74 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     values at the foot, which makes the scheme first-order and keeps all
     updates functions of the previous level only.
 
-    All plants march together, one level at a time.  Every operation is
-    elementwise, so each plant's kernels are bit-identical however the batch
-    is composed.  A plant with lam + mu <= 0 somewhere or non-finite kernels
-    raises :class:`PlantError` naming its index.
+    All plants march together, one level at a time.  What depends only on
+    the coefficients (feet, crossings, their coefficient lerps, weights) is
+    computed by :func:`_geometry` for a run of levels at once, node-major as
+    (node, plant) so that each level's rows are one contiguous slice; a run
+    holds at most GEOMETRY_NODES node-plant pairs, which bounds the extra
+    memory.  The level loop keeps only the lerps of the previous level and
+    the arithmetic on them.  Every operation is elementwise, so each plant's
+    kernels are bit-identical however the batch is composed.  A plant with
+    lam + mu <= 0 somewhere or non-finite kernels raises :class:`PlantError`
+    naming its index.
     """
     n, h = grid.n, grid.h
+    plants = len(coeffs)
     fields = [resample(c, n) for c in coeffs]
-    table = np.stack([np.stack([f[name] for f in fields]) for name in _TABLE])
+    table = np.stack([np.stack([f[name] for f in fields], axis=1) for name in _TABLE])
     lam, mu, dlam, sig, tht, dmu, omg = table
-    bad = np.flatnonzero(np.any(lam + mu <= 0, axis=1))
+    bad = np.flatnonzero(np.any(lam + mu <= 0, axis=0))
     if bad.size:
         raise PlantError(int(bad[0]), "lam + mu must be positive on the whole grid")
-    flat = table.reshape(len(_TABLE), -1)
-    # flat offset of each plant's row, so one index gathers from every plant
-    off = np.arange(len(coeffs))[:, None] * (n + 1)
     x = grid.points
-    bc_ratio = np.array([c.q for c in coeffs])[:, None] * lam[:, :1] / mu[:, :1]
+    bc_ratio = np.array([c.q for c in coeffs]) * lam[0] / mu[0]
     diag_bc = -tht / (lam + mu)
-    h_lam, h_mu = h * lam, h * mu
+    tau = h / mu  # characteristic time back to the previous level
+    ndmu0, omg0 = -dmu[0], omg[0]
 
-    # (k1, k2) of every plant in flat order; two contiguous buffers hold the last two levels
-    values = np.empty((2, len(coeffs), grid.node_count))
-    prev, cur = np.zeros((2, 2, len(coeffs), n + 1))
-    prev[0, :, 0] = diag_bc[:, 0]
-    prev[1, :, :1] = bc_ratio * prev[0, :, :1]
-    values[:, :, 0] = prev[:, :, 0]
+    # (k1, k2) of every plant in flat order; two node-major buffers hold the last two levels
+    values = np.empty((2, plants, grid.node_count))
+    prev, cur = np.zeros((2, 2, n + 1, plants))
+    prev[0, 0] = diag_bc[0]
+    prev[1, 0] = bc_ratio * prev[0, 0]
+    values[:, :, 0] = prev[:, 0]
 
-    for i in range(1, n + 1):
-        mu_i = mu[:, i : i + 1]
-        tau = h / mu_i  # characteristic time back to the previous level
-        prev_flat = prev.reshape(2, -1)
-        x_prev = x[i - 1]
-        k1, k2 = cur
+    for a, b in _level_groups(n, plants):
+        at, weight, geo1, geo2 = _geometry(table, x, h, a, b)
+        o = 0
+        for i in range(a, b):
+            s = slice(o, o + i)
+            o += i
 
-        # --- k1: interior nodes j = 0..i-1, diagonal node imposed ---
-        foot = x[:i] + h_lam[:, :i] / mu_i
-        crossed = foot > x_prev
-        if i >= 2:
-            t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
-            ic = np.minimum(t.astype(int), n - 1)
-            ik = np.minimum(ic, i - 2)
-            k1f, k2f = _lerp(prev_flat, ik + off, t - ik)
-            dlam_f, sig_f, tht_f = _lerp(flat[2:5], ic + off, t - ic)
-            regular = k1f + tau * ((dlam_f + sig_f) * k1f + tht_f * k2f)
-        else:
-            regular = 0.0
-        # diagonal crossing: data at (xc, xc), source over the remaining arc
-        slope = lam[:, :i] / mu_i
-        xc = (x[:i] + slope * x[i]) / (1.0 + slope)
-        t = xc / h
-        ic = np.minimum(t.astype(int), n - 1)
-        lam_c, mu_c, dlam_c, sig_c, tht_c = _lerp(flat[:5], ic + off, t - ic)
-        bc = -tht_c / (lam_c + mu_c)
-        k2c = prev[1, :, i - 1 : i]  # nearest available value for the coupling term
-        src_c = (dlam_c + sig_c) * bc + tht_c * k2c
-        from_bc = bc + ((x[i] - xc) / mu_i) * src_c
-        k1[:, :i] = np.where(crossed, from_bc, regular)
-        k1[:, i] = diag_bc[:, i]
+            # --- k1: interior nodes j = 0..i-1, diagonal node imposed ---
+            crossed, src1, src2, bc, src_bc, tht_c, arc = (g[s] for g in geo1)
+            if i >= 2:
+                # (k1, k2) of the previous level at both feet, [component, foot, node, plant]
+                ends = prev.reshape(2, -1).take(at[:, :, s], axis=1)
+                feet = ends[:, 0] * weight[0, :, s] + ends[:, 1] * weight[1, :, s]
+                k1f, k2f = feet[:, 0]
+                regular = k1f + tau[i] * (src1 * k1f + src2 * k2f)
+            else:
+                regular = 0.0
+            # diagonal crossing: k2 at the nearest available node for the coupling term
+            from_bc = bc + arc * (src_bc + tht_c * prev[1, i - 1])
+            cur[0, :i] = np.where(crossed, from_bc, regular)
+            cur[0, i] = diag_bc[i]
 
-        # --- k2: nodes j = 1..i, bottom node imposed from this level's k1 ---
-        foot = x[1 : i + 1] - h_mu[:, 1 : i + 1] / mu_i
-        crossed = foot < 0.0
-        t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
-        ic = np.minimum(t.astype(int), n - 1)
-        if i >= 2:
-            ik = np.minimum(ic, i - 2)
-            k1f, k2f = _lerp(prev_flat, ik + off, t - ik)
-        else:
-            k1f, k2f = prev[:, :, :1]
-        dmu_f, omg_f = _lerp(flat[5:7], ic + off, t - ic)
-        regular = k2f + tau * (-dmu_f * k2f + omg_f * k1f)
-
-        xc = x[i] - x[1 : i + 1] * mu_i / mu[:, 1 : i + 1]
-        frac = np.minimum(np.maximum((xc - x_prev) / h, 0.0), 1.0)
-        k1b = prev[0, :, :1] * (1.0 - frac) + k1[:, :1] * frac
-        bc = bc_ratio * k1b
-        src_c = -dmu[:, :1] * bc + omg[:, :1] * k1b
-        from_bc = bc + ((x[i] - xc) / mu_i) * src_c
-        k2[:, 1 : i + 1] = np.where(crossed, from_bc, regular)
-        k2[:, :1] = bc_ratio * k1[:, :1]
-        values[:, :, i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = cur[:, :, : i + 1]
-        prev, cur = cur, prev
+            # --- k2: nodes j = 1..i, bottom node imposed from this level's k1 ---
+            crossed, src1, src2, keep, frac, arc = (g[s] for g in geo2)
+            if i >= 2:
+                k1f, k2f = feet[:, 1]
+            else:
+                k1f, k2f = prev[:, :1]
+            regular = k2f + tau[i] * (src1 * k2f + src2 * k1f)
+            k1b = prev[0, 0] * keep + cur[0, 0] * frac
+            bc = bc_ratio * k1b
+            from_bc = bc + arc * (ndmu0 * bc + omg0 * k1b)
+            cur[1, 1 : i + 1] = np.where(crossed, from_bc, regular)
+            cur[1, 0] = bc_ratio * cur[0, 0]
+            values[:, :, i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = cur[:, : i + 1].transpose(0, 2, 1)
+            prev, cur = cur, prev
 
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=(0, 2)))
     if bad.size:

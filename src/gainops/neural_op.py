@@ -20,7 +20,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .controller import GainVector
 from .data_store import Dataset
-from .numerics import IntervalGrid, TriangularGrid, interp_linear, read_exact, tri_quad_weights
+from .numerics import IntervalGrid, TriangularGrid, interp_unit, read_exact, tri_quad_weights
 
 MODEL_MAGIC = b"NOM1"
 MODEL_VERSION = 1
@@ -128,10 +128,7 @@ def encode_input(coeffs: CoefficientSet, m_enc: int) -> np.ndarray:
     if m_enc < 2:
         raise ValueError("m_enc must be at least 2")
     xq = np.arange(m_enc) / (m_enc - 1)
-    blocks = [
-        np.asarray(interp_linear(arr, xq))
-        for arr in (coeffs.lam, coeffs.mu, coeffs.sigma, coeffs.omega, coeffs.theta)
-    ]
+    blocks = [interp_unit(arr, xq) for arr in (coeffs.lam, coeffs.mu, coeffs.sigma, coeffs.omega, coeffs.theta)]
     return np.concatenate([*blocks, [coeffs.q]])
 
 

@@ -140,9 +140,18 @@ def interp_linear(grid_values, x):
     xq = np.asarray(x, dtype=float)
     if np.any(xq < -MEMBERSHIP_TOL) or np.any(xq > 1.0 + MEMBERSHIP_TOL):
         raise ValueError(f"query outside [0, 1]: {x}")
-    xq = np.clip(xq, 0.0, 1.0)
-    out = np.interp(xq, np.arange(v.size) / (v.size - 1), v)
+    # np.interp returns the end values beyond the end nodes, so no clip is needed
+    out = interp_unit(v, xq)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def interp_unit(grid_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`interp_linear` without its checks, for queries known to lie in [0, 1].
+
+    The same np.interp call on the same nodes, so the result is bit for bit
+    what interp_linear returns.
+    """
+    return np.interp(x, np.arange(grid_values.size) / (grid_values.size - 1), grid_values)
 
 
 def tri_quad_weights(grid: TriangularGrid) -> np.ndarray:

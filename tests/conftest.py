@@ -59,3 +59,11 @@ def random_smooth_state(grid, rng, modes=3):
         u += rng.normal() * np.cos(k * np.pi * x) / (k + 1) + rng.normal() * np.sin(k * np.pi * x) / (k + 1)
         v += rng.normal() * np.cos(k * np.pi * x) / (k + 1) + rng.normal() * np.sin(k * np.pi * x) / (k + 1)
     return g.PlantState(grid, u, v)
+
+
+def mixed_plants(count):
+    """Both families: Gamma = 0.5, 1, 5 first, then alternating random draws."""
+    plants = [g.gamma_family(0.5), g.gamma_family(1.0), g.gamma_family(5.0)]
+    families = (g.CoefficientFamily("gamma"), g.CoefficientFamily("random_smooth"))
+    plants += [g.sample_random(families[k % 2], 1000 + k) for k in range(count - len(plants))]
+    return plants[:count]

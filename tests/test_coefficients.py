@@ -5,10 +5,13 @@ from gainops.coefficients import (
     CoefficientFamily,
     CoefficientSet,
     gamma_family,
+    resample,
     sample_random,
     sup_bounds,
 )
-from gainops.numerics import IntervalGrid
+from gainops.numerics import IntervalGrid, interp_linear
+
+from conftest import mixed_plants
 
 
 class TestGammaFamily:
@@ -101,6 +104,15 @@ class TestSampling:
     def test_bad_gamma_range_rejected(self):
         with pytest.raises(ValueError):
             CoefficientFamily("gamma", (-1.0, 2.0))
+
+
+class TestResample:
+    @pytest.mark.parametrize("n", [25, 37, 50, 100, 400])
+    def test_bitwise_equal_to_interp_linear(self, n):
+        x = np.arange(n + 1) / n
+        for c in mixed_plants(7):
+            for name, arr in resample(c, n).items():
+                assert arr.tobytes() == interp_linear(getattr(c, name), x).tobytes()
 
 
 class TestValidation:

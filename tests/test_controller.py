@@ -52,6 +52,14 @@ class TestControlValue:
         ref = w @ (g1f * np.ones(1001)) + w @ (g2f * np.sin(fine))
         assert u0 == pytest.approx(ref, abs=1e-3)
 
+    @pytest.mark.parametrize("n", [25, 37, 50, 400])
+    def test_gain_resample_bitwise_equal_to_interp_linear(self, kernels_g1_n100, n):
+        gains = g.gain_slice(kernels_g1_n100)
+        grid = g.IntervalGrid(n)
+        out = gains.resample(grid)
+        assert out.g1.tobytes() == interp_linear(gains.g1, grid.points).tobytes()
+        assert out.g2.tobytes() == interp_linear(gains.g2, grid.points).tobytes()
+
     def test_resampling_to_state_grid(self, kernels_g1_n100):
         gains = g.gain_slice(kernels_g1_n100)
         grid = g.IntervalGrid(50)

@@ -1,7 +1,12 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import gainops as g
+from gainops import kernel_solver
+from gainops.coefficients import resample
 from gainops.kernel_solver import (
     KernelField,
     KernelSet,
@@ -10,11 +15,15 @@ from gainops.kernel_solver import (
     solve_inverse_kernels,
     solve_kappa_c,
     solve_kernels,
+    solve_kernels_batch,
 )
 from gainops.numerics import TriangularGrid, trapezoid_weights
 
-from conftest import make_coeffs
+from conftest import make_coeffs, mixed_plants
 from picard_oracle import picard_kernels
+
+# traced peak of one solve_kernels_batch call at n = 50, by batch size (MB)
+MARCH_PEAK_MB = {10: 2.0, 256: 18.0}
 
 
 def zero_theta_coeffs():
@@ -69,6 +78,118 @@ class TestSolveKernels:
         b = solve_kernels(gamma1, TriangularGrid(40))
         assert np.array_equal(a.k1.values, b.k1.values)
         assert np.array_equal(a.k2.values, b.k2.values)
+
+
+def per_level_march(coeffs, grid):
+    """The batched march with every coefficient-only quantity recomputed at each
+    level, plant-major; kernels (2, B, nodes) that solve_kernels_batch must
+    reproduce bit for bit."""
+    n, h = grid.n, grid.h
+    names = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
+    fields = [resample(c, n) for c in coeffs]
+    table = np.stack([np.stack([f[name] for f in fields]) for name in names])
+    lam, mu, dlam, sig, tht, dmu, omg = table
+    flat = table.reshape(len(names), -1)
+    off = np.arange(len(coeffs))[:, None] * (n + 1)
+
+    def lerp(rows, idx, frac):
+        return rows.take(idx, axis=1) * (1.0 - frac) + rows.take(idx + 1, axis=1) * frac
+
+    x = grid.points
+    bc_ratio = np.array([c.q for c in coeffs])[:, None] * lam[:, :1] / mu[:, :1]
+    diag_bc = -tht / (lam + mu)
+    h_lam, h_mu = h * lam, h * mu
+    values = np.empty((2, len(coeffs), grid.node_count))
+    prev, cur = np.zeros((2, 2, len(coeffs), n + 1))
+    prev[0, :, 0] = diag_bc[:, 0]
+    prev[1, :, :1] = bc_ratio * prev[0, :, :1]
+    values[:, :, 0] = prev[:, :, 0]
+    for i in range(1, n + 1):
+        mu_i = mu[:, i : i + 1]
+        tau = h / mu_i
+        prev_flat = prev.reshape(2, -1)
+        x_prev = x[i - 1]
+        k1, k2 = cur
+        foot = x[:i] + h_lam[:, :i] / mu_i
+        crossed = foot > x_prev
+        if i >= 2:
+            t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
+            ic = np.minimum(t.astype(int), n - 1)
+            ik = np.minimum(ic, i - 2)
+            k1f, k2f = lerp(prev_flat, ik + off, t - ik)
+            dlam_f, sig_f, tht_f = lerp(flat[2:5], ic + off, t - ic)
+            regular = k1f + tau * ((dlam_f + sig_f) * k1f + tht_f * k2f)
+        else:
+            regular = 0.0
+        slope = lam[:, :i] / mu_i
+        xc = (x[:i] + slope * x[i]) / (1.0 + slope)
+        t = xc / h
+        ic = np.minimum(t.astype(int), n - 1)
+        lam_c, mu_c, dlam_c, sig_c, tht_c = lerp(flat[:5], ic + off, t - ic)
+        bc = -tht_c / (lam_c + mu_c)
+        src_c = (dlam_c + sig_c) * bc + tht_c * prev[1, :, i - 1 : i]
+        from_bc = bc + ((x[i] - xc) / mu_i) * src_c
+        k1[:, :i] = np.where(crossed, from_bc, regular)
+        k1[:, i] = diag_bc[:, i]
+        foot = x[1 : i + 1] - h_mu[:, 1 : i + 1] / mu_i
+        crossed = foot < 0.0
+        t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
+        ic = np.minimum(t.astype(int), n - 1)
+        if i >= 2:
+            ik = np.minimum(ic, i - 2)
+            k1f, k2f = lerp(prev_flat, ik + off, t - ik)
+        else:
+            k1f, k2f = prev[:, :, :1]
+        dmu_f, omg_f = lerp(flat[5:7], ic + off, t - ic)
+        regular = k2f + tau * (-dmu_f * k2f + omg_f * k1f)
+        xc = x[i] - x[1 : i + 1] * mu_i / mu[:, 1 : i + 1]
+        frac = np.minimum(np.maximum((xc - x_prev) / h, 0.0), 1.0)
+        k1b = prev[0, :, :1] * (1.0 - frac) + k1[:, :1] * frac
+        bc = bc_ratio * k1b
+        src_c = -dmu[:, :1] * bc + omg[:, :1] * k1b
+        from_bc = bc + ((x[i] - xc) / mu_i) * src_c
+        k2[:, 1 : i + 1] = np.where(crossed, from_bc, regular)
+        k2[:, :1] = bc_ratio * k1[:, :1]
+        values[:, :, i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = cur[:, :, : i + 1]
+        prev, cur = cur, prev
+    return values
+
+
+class TestMarchGeometry:
+    """The march with its geometry computed per run of levels is the per-level march."""
+
+    @pytest.mark.parametrize("budget", [kernel_solver.GEOMETRY_NODES, 64])
+    @pytest.mark.parametrize("n", [2, 3, 50, 100, 137])
+    def test_bitwise_equal_to_per_level_march(self, monkeypatch, n, budget):
+        # budget 64 puts every level of 7 or more plants above n = 9 in a run of its own
+        monkeypatch.setattr(kernel_solver, "GEOMETRY_NODES", budget)
+        plants = mixed_plants(36)
+        grid = TriangularGrid(n)
+        for batch in (plants[:1], plants[1:8], plants):
+            expected = per_level_march(batch, grid)
+            for b, ks in enumerate(solve_kernels_batch(batch, grid)):
+                assert ks.k1.values.tobytes() == expected[0, b].tobytes()
+                assert ks.k2.values.tobytes() == expected[1, b].tobytes()
+
+    def test_rejects_nonpositive_speed_sum_by_index(self):
+        # CoefficientSet itself rejects lam <= 0, so a plain namespace stands in
+        ok = g.gamma_family(1.0)
+        fields = ("grid", "lam", "dlam", "mu", "dmu", "sigma", "omega", "theta", "q")
+        bad = SimpleNamespace(**{f: getattr(ok, f) for f in fields})
+        bad.lam = -2.0 * ok.mu
+        with pytest.raises(kernel_solver.PlantError, match="plant 1: lam \\+ mu must be positive") as info:
+            solve_kernels_batch([ok, bad, ok], TriangularGrid(10))
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("plants", sorted(MARCH_PEAK_MB))
+    def test_peak_memory(self, plants):
+        batch = mixed_plants(plants)
+        grid = TriangularGrid(50)
+        tracemalloc.start()
+        solve_kernels_batch(batch, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= MARCH_PEAK_MB[plants] * 1e6
 
 
 def dense_volterra_kappa(coeffs, ks):

@@ -10,6 +10,8 @@ from gainops.data_store import Dataset, generate
 from gainops.coefficients import CoefficientFamily
 from gainops.numerics import TriangularGrid, tri_quad_weights
 
+from conftest import mixed_plants
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
@@ -37,6 +39,13 @@ class TestEncodeInput:
     def test_equal_coefficients_equal_features(self, gamma1):
         other = g.gamma_family(1.0)
         assert np.array_equal(nn.encode_input(gamma1, 13), nn.encode_input(other, 13))
+
+    @pytest.mark.parametrize("m_enc", [25, 37, 50, 100, 400])
+    def test_blocks_bitwise_equal_to_interp_linear(self, m_enc):
+        xq = np.arange(m_enc) / (m_enc - 1)
+        for c in mixed_plants(7):
+            expected = [g.interp_linear(getattr(c, f), xq) for f in ("lam", "mu", "sigma", "omega", "theta")]
+            assert nn.encode_input(c, m_enc).tobytes() == np.concatenate([*expected, [c.q]]).tobytes()
 
     def test_m_enc_too_small(self, gamma1):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gainops.numerics import (
+    MEMBERSHIP_TOL,
     IntervalGrid,
     TriangularGrid,
     compose,
@@ -102,6 +103,11 @@ class TestInterpLinear:
     def test_quadratic_error_bound(self):
         x = np.linspace(0, 1, 101)
         assert interp_linear(x**2, 0.5) == pytest.approx(0.25, abs=1e-4)
+
+    def test_queries_within_tolerance_take_the_end_values(self):
+        v = np.random.default_rng(5).normal(size=7)
+        assert interp_linear(v, -0.5 * MEMBERSHIP_TOL) == v[0]
+        assert interp_linear(v, 1.0 + 0.5 * MEMBERSHIP_TOL) == v[-1]
 
     def test_out_of_range_errors(self):
         with pytest.raises(ValueError):
