@@ -253,11 +253,13 @@ def lyapunov_v1(u: np.ndarray, beta: np.ndarray, coeffs: CoefficientSet, p1: flo
     if p1 <= 0:
         raise ValueError("p1 must be positive")
     n = u.size - 1
-    cf = resample(coeffs, n)
     x = np.arange(n + 1) / n
     h = 1.0 / n
-    wu = p1 * np.exp(-p2 * x) / cf["lam"]
-    wb = np.exp(p2 * x) / cf["mu"]
+    # resample's np.interp call, for the two arrays read here only
+    lam = np.interp(x, coeffs.grid.points, coeffs.lam)
+    mu = np.interp(x, coeffs.grid.points, coeffs.mu)
+    wu = p1 * np.exp(-p2 * x) / lam
+    wb = np.exp(p2 * x) / mu
     return trapezoid_integral(wu * u * u, h) + trapezoid_integral(wb * beta * beta, h)
 
 

@@ -3,6 +3,7 @@ and the exact-length read that both binary file readers use."""
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -57,8 +58,8 @@ class TriangularGrid:
         return i * (i + 1) // 2 + j
 
     def node_indices(self):
-        """Row and column indices of every node in canonical order."""
-        return np.tril_indices(self.n + 1)
+        """Row and column indices of every node in canonical order (read-only)."""
+        return lower_indices(self.n + 1)
 
     def node_coordinates(self):
         """(x, xi) of every node in canonical order."""
@@ -66,9 +67,17 @@ class TriangularGrid:
         return self.points[i], self.points[j]
 
 
+@functools.lru_cache(maxsize=32)
+def lower_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(size)``, built once per size and returned read-only."""
+    rows, cols = np.tril_indices(size)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def flatten_lower(dense: np.ndarray) -> np.ndarray:
     """Canonical flattening of a dense (n+1, n+1) array's lower triangle."""
-    return dense[np.tril_indices(dense.shape[0])]
+    return dense[lower_indices(dense.shape[0])]
 
 
 def unflatten_lower(values: np.ndarray, n: int) -> np.ndarray:
@@ -76,7 +85,7 @@ def unflatten_lower(values: np.ndarray, n: int) -> np.ndarray:
     if values.size != (n + 1) * (n + 2) // 2:
         raise ValueError("flattened length does not match grid size")
     dense = np.zeros((n + 1, n + 1))
-    dense[np.tril_indices(n + 1)] = values
+    dense[lower_indices(n + 1)] = values
     return dense
 
 

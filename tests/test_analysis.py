@@ -15,12 +15,13 @@ from gainops.analysis import (
     psi1,
     residual_operators,
 )
+from gainops.coefficients import resample
 from gainops.controller import forward_transform
 from gainops.kernel_solver import KernelField, KernelSet, solve_kappa_c, solve_kernels
-from gainops.numerics import TriangularGrid
+from gainops.numerics import TriangularGrid, trapezoid_integral
 from gainops.plant_sim import SimTrace
 
-from conftest import make_coeffs, random_smooth_state
+from conftest import make_coeffs, mixed_plants, random_smooth_state
 
 
 class TestResidualOperators:
@@ -239,6 +240,19 @@ class TestLyapunov:
     def test_rejects_nonpositive_p1(self, gamma1):
         with pytest.raises(ValueError):
             lyapunov_v1(np.ones(101), np.ones(101), gamma1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_bitwise_equal_to_the_resample_formula(self, n):
+        rng = np.random.default_rng(n)
+        x = np.arange(n + 1) / n
+        for c in mixed_plants(7):
+            u, beta = rng.normal(size=(2, n + 1))
+            p1, p2 = rng.uniform(0.1, 1.0), rng.uniform(0.0, 5.0)
+            cf = resample(c, n)
+            expected = trapezoid_integral(p1 * np.exp(-p2 * x) / cf["lam"] * u * u, 1.0 / n) + trapezoid_integral(
+                np.exp(p2 * x) / cf["mu"] * beta * beta, 1.0 / n
+            )
+            assert lyapunov_v1(u, beta, c, p1, p2).hex() == expected.hex()
 
     def test_monotone_along_transformed_closed_loop(self, gamma1, kernels_g1_n100):
         # the closed loop in transformed coordinates: beta from the forward

@@ -128,3 +128,4 @@ class TestBench:
         assert rc == 0
         data = json.loads(out.read_text())
         assert data["ratio"] > 0 and data["solve_median_s"] > 0
+        assert data["infer_gains_cold_s"] > 0

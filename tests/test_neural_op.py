@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +240,117 @@ class TestInferGains:
         scale = max(1.0, np.abs(k1[top]).max(), np.abs(k2[top]).max())
         assert np.abs(gains.g1 - k1[top]).max() <= 1e-15 * scale
         assert np.abs(gains.g2 - k2[top]).max() <= 1e-15 * scale
+
+
+def fresh_forward(model, features, points):
+    """forward's arithmetic with the trunk evaluated afresh, never from the model's slot."""
+    z = (features - model.feat_mean) / model.feat_scale
+    bout = nn._mlp_forward(model.branch_w, model.branch_b, z[None, :])[0]
+    tout = nn._mlp_forward(model.trunk_w, model.trunk_b, nn._trunk_inputs(points))
+    p = model.p
+    return np.column_stack([tout @ bout[:p] + model.b1, tout @ bout[p:] + model.b2])
+
+
+def top_edge(n):
+    return np.column_stack([np.ones(n + 1), g.IntervalGrid(n).points])
+
+
+def dense_points(n):
+    return np.column_stack(TriangularGrid(n).node_coordinates())
+
+
+class TestTrunkSlot:
+    """forward keeps its last trunk output; every result must be that of a fresh trunk."""
+
+    @staticmethod
+    def fresh_gains(model, coeffs, n):
+        """infer_gains at n, checked bit for bit against fresh_forward; returns its bytes."""
+        gains = nn.infer_gains(model, coeffs, g.IntervalGrid(n))
+        got = np.column_stack([gains.g1, gains.g2]).tobytes()
+        assert got == fresh_forward(model, nn.encode_input(coeffs, model.m_enc), top_edge(n)).tobytes()
+        return got
+
+    @staticmethod
+    def fresh_fields(model, coeffs, n):
+        feats = nn.encode_input(coeffs, model.m_enc)
+        k1, k2 = nn.predict_fields(model, feats, TriangularGrid(n))
+        assert np.column_stack([k1, k2]).tobytes() == fresh_forward(model, feats, dense_points(n)).tobytes()
+
+    @pytest.mark.parametrize("n", [30, 50, 100])
+    def test_gains_and_fields_bitwise_equal_to_a_fresh_trunk(self, n):
+        model = nn.init_model(nn.TrainConfig(seed=5))
+        plants = mixed_plants(4)
+        for c in plants:  # the first call fills the slot, the others reuse it
+            self.fresh_gains(model, c, n)
+        for c in plants[:2]:
+            self.fresh_fields(model, c, n)
+
+    def test_every_trunk_edit_takes_effect_on_the_next_call(self, gamma5):
+        model = nn.init_model(nn.TrainConfig(seed=8))
+        assert len(model.trunk_w) == len(model.trunk_b) == 3
+        before = self.fresh_gains(model, gamma5, 50)
+
+        def changed():
+            nonlocal before
+            after = self.fresh_gains(model, gamma5, 50)
+            assert after != before
+            before = after
+
+        for w in model.trunk_w:
+            w[0, 0] += 1e-3
+            changed()
+        for b in model.trunk_b:
+            b[0] = b[0] - 1e-3
+            changed()
+        model.trunk_w[1] = model.trunk_w[1] * 1.5
+        changed()
+        nn.set_flat_params(model, 0.9 * nn.get_flat_params(model))
+        changed()
+
+    def test_edited_points_are_not_reused(self, gamma1):
+        model = nn.init_model(small_config(seed=2))
+        feats = nn.encode_input(gamma1, model.m_enc)
+        pts = top_edge(30)
+        nn.forward(model, feats, pts)
+        pts[3, 1] = 0.5
+        assert nn.forward(model, feats, pts).tobytes() == fresh_forward(model, feats, pts).tobytes()
+
+    def test_alternating_point_sets(self, gamma1, gamma5):
+        model = nn.init_model(nn.TrainConfig(seed=6))
+        self.fresh_gains(model, gamma1, 50)
+        self.fresh_fields(model, gamma5, 30)
+        self.fresh_gains(model, gamma5, 50)
+
+    def test_writing_into_a_result_cannot_change_the_next(self, gamma1):
+        model = nn.init_model(small_config(seed=4))
+        feats = nn.encode_input(gamma1, model.m_enc)
+        out = nn.forward(model, feats, top_edge(40))
+        expected = out.tobytes()
+        out[...] = 7.0
+        assert nn.forward(model, feats, top_edge(40)).tobytes() == expected
+
+    def test_model_file_ignores_the_slot(self, gamma1, tmp_path):
+        model = nn.init_model(small_config(seed=6))
+        empty, filled = tmp_path / "empty.bin", tmp_path / "filled.bin"
+        nn.save_model(model, empty)
+        nn.infer_gains(model, gamma1, g.IntervalGrid(30))
+        nn.save_model(model, filled)
+        assert filled.read_bytes() == empty.read_bytes()
+        assert nn.load_model(filled)._trunk_memo is None
+
+    def test_slot_retains_a_quarter_megabyte_at_n100(self, gamma1):
+        # default widths: trunk copies 201 kB, output 101 x 64 doubles 52 kB, points 1.6 kB
+        grid = g.IntervalGrid(100)
+        nn.infer_gains(nn.init_model(nn.TrainConfig()), gamma1, grid)  # one-time allocations
+        model = nn.init_model(nn.TrainConfig())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nn.infer_gains(model, gamma1, grid)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 280_000
 
 
 class TestModelFile:

@@ -10,6 +10,7 @@ from gainops.numerics import (
     compose,
     flatten_lower,
     interp_linear,
+    lower_indices,
     row_weights,
     trapezoid_integral,
     trapezoid_weights,
@@ -201,6 +202,18 @@ class TestGridsAndFlattening:
         flat = flatten_lower(dense)
         assert np.array_equal(unflatten_lower(flat, n), dense)
         assert flat.size == (n + 1) * (n + 2) // 2
+
+    @pytest.mark.parametrize("n", [2, 7, 100])
+    def test_lower_indices_built_once_and_read_only(self, n):
+        rows, cols = lower_indices(n + 1)
+        assert lower_indices(n + 1)[0] is rows and TriangularGrid(n).node_indices()[1] is cols
+        expected = np.tril_indices(n + 1)
+        assert rows.tobytes() == expected[0].tobytes() and cols.tobytes() == expected[1].tobytes()
+        for a in (rows, cols):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        flat = np.random.default_rng(n).normal(size=rows.size)
+        assert flatten_lower(unflatten_lower(flat, n)).tobytes() == flat.tobytes()
 
     def test_tri_quad_weights_integrate_area(self):
         w = tri_quad_weights(TriangularGrid(40))
