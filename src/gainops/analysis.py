@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import CoefficientSet, resample, sup_bounds
 from .controller import forward_transform
 from .kernel_solver import KernelField, KernelSet, solve_kappa_c
-from .numerics import trapezoid_integral
+from .numerics import lower_indices, trapezoid_integral
 from .plant_sim import PlantState, SimTrace
 
 
@@ -46,18 +46,10 @@ class ResidualReport:
     CSV_HEADER = "sup_bc_diag,sup_bc_bottom,sup_pde1,sup_pde2,epsilon_estimate"
 
     def to_json(self) -> str:
-        d = {
-            "sup_bc_diag": self.sup_bc_diag,
-            "sup_bc_bottom": self.sup_bc_bottom,
-            "sup_pde1": self.sup_pde1,
-            "sup_pde2": self.sup_pde2,
-            "epsilon_estimate": self.epsilon_estimate,
-        }
-        return json.dumps(d, indent=2)
+        return json.dumps({k: getattr(self, k) for k in self.CSV_HEADER.split(",")}, indent=2)
 
     def to_csv_row(self) -> str:
-        vals = (self.sup_bc_diag, self.sup_bc_bottom, self.sup_pde1, self.sup_pde2, self.epsilon_estimate)
-        return ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(f"{getattr(self, k):.17g}" for k in self.CSV_HEADER.split(","))
 
 
 @dataclass
@@ -77,7 +69,7 @@ class StabilityReport:
         return json.dumps(asdict(self), indent=2)
 
     def to_csv_row(self) -> str:
-        return ",".join(f"{v:.17g}" for v in (self.c1_hat, self.fit_quality, self.c2_hat))
+        return ",".join(f"{getattr(self, k):.17g}" for k in self.CSV_HEADER.split(","))
 
 
 def _directional_derivatives(dense: np.ndarray, n: int, h: float):
@@ -101,33 +93,26 @@ def _directional_derivatives(dense: np.ndarray, n: int, h: float):
     return dx, dxi
 
 
-def _interior_residuals(cf, k1m, k2m, n, h):
-    """The two interior equation residuals applied to a field pair."""
-    dx1, dxi1 = _directional_derivatives(k1m, n, h)
-    dx2, dxi2 = _directional_derivatives(k2m, n, h)
+def _residual_terms(cf, q, k1m, k2m, n, h):
+    """The residual operators of a field pair, theta left out of the first.
+
+    Returns (lam + mu) k1(x, x), the bottom-edge residual
+    mu(0) k2(x, 0) - q lam(0) k1(x, 0), and the two interior residuals.  The
+    interior ones are zero above the diagonal and at the corners: (0, 0)
+    sits on a single-node row (no xi stencil) and (n, n) on a single-node
+    column (no x stencil).
+    """
     lam, dlam, mu, dmu = cf["lam"], cf["dlam"], cf["mu"], cf["dmu"]
     sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
-    mu_x = mu[:, None]
-    lam_xi = lam[None, :]
-    mu_xi = mu[None, :]
-    r1 = -mu_x * dx1 + lam_xi * dxi1 + (dlam + sig)[None, :] * k1m + tht[None, :] * k2m
-    r2 = -mu_x * dx2 - mu_xi * dxi2 - dmu[None, :] * k2m + omg[None, :] * k1m
-    mask = _stencil_mask(n)
-    r1[~mask] = 0.0
-    r2[~mask] = 0.0
-    return r1, r2
-
-
-def _stencil_mask(n: int) -> np.ndarray:
-    """Nodes where both directional stencils exist.
-
-    The corner (0, 0) sits on a single-node row (no xi stencil) and (n, n) on
-    a single-node column (no x stencil); both are excluded.
-    """
-    mask = np.tril(np.ones((n + 1, n + 1), dtype=bool))
-    mask[0, 0] = False
-    mask[n, n] = False
-    return mask
+    diag = (lam + mu) * np.diagonal(k1m)
+    bottom = mu[0] * k2m[:, 0] - lam[0] * q * k1m[:, 0]
+    dx1, dxi1 = _directional_derivatives(k1m, n, h)
+    dx2, dxi2 = _directional_derivatives(k2m, n, h)
+    r1 = -mu[:, None] * dx1 + lam[None, :] * dxi1 + (dlam + sig)[None, :] * k1m + tht[None, :] * k2m
+    r2 = -mu[:, None] * dx2 - mu[None, :] * dxi2 - dmu[None, :] * k2m + omg[None, :] * k1m
+    r1, r2 = np.tril(r1), np.tril(r2)
+    r1[[0, n], [0, n]] = r2[[0, n], [0, n]] = 0.0
+    return diag, bottom, r1, r2
 
 
 def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField) -> ResidualReport:
@@ -144,13 +129,9 @@ def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField)
     if n < 3:
         raise ValueError("residual stencils need n >= 3")
     cf = resample(coeffs, n)
-    k1m, k2m = k1.as_matrix(), k2.as_matrix()
-    diag1 = np.diagonal(k1m).copy()
-    bc_diag = (cf["lam"] + cf["mu"]) * diag1 + cf["theta"]
-    bc_bottom = -cf["lam"][0] * coeffs.q * k1m[:, 0] + cf["mu"][0] * k2m[:, 0]
-    r1, r2 = _interior_residuals(cf, k1m, k2m, n, h)
+    diag, bc_bottom, r1, r2 = _residual_terms(cf, coeffs.q, k1.as_matrix(), k2.as_matrix(), n, h)
+    bc_diag = diag + cf["theta"]
     summed = np.abs(bc_diag)[:, None] + np.abs(bc_bottom)[:, None] + np.abs(r1) + np.abs(r2)
-    mask = np.tril(np.ones((n + 1, n + 1), dtype=bool))
     return ResidualReport(
         bc_diag=bc_diag,
         bc_bottom=bc_bottom,
@@ -160,7 +141,7 @@ def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField)
         sup_bc_bottom=float(np.abs(bc_bottom).max()),
         sup_pde1=float(np.abs(r1).max()),
         sup_pde2=float(np.abs(r2).max()),
-        epsilon_estimate=float(summed[mask].max()),
+        epsilon_estimate=float(summed[lower_indices(n + 1)].max()),
     )
 
 
@@ -207,11 +188,8 @@ def epsilon_estimate(
     ec = exact.c.as_matrix() - approx.c.as_matrix()
     ekap = exact.kappa.as_matrix() - approx.kappa.as_matrix()
 
-    d1 = (cf["lam"] + cf["mu"]) * np.diagonal(e1)
-    d2 = cf["lam"][0] * coeffs.q * e1[:, 0] - cf["mu"][0] * e2[:, 0]
-    d3, d4 = _interior_residuals(cf, e1, e2, n, h)
-
-    mask = np.tril(np.ones((n + 1, n + 1), dtype=bool))
+    d1, d2, d3, d4 = _residual_terms(cf, coeffs.q, e1, e2, n, h)
+    mask = lower_indices(n + 1)
     summed = (
         np.abs(e1)
         + np.abs(e2)

@@ -81,6 +81,21 @@ class CoefficientFamily:
             raise ValueError("amplitude must be nonnegative")
 
 
+def _gamma_shape(gamma: float, grid: IntervalGrid):
+    """The gamma family's seven arrays on ``grid``, in field order, and its q."""
+    x = grid.points
+    return (
+        gamma * x + 1.0,
+        np.full(grid.n + 1, gamma),
+        np.exp(gamma * x) + 1.0,
+        gamma * np.exp(gamma * x),
+        gamma * (x + 1.0),
+        5.0 * (np.cosh(x) + 1.0),
+        gamma * (x + 1.0),
+        gamma / 2.0,
+    )
+
+
 def gamma_family(gamma: float, m: int = 101) -> CoefficientSet:
     """The one-parameter test family used throughout the experiments.
 
@@ -92,18 +107,7 @@ def gamma_family(gamma: float, m: int = 101) -> CoefficientSet:
     if m < 2:
         raise ValueError("need at least 2 coefficient nodes")
     grid = IntervalGrid(m - 1)
-    x = grid.points
-    return CoefficientSet(
-        grid=grid,
-        lam=gamma * x + 1.0,
-        dlam=np.full(m, gamma),
-        mu=np.exp(gamma * x) + 1.0,
-        dmu=gamma * np.exp(gamma * x),
-        sigma=gamma * (x + 1.0),
-        omega=5.0 * (np.cosh(x) + 1.0),
-        theta=gamma * (x + 1.0),
-        q=gamma / 2.0,
-    )
+    return CoefficientSet(grid, *_gamma_shape(gamma, grid))
 
 
 def sample_random(family: CoefficientFamily, seed: int) -> CoefficientSet:
@@ -114,8 +118,8 @@ def sample_random(family: CoefficientFamily, seed: int) -> CoefficientSet:
     if family.kind == "gamma":
         return gamma_family(gamma, family.m)
 
-    m = family.m
-    grid = IntervalGrid(m - 1)
+    # the gamma family's shape plus perturbations, validated once
+    grid = IntervalGrid(family.m - 1)
     x = grid.points
     # sup of each perturbation is capped at 0.8 so lam >= 0.2 and mu >= 1.2
     cap = min(family.amplitude, 0.8)
@@ -134,16 +138,17 @@ def sample_random(family: CoefficientFamily, seed: int) -> CoefficientSet:
     p_sig, _ = perturbation()
     p_omg, _ = perturbation()
     p_tht, _ = perturbation()
-    q = gamma / 2.0 + 0.5 * family.amplitude * rng.uniform(-1.0, 1.0)
+    lam, dlam, mu, dmu, sigma, omega, theta, q = _gamma_shape(gamma, grid)
+    q += 0.5 * family.amplitude * rng.uniform(-1.0, 1.0)
     return CoefficientSet(
         grid=grid,
-        lam=gamma * x + 1.0 + p_lam,
-        dlam=np.full(m, gamma) + dp_lam,
-        mu=np.exp(gamma * x) + 1.0 + p_mu,
-        dmu=gamma * np.exp(gamma * x) + dp_mu,
-        sigma=gamma * (x + 1.0) + 2.0 * p_sig,
-        omega=5.0 * (np.cosh(x) + 1.0) + 2.0 * p_omg,
-        theta=gamma * (x + 1.0) + 2.0 * p_tht,
+        lam=lam + p_lam,
+        dlam=dlam + dp_lam,
+        mu=mu + p_mu,
+        dmu=dmu + dp_mu,
+        sigma=sigma + 2.0 * p_sig,
+        omega=omega + 2.0 * p_omg,
+        theta=theta + 2.0 * p_tht,
         q=q,
     )
 

@@ -24,6 +24,10 @@ from .numerics import IntervalGrid, TriangularGrid, interp_unit, read_exact, tri
 
 MODEL_MAGIC = b"NOM1"
 MODEL_VERSION = 1
+# adaptive-moment decay rates and denominator guard
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.99
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -33,9 +37,6 @@ class TrainConfig:
     learning_rate: float = 3e-3
     seed: int = 0
     train_fraction: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-8
     m_enc: int = 21
     p: int = 64
     branch_hidden: tuple[int, ...] = (128, 128)
@@ -48,8 +49,8 @@ class TrainConfig:
             raise ValueError("m_enc must be at least 2")
         if not (0 < self.train_fraction < 1):
             raise ValueError("train_fraction must lie in (0, 1)")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ValueError("learning_rate and eps must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass(eq=False)
@@ -324,14 +325,14 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
             n_batches += 1
 
             t_step += 1
-            bc1 = 1.0 - config.beta1**t_step
-            bc2 = 1.0 - config.beta2**t_step
+            bc1 = 1.0 - _ADAM_BETA1**t_step
+            bc2 = 1.0 - _ADAM_BETA2**t_step
             for k, g in enumerate(grads):
-                adam_m[k] = config.beta1 * adam_m[k] + (1 - config.beta1) * g
-                adam_v[k] = config.beta2 * adam_v[k] + (1 - config.beta2) * (
+                adam_m[k] = _ADAM_BETA1 * adam_m[k] + (1 - _ADAM_BETA1) * g
+                adam_v[k] = _ADAM_BETA2 * adam_v[k] + (1 - _ADAM_BETA2) * (
                     g * g if isinstance(g, np.ndarray) else g**2
                 )
-                step_val = lr * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + config.eps)
+                step_val = lr * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + _ADAM_EPS)
                 if k < len(params):
                     params[k] -= step_val
                 elif k == len(params):

@@ -3,9 +3,11 @@
 First-order explicit upwind in space, forward Euler in time, CFL 0.9.  u
 convects rightward (backward difference), v leftward (forward difference);
 coupling terms are explicit.  After every step the boundary identities
-u(0) = q v(0) and v(1) = U hold exactly.
+u(0) = q v(0) and v(1) = U hold exactly.  The target system is the same
+scheme with theta = 0 and the c/kappa integral terms as a source in the u
+equation.
 
-Both schemes are linear with a fixed dt.  A run therefore assembles its step
+Both runs are linear with a fixed dt.  A run therefore assembles its step
 once, as a dense 2n x 2n matrix S over the free unknowns y = (u[1:], v[:-1])
 (the update applied to the identity).  A long run also squares S up to
 P = S^BLOCK and fills each block of BLOCK states with one matrix product
@@ -18,13 +20,12 @@ of a chunk at once, and the trajectory itself is never kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .coefficients import CoefficientSet, resample, sup_bounds
+from .coefficients import CoefficientSet, resample
 from .controller import GainVector
-from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_weights  # noqa: F401  (callers read it from here)
+from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_weights  # noqa: F401  (bench/test_bench.py reads it from here)
 
 BLOWUP_THRESHOLD = 1e12
 CFL_NUMBER = 0.9
@@ -87,8 +88,7 @@ class ControllerSpec:
 
 def cfl_dt(coeffs: CoefficientSet, grid: IntervalGrid) -> float:
     """Largest stable explicit step: 0.9 h / max(sup lam, sup mu)."""
-    b = sup_bounds(coeffs)
-    return CFL_NUMBER * grid.h / max(b.lam_max, b.mu_max)
+    return CFL_NUMBER * grid.h / float(max(coeffs.lam.max(), coeffs.mu.max()))
 
 
 def reference_initial_state(grid: IntervalGrid) -> PlantState:
@@ -96,10 +96,12 @@ def reference_initial_state(grid: IntervalGrid) -> PlantState:
     return PlantState(grid, np.ones(grid.n + 1), np.sin(grid.points))
 
 
-def _advance(u, v, dt, cf, q, h):
+def _advance(u, v, dt, cf, q, h, source=-0.0):
     """One explicit upwind step without the actuated boundary value.
 
     Acts on the last axis, so a stack of states advances in one call.
+    ``source`` is added to the local coupling of u at nodes 1 .. n; the
+    default -0.0 leaves every sum as it is, signed zeros included.
     """
     lam, mu = cf["lam"], cf["mu"]
     sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
@@ -108,7 +110,7 @@ def _advance(u, v, dt, cf, q, h):
     un[..., 1:] = (
         u[..., 1:]
         - dt * lam[1:] * (u[..., 1:] - u[..., :-1]) / h
-        + dt * (sig[1:] * u[..., 1:] + omg[1:] * v[..., 1:])
+        + dt * (sig[1:] * u[..., 1:] + omg[1:] * v[..., 1:] + source)
     )
     vn[..., :-1] = v[..., :-1] + dt * mu[:-1] * (v[..., 1:] - v[..., :-1]) / h + dt * tht[:-1] * u[..., :-1]
     un[..., 0] = q * vn[..., 0]
@@ -154,15 +156,17 @@ def _block_length(n_steps: int, n: int) -> int:
     return BLOCK if n_steps >= 8 * n else 1
 
 
-def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: int, advance, actuate) -> SimTrace:
+def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: int, cf, actuate=None, source=None) -> SimTrace:
     """Trace loop shared by both simulators, with dt at the CFL bound.
 
-    ``advance(u, v, dt)`` returns the next states and ``actuate(u, v)`` the
-    actuated value v(1), 0 when ``actuate`` is None; both act on the last
-    axis and are linear.  They are applied once, to the identity: that
-    assembles the step as a dense 2n x 2n matrix S over the free unknowns
-    y = (u[1:], v[:-1]), y_next = y @ S, and the closure row a, v(1) = y @ a
-    (v(1) is +0.0 without an actuator).
+    The step is ``_advance`` on the resampled coefficients ``cf``, with the
+    u-equation source ``source(u, v)`` (the values at nodes 1 .. n) when
+    given.  ``actuate(u, v)`` returns the actuated value v(1), 0 when
+    ``actuate`` is None.  Both act on the last axis and are linear.  The
+    step is applied once, to the identity: that assembles it as a dense
+    2n x 2n matrix S over the free unknowns y = (u[1:], v[:-1]),
+    y_next = y @ S, and the closure row a, v(1) = y @ a (v(1) is +0.0
+    without an actuator).
 
     A run of b = ``_block_length`` states per product squares S up to
     P = S^b.  States 1 .. b-1 are stepped with S, one product each; after
@@ -190,7 +194,8 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
         u, v = _full(np.eye(min(ASSEMBLY_ROWS, 2 * n - k), 2 * n, k), q, 0.0)
         if actuate:
             a[k : k + len(u)] = v[:, -1] = actuate(u, v)
-        S[k : k + len(u)] = _free(*advance(u, v, dt))
+        src = source(u, v) if source else -0.0
+        S[k : k + len(u)] = _free(*_advance(u, v, dt, cf, q, h, src))
 
     w = trapezoid_weights(n + 1, h)
     wy = np.concatenate((w[1:], w[:-1]))
@@ -291,8 +296,7 @@ def simulate(
         def actuate(u, v):
             return ((g1 * u) @ w + (g2[:-1] * v[..., :-1]) @ w[:-1]) / closure
 
-    advance = partial(_advance, cf=resample(coeffs, n), q=coeffs.q, h=h)
-    return _trace(coeffs, init, T, snapshot_stride, advance, actuate)
+    return _trace(coeffs, init, T, snapshot_stride, resample(coeffs, n), actuate)
 
 
 def simulate_target(
@@ -304,12 +308,13 @@ def simulate_target(
 ) -> SimTrace:
     """Simulate the nominal transformed system (u, beta) for cross-checks.
 
-    beta is a pure leftward transport with zero inflow; the u equation keeps
-    its local terms plus the integral couplings through c and kappa under the
-    row-wise trapezoid rule.  The step, integral rows included, is assembled
-    once into the dense step matrix that the run iterates (see ``_trace``).
-    ``init.v`` is taken as the initial beta, and the recorded control is the
-    zero inflow beta(1).
+    This is the plant scheme with theta = 0, so beta is a pure leftward
+    transport with zero inflow, and with the integral couplings through c
+    and kappa under the row-wise trapezoid rule as a source in the u
+    equation.  The step, integral rows included, is assembled once into the
+    dense step matrix that the run iterates (see ``_trace``).  ``init.v`` is
+    taken as the initial beta, and the recorded control is the zero inflow
+    beta(1).
     """
     if kernels.kappa is None or kernels.c is None:
         raise ValueError("target simulation needs kappa and c; run solve_kappa_c")
@@ -318,28 +323,17 @@ def simulate_target(
     if kernels.grid.n != n:
         raise ValueError("kernel grid must match the simulation grid")
     cf = resample(coeffs, n)
-    lam, mu = cf["lam"], cf["mu"]
-    sig, omg = cf["sigma"], cf["omega"]
+    cf["theta"] = np.zeros(n + 1)
 
     # fold the row-wise trapezoid weights into the kernel matrices once
     wtri = row_weights(n, h)
     c_wt = (kernels.c.as_matrix() * wtri).T
     kap_wt = (kernels.kappa.as_matrix() * wtri).T
 
-    def advance(u, beta, dt):
-        # u(0) is left to _trace, which imposes u(0) = q beta(0)
-        integral = u @ c_wt + beta @ kap_wt
-        un = u.copy()
-        un[..., 1:] = (
-            u[..., 1:]
-            - dt * lam[1:] * (u[..., 1:] - u[..., :-1]) / h
-            + dt * (sig[1:] * u[..., 1:] + omg[1:] * beta[..., 1:] + integral[..., 1:])
-        )
-        bn = beta.copy()
-        bn[..., :-1] = beta[..., :-1] + dt * mu[:-1] * (beta[..., 1:] - beta[..., :-1]) / h
-        return un, bn
+    def source(u, beta):
+        return (u @ c_wt + beta @ kap_wt)[..., 1:]
 
-    return _trace(coeffs, init, T, snapshot_stride, advance, None)
+    return _trace(coeffs, init, T, snapshot_stride, cf, source=source)
 
 
 def trace_to_csv(trace: SimTrace, path) -> None:

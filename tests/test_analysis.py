@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,16 @@ class TestResidualOperators:
         assert rep.sup_pde1 == 0 and rep.sup_pde2 == 0
         assert rep.epsilon_estimate == 0
 
+    def test_interior_fields_vanish_off_the_stencil_nodes(self, gamma5):
+        n = 20
+        ks = solve_kernels(gamma5, TriangularGrid(n))
+        rep = residual_operators(gamma5, ks.k1, ks.k2)
+        off = ~np.tril(np.ones((n + 1, n + 1), dtype=bool))
+        off[0, 0] = off[n, n] = True
+        for r in (rep.pde1, rep.pde2):
+            assert r[off].tobytes() == bytes(8 * off.sum())
+            assert np.all(r[~off] != 0)
+
     def test_small_grid_rejected(self, gamma1):
         grid = TriangularGrid(2)
         z = np.zeros(grid.node_count)
@@ -98,6 +110,45 @@ def test_directional_derivatives_match_loop_bitwise(n):
         assert a.tobytes() == b.tobytes()
 
 
+def separate_epsilon_terms(coeffs, exact, approx):
+    """Reference: the epsilon_estimate fields with each residual term written out.
+
+    The boundary terms keep their own sign convention, and the interior
+    terms are masked with an explicit lower-triangular stencil mask.
+    """
+    n, h = exact.grid.n, exact.grid.h
+    cf = resample(coeffs, n)
+    lam, dlam, mu, dmu = cf["lam"], cf["dlam"], cf["mu"], cf["dmu"]
+    sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
+    e1 = exact.k1.as_matrix() - approx.k1.as_matrix()
+    e2 = exact.k2.as_matrix() - approx.k2.as_matrix()
+    ec = exact.c.as_matrix() - approx.c.as_matrix()
+    ekap = exact.kappa.as_matrix() - approx.kappa.as_matrix()
+    d1 = (lam + mu) * np.diagonal(e1)
+    d2 = lam[0] * coeffs.q * e1[:, 0] - mu[0] * e2[:, 0]
+    dx1, dxi1 = _directional_derivatives(e1, n, h)
+    dx2, dxi2 = _directional_derivatives(e2, n, h)
+    d3 = -mu[:, None] * dx1 + lam[None, :] * dxi1 + (dlam + sig)[None, :] * e1 + tht[None, :] * e2
+    d4 = -mu[:, None] * dx2 - mu[None, :] * dxi2 - dmu[None, :] * e2 + omg[None, :] * e1
+    mask = np.tril(np.ones((n + 1, n + 1), dtype=bool))
+    stencil = mask.copy()
+    stencil[0, 0] = stencil[n, n] = False
+    d3[~stencil] = 0.0
+    d4[~stencil] = 0.0
+    summed = np.abs(e1) + np.abs(e2) + np.abs(ec) + np.abs(ekap) + np.abs(d1)[:, None] + np.abs(d2)[:, None] + np.abs(d3) + np.abs(d4)
+    return {
+        "epsilon": float(summed[mask].max()),
+        "sup_k1_err": float(np.abs(e1[mask]).max()),
+        "sup_k2_err": float(np.abs(e2[mask]).max()),
+        "sup_c_err": float(np.abs(ec[mask]).max()),
+        "sup_kappa_err": float(np.abs(ekap[mask]).max()),
+        "sup_d1": float(np.abs(d1).max()),
+        "sup_d2": float(np.abs(d2).max()),
+        "sup_d3": float(np.abs(d3).max()),
+        "sup_d4": float(np.abs(d4).max()),
+    }
+
+
 class TestEpsilonEstimate:
     def perturbed(self, ks, scale=1e-2):
         grid = ks.grid
@@ -121,6 +172,17 @@ class TestEpsilonEstimate:
             rep.sup_d1, rep.sup_d2, rep.sup_d3, rep.sup_d4,
         ):
             assert rep.epsilon >= term - 1e-15
+
+    @pytest.mark.parametrize("n", [3, 20, 100])
+    def test_bitwise_equal_to_separate_terms(self, n):
+        grid = TriangularGrid(n)
+        for coeffs in mixed_plants(6):
+            exact = solve_kappa_c(coeffs, solve_kernels(coeffs, grid))
+            approx = solve_kappa_c(coeffs, self.perturbed(exact))
+            rep = asdict(epsilon_estimate(coeffs, exact, approx))
+            want = separate_epsilon_terms(coeffs, exact, approx)
+            assert list(rep) == list(want)
+            assert {k: v.hex() for k, v in rep.items()} == {k: v.hex() for k, v in want.items()}
 
     def test_matches_independent_delta_assembly(self, gamma1):
         # rebuild every term of the summed bound from scratch on a small grid

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from gainops.coefficients import (
+    MASK64,
     CoefficientFamily,
     CoefficientSet,
     gamma_family,
     resample,
     sample_random,
+    splitmix64,
     sup_bounds,
 )
 from gainops.numerics import IntervalGrid, interp_linear
@@ -104,6 +106,58 @@ class TestSampling:
     def test_bad_gamma_range_rejected(self):
         with pytest.raises(ValueError):
             CoefficientFamily("gamma", (-1.0, 2.0))
+
+
+def written_out_random_smooth(family, seed):
+    """Reference: a random_smooth draw with the base formulas written out."""
+    rng = np.random.default_rng(splitmix64(seed & MASK64))
+    lo, hi = family.gamma_range
+    gamma = lo + (hi - lo) * rng.uniform()
+    m = family.m
+    grid = IntervalGrid(m - 1)
+    x = grid.points
+    cap = min(family.amplitude, 0.8)
+
+    def perturbation():
+        a = 0.7 * cap * rng.uniform(-1.0, 1.0)
+        b = 0.6 * cap * rng.uniform(-1.0, 1.0)
+        f = rng.integers(1, 4)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        vals = a * np.cos(np.pi * f * x + phase) + b * (x - 0.5)
+        deriv = -a * np.pi * f * np.sin(np.pi * f * x + phase) + b
+        return vals, deriv
+
+    p_lam, dp_lam = perturbation()
+    p_mu, dp_mu = perturbation()
+    p_sig, _ = perturbation()
+    p_omg, _ = perturbation()
+    p_tht, _ = perturbation()
+    q = gamma / 2.0 + 0.5 * family.amplitude * rng.uniform(-1.0, 1.0)
+    return CoefficientSet(
+        grid=grid,
+        lam=gamma * x + 1.0 + p_lam,
+        dlam=np.full(m, gamma) + dp_lam,
+        mu=np.exp(gamma * x) + 1.0 + p_mu,
+        dmu=gamma * np.exp(gamma * x) + dp_mu,
+        sigma=gamma * (x + 1.0) + 2.0 * p_sig,
+        omega=5.0 * (np.cosh(x) + 1.0) + 2.0 * p_omg,
+        theta=gamma * (x + 1.0) + 2.0 * p_tht,
+        q=q,
+    )
+
+
+@pytest.mark.parametrize(
+    "family",
+    [CoefficientFamily("random_smooth"), CoefficientFamily("random_smooth", (0.2, 3.0), 1.5, 37)],
+)
+def test_random_smooth_is_the_gamma_family_plus_perturbations_bitwise(family):
+    fields = ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta")
+    for seed in range(20):
+        got, want = sample_random(family, seed), written_out_random_smooth(family, seed)
+        assert got.grid.points.tobytes() == want.grid.points.tobytes()
+        for name in fields:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
+        assert np.float64(got.q).tobytes() == np.float64(want.q).tobytes()
 
 
 class TestResample:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import gainops as g
+from gainops import plant_sim
 from gainops.controller import forward_transform
-from gainops.numerics import trapezoid_integral, trapezoid_weights
+from gainops.coefficients import resample
+from gainops.numerics import row_weights, trapezoid_integral, trapezoid_weights
 from gainops.plant_sim import BLOCK, CHUNK, _block_length
 
 from conftest import make_coeffs
@@ -285,6 +287,51 @@ def test_short_run_iterates_the_step_matrix_bitwise(gamma1, kernels_g1_n100):
         ys.append(np.dot(ys[-1], S))
     got = hashlib.sha256(b"".join(free(s).tobytes() for s in tr.snapshots)).hexdigest()
     assert got == hashlib.sha256(b"".join(y.tobytes() for y in ys)).hexdigest()
+
+
+def separate_target_stencil(coeffs, kernels, grid):
+    """Reference: the target system's upwind step written out on its own.
+
+    beta is pure leftward transport; the u equation has its local terms and
+    the c/kappa integral rows, with u(0) left to the trace loop.
+    """
+    n, h = grid.n, grid.h
+    cf = resample(coeffs, n)
+    lam, mu, sig, omg = cf["lam"], cf["mu"], cf["sigma"], cf["omega"]
+    wtri = row_weights(n, h)
+    c_wt = (kernels.c.as_matrix() * wtri).T
+    kap_wt = (kernels.kappa.as_matrix() * wtri).T
+
+    def advance(u, beta, dt, *_):
+        integral = u @ c_wt + beta @ kap_wt
+        un = u.copy()
+        un[..., 1:] = (
+            u[..., 1:]
+            - dt * lam[1:] * (u[..., 1:] - u[..., :-1]) / h
+            + dt * (sig[1:] * u[..., 1:] + omg[1:] * beta[..., 1:] + integral[..., 1:])
+        )
+        bn = beta.copy()
+        bn[..., :-1] = beta[..., :-1] + dt * mu[:-1] * (beta[..., 1:] - beta[..., :-1]) / h
+        return un, bn
+
+    return advance
+
+
+@pytest.mark.parametrize("steps, block", [(100, 1), (1000, BLOCK)])
+def test_target_run_is_the_separate_target_stencil_bitwise(monkeypatch, gamma1, kernels_g1_n100, steps, block):
+    n = 100
+    grid = g.IntervalGrid(n)
+    init = g.reference_initial_state(grid)
+    T = (steps - 0.5) * g.cfl_dt(gamma1, grid)
+    got = g.simulate_target(gamma1, kernels_g1_n100, init, T, snapshot_stride=9)
+    monkeypatch.setattr(plant_sim, "_advance", separate_target_stencil(gamma1, kernels_g1_n100, grid))
+    want = g.simulate_target(gamma1, kernels_g1_n100, init, T, snapshot_stride=9)
+    assert len(got.times) == steps + 1 and _block_length(steps, n) == block
+    for name in ("times", "phi", "u_boundary", "v_boundary", "control"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert (a.u.tobytes(), a.v.tobytes(), a.t) == (b.u.tobytes(), b.v.tobytes(), b.t)
 
 
 class TestSimulateTarget:
