@@ -115,6 +115,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.fit_start >= args.T:
+        print(f"--fit-start {args.fit_start:g} must be less than --T {args.T:g}", file=sys.stderr)
+        return 1
     coeffs = gamma_family(args.gamma)
     grid = IntervalGrid(args.n)
     init = plant_sim.reference_initial_state(grid)

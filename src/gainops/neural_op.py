@@ -38,9 +38,9 @@ class TrainConfig:
     seed: int = 0
     train_fraction: float = 0.9
     m_enc: int = 21
-    p: int = 64
+    p: int = 32
     branch_hidden: tuple[int, ...] = (128, 128)
-    trunk_hidden: tuple[int, ...] = (128, 128)
+    trunk_hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.p) < 1:
@@ -186,9 +186,9 @@ def forward(model: DeepONetModel, features: np.ndarray, points: np.ndarray) -> n
     recomputes the trunk and replaces the slot.  In-place edits, reassigned
     arrays and set_flat_params therefore all take effect on the next call,
     and the result is bit for bit that of a fresh trunk evaluation.  The
-    slot holds the trunk copies (201 KB at the default widths), the points
-    and the read-only (P, p) output: about 0.25 MB after infer_gains at
-    n = 100, and about 41 MB after a dense predict_fields at n = 400, until a
+    slot holds the trunk copies (51 KB at the default widths), the points
+    and the read-only (P, p) output: about 80 KB after infer_gains at
+    n = 100, and about 23 MB after a dense predict_fields at n = 400, until a
     call with other points replaces it.
     """
     features = np.asarray(features, dtype=float)
@@ -422,7 +422,7 @@ def infer_gains(model: DeepONetModel, coeffs: CoefficientSet, xi_grid: IntervalG
     The top-edge points are the same for every plant on one grid, so after
     the first call the trunk output comes from the model's slot (see
     forward): only the branch net and two p-vector products run per plant.
-    The slot then retains about 0.25 MB at n = 100 with the default widths.
+    The slot then retains about 80 KB at n = 100 with the default widths.
     """
     features = encode_input(coeffs, model.m_enc)
     pts = np.column_stack([np.ones(xi_grid.n + 1), xi_grid.points])

@@ -103,6 +103,16 @@ class TestSimulate:
         report = json.loads((workdir / "exact_stability.json").read_text())
         assert report["c1_hat"] > 0
 
+    @pytest.mark.parametrize("horizon", ["1", "2"])
+    def test_fit_start_not_before_horizon_rejected(self, tmp_path, capsys, horizon):
+        out = tmp_path / "trace.csv"
+        rc = main(["simulate", "--gamma", "1.0", "--controller", "exact", "--T", horizon,
+                   "--n", "20", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--fit-start 2 must be less than --T {horizon}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_neural_needs_model(self, workdir):
         rc = main(["simulate", "--gamma", "1.0", "--controller", "neural",
                    "--out", str(workdir / "n.csv")])

@@ -53,12 +53,24 @@ class TestSolveKernels:
         assert d <= 1e-12
         assert b <= 1e-12
 
-    def test_agrees_with_picard_oracle_n50(self, gamma1):
-        ks = solve_kernels(gamma1, TriangularGrid(50))
-        ok1, ok2, _ = picard_kernels(gamma1, 50)
+    # measured sup gaps at n = 50 (k1 / k2): 0.5h / 1.0h at Gamma = 1, 13.6h / 17.1h at
+    # the stiff end Gamma = 5, at most 11.9h / 14.1h on the random_smooth draws
+    @pytest.mark.parametrize(
+        "plant, bound",
+        [
+            pytest.param(lambda: g.gamma_family(1.0), 5, id="gamma1"),
+            pytest.param(lambda: g.gamma_family(5.0), 25, id="gamma5"),
+            pytest.param(lambda: g.sample_random(g.CoefficientFamily("random_smooth"), 3), 20, id="random_smooth3"),
+            pytest.param(lambda: g.sample_random(g.CoefficientFamily("random_smooth"), 11), 20, id="random_smooth11"),
+        ],
+    )
+    def test_agrees_with_picard_oracle_n50(self, plant, bound):
+        coeffs = plant()
+        ks = solve_kernels(coeffs, TriangularGrid(50))
+        ok1, ok2, _ = picard_kernels(coeffs, 50)
         h = 1 / 50
-        assert np.abs(ks.k1.as_matrix() - ok1).max() <= 5 * h
-        assert np.abs(ks.k2.as_matrix() - ok2).max() <= 5 * h
+        assert np.abs(ks.k1.as_matrix() - ok1).max() <= bound * h
+        assert np.abs(ks.k2.as_matrix() - ok2).max() <= bound * h
 
     def test_first_order_refinement(self, gamma1):
         sols = {n: solve_kernels(gamma1, TriangularGrid(n)) for n in (50, 100, 200)}
