@@ -293,6 +293,10 @@ def norm_equivalence_constants(kernels: KernelSet) -> tuple[float, float]:
     return s1, s2
 
 
+# fewest positive phi samples that fit_decay fits a rate to
+MIN_FIT_SAMPLES = 10
+
+
 def fit_decay(trace: SimTrace, t_start: float = 0.0) -> StabilityReport:
     """Least-squares exponential decay rate of phi for t >= t_start.
 
@@ -303,8 +307,8 @@ def fit_decay(trace: SimTrace, t_start: float = 0.0) -> StabilityReport:
     t = trace.times
     p = trace.phi
     sel = (t >= t_start) & (p > 0)
-    if sel.sum() < 10:
-        raise ValueError("need at least 10 positive samples after t_start")
+    if sel.sum() < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} positive samples after t_start")
     ts, ys = t[sel], np.log(p[sel])
     A = np.column_stack([ts, np.ones_like(ts)])
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)

@@ -120,6 +120,16 @@ def cmd_simulate(args) -> int:
         return 1
     coeffs = gamma_family(args.gamma)
     grid = IntervalGrid(args.n)
+    # the trace samples t = m T / n_steps from 0; the decay fit reads those at or after --fit-start
+    n_steps = plant_sim.step_count(coeffs, grid, args.T)
+    n_fit = int(np.count_nonzero(np.arange(n_steps + 1.0) * (args.T / n_steps) >= args.fit_start))
+    if n_fit < analysis.MIN_FIT_SAMPLES:
+        print(
+            f"--T {args.T:g} leaves {n_fit} samples at or after --fit-start {args.fit_start:g};"
+            f" the decay fit needs {analysis.MIN_FIT_SAMPLES}",
+            file=sys.stderr,
+        )
+        return 1
     init = plant_sim.reference_initial_state(grid)
     if args.controller == "open":
         spec = plant_sim.ControllerSpec.open_loop()

@@ -143,9 +143,9 @@ def _trunk_inputs(points: np.ndarray) -> np.ndarray:
 def _mlp_forward(ws, bs, x, keep=False):
     """tanh hidden layers, linear output; optionally keep activations.
 
-    This pass and _mlp_backward update the arrays they create in place, so a
-    training step frees fewer large temporaries and the heap is trimmed and
-    re-faulted less.
+    Each layer's bias and tanh are applied in the array of its product; with
+    _mlp_backward and the arrays _scratch keeps for a fit, a training step
+    frees few large temporaries and the heap is trimmed and re-faulted less.
     """
     acts = [x]
     a = x
@@ -159,20 +159,34 @@ def _mlp_forward(ws, bs, x, keep=False):
     return (a, acts) if keep else a
 
 
-def _mlp_backward(ws, acts, delta):
-    """Gradients of an MLP given output-side delta; returns (dWs, dbs, dx)."""
-    dws = [None] * len(ws)
-    dbs = [None] * len(ws)
+def _mlp_backward(ws, acts, delta, dws, dbs, work=None):
+    """Write the gradients of an MLP, given its output-side delta, into dws and dbs.
+
+    The delta stops at the first layer: nothing reads the input gradient.
+    Each hidden activation in acts is overwritten with the delta of its layer.
+    ``work`` is passed to _scratch.
+    """
     for l in range(len(ws) - 1, -1, -1):
-        a_prev = acts[l]
-        dws[l] = a_prev.T @ delta
-        dbs[l] = delta.sum(axis=0)
-        delta = delta @ ws[l].T
+        np.matmul(acts[l].T, delta, out=dws[l])
+        np.sum(delta, axis=0, out=dbs[l])
         if l > 0:
-            slope = acts[l] ** 2
-            np.subtract(1.0, slope, out=slope)
-            delta *= slope
-    return dws, dbs, delta
+            back = np.matmul(delta, ws[l].T, out=_scratch(work, "back", acts[l].shape))
+            # tanh' = 1 - a^2, formed in the activation, which is not read again
+            delta = np.square(acts[l], out=acts[l])
+            np.subtract(1.0, delta, out=delta)
+            delta *= back
+
+
+def _scratch(work, key, shape):
+    """An uninitialized array of shape: a new one if work is None, else the
+    leading rows of the array kept in the dict work under key, which is
+    replaced only when it is too short or its other axes differ."""
+    if work is None:
+        return np.empty(shape)
+    a = work.get(key)
+    if a is None or a.shape[1:] != shape[1:] or len(a) < shape[0]:
+        a = work[key] = np.empty(shape)
+    return a[: shape[0]]
 
 
 def forward(model: DeepONetModel, features: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -284,6 +298,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     f_tr, f_te = feats[tr_idx], feats[te_idx]
     y1_tr, y2_tr = y1[tr_idx], y2[tr_idx]
     y1_te, y2_te = y1[te_idx], y2[te_idx]
+    del feats, y1, y2  # the split copies are all the fit reads
 
     mean = f_tr.mean(axis=0)
     std = f_tr.std(axis=0)
@@ -295,10 +310,15 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
     w_tri = tri_quad_weights(grid)
 
-    # the arrays are updated in place, so this list stays the model's
-    params = model.parameters()
-    adam_m = [np.zeros_like(p_) for p_ in params] + [0.0, 0.0]
-    adam_v = [np.zeros_like(p_) for p_ in params] + [0.0, 0.0]
+    # every parameter, then b1 and b2, in one vector (get_flat_params order);
+    # the model's arrays are views of it, so an Adam step is whole-vector ops
+    flat = get_flat_params(model)
+    model.branch_w, model.branch_b, model.trunk_w, model.trunk_b = _views(model, flat)
+    grad = np.empty_like(flat)
+    adam_m = np.zeros_like(flat)
+    adam_v = np.zeros_like(flat)
+    step = np.empty_like(flat)
+    denom = np.empty_like(flat)
     t_step = 0
     n_train = z_tr.shape[0]
 
@@ -306,6 +326,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     hist_te1 = np.full(config.epochs, np.nan)
     hist_te2 = np.full(config.epochs, np.nan)
 
+    # the large arrays of a step, which every step writes into (see _scratch)
+    work = {}
+    # the trunk's output and activations, kept only while the weights are unchanged
+    trunk = None
     for epoch in range(config.epochs):
         # cosine decay to 0.2% of the base rate; late-epoch step noise
         # otherwise keeps the minibatch loss from settling
@@ -316,7 +340,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
         n_batches = 0
         for start in range(0, n_train, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = _loss_and_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], pts)
+            loss = _loss_and_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], pts, grad, trunk, work)
+            trunk = None
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, step {n_batches}"
@@ -327,45 +352,57 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
             t_step += 1
             bc1 = 1.0 - _ADAM_BETA1**t_step
             bc2 = 1.0 - _ADAM_BETA2**t_step
-            for k, g in enumerate(grads):
-                adam_m[k] = _ADAM_BETA1 * adam_m[k] + (1 - _ADAM_BETA1) * g
-                adam_v[k] = _ADAM_BETA2 * adam_v[k] + (1 - _ADAM_BETA2) * (
-                    g * g if isinstance(g, np.ndarray) else g**2
-                )
-                step_val = lr * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + _ADAM_EPS)
-                if k < len(params):
-                    params[k] -= step_val
-                elif k == len(params):
-                    model.b1 -= step_val
-                else:
-                    model.b2 -= step_val
+            adam_m *= _ADAM_BETA1
+            np.multiply(grad, 1 - _ADAM_BETA1, out=step)
+            adam_m += step
+            np.multiply(grad, grad, out=step)
+            # the two output-bias gradients are squared by float pow, which
+            # differs from g * g in the last bit for about one value in a
+            # thousand; it keeps fits bit for bit those of a per-array update
+            step[-2:] = float(grad[-2]) ** 2, float(grad[-1]) ** 2
+            step *= 1 - _ADAM_BETA2
+            adam_v *= _ADAM_BETA2
+            adam_v += step
+            np.divide(adam_m, bc1, out=step)
+            step *= lr
+            np.divide(adam_v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += _ADAM_EPS
+            step /= denom
+            flat -= step
+            model.b1, model.b2 = float(flat[-2]), float(flat[-1])
 
         hist_loss[epoch] = epoch_loss / max(n_batches, 1)
         if len(te_idx) > 0:
-            res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri)
+            trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
+            res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri, trunk[0])
             hist_te1[epoch], hist_te2[epoch] = res.rel_l2_k1, res.rel_l2_k2
 
-    _polish_readout(model, z_tr, y1_tr, y2_tr, pts)
+    # the readout solve leaves the trunk as it is
+    tout = None if trunk is None else trunk[0]
+    _polish_readout(model, z_tr, y1_tr, y2_tr, pts, tout)
     if len(te_idx) > 0:
-        res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri)
+        res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri, tout)
         hist_te1[-1], hist_te2[-1] = res.rel_l2_k1, res.rel_l2_k2
 
     history = TrainHistory(train_loss=hist_loss, test_rel_l2_k1=hist_te1, test_rel_l2_k2=hist_te2)
     return model, history
 
 
-def _polish_readout(model: DeepONetModel, z_tr, y1_tr, y2_tr, pts) -> None:
+def _polish_readout(model: DeepONetModel, z_tr, y1_tr, y2_tr, pts, tout=None) -> None:
     """Solve the linear readout exactly once the nonlinear layers are trained.
 
     With the hidden layers frozen the prediction is linear in the last branch
     layer and the output biases, and the normal equations factor over the
     (sample, node) product grid, so the train MSE minimizer is available in
     closed form.  Adaptive-moment steps leave this layer far from optimal.
+    ``tout`` is the trunk output at pts, computed here if not given.
     """
     p = model.p
     acts = _mlp_forward(model.branch_w, model.branch_b, z_tr, keep=True)[1]
     a_pen = np.column_stack([acts[-2], np.ones(z_tr.shape[0])])
-    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
+    if tout is None:
+        tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     ga_val, ga_vec = np.linalg.eigh(a_pen.T @ a_pen)
     gt_val, gt_vec = np.linalg.eigh(tout.T @ tout)
     denom = np.outer(np.maximum(ga_val, 0.0), np.maximum(gt_val, 0.0))
@@ -401,11 +438,15 @@ def evaluate(model: DeepONetModel, dataset: Dataset) -> EvalResult:
     return _evaluate(model, feats, y1, y2, pts, tri_quad_weights(grid))
 
 
-def _evaluate(model: DeepONetModel, feats, y1, y2, pts, w) -> EvalResult:
-    """The result of evaluate, from encoded features, true kernels, trunk inputs and quadrature weights."""
+def _evaluate(model: DeepONetModel, feats, y1, y2, pts, w, tout=None) -> EvalResult:
+    """The result of evaluate, from encoded features, true kernels, trunk inputs and quadrature weights.
+
+    ``tout`` is the trunk output at pts, computed here if not given.
+    """
     z = (feats - model.feat_mean) / model.feat_scale
     bout = _mlp_forward(model.branch_w, model.branch_b, z)
-    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
+    if tout is None:
+        tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     p = model.p
     means, skipped = [], []
     for pred, truth in ((bout[:, :p] @ tout.T + model.b1, y1), (bout[:, p:] @ tout.T + model.b2, y2)):
@@ -433,30 +474,60 @@ def infer_gains(model: DeepONetModel, coeffs: CoefficientSet, xi_grid: IntervalG
 def loss_and_gradients(model: DeepONetModel, feats: np.ndarray, y1: np.ndarray, y2: np.ndarray, pts: np.ndarray):
     """Loss plus flat analytic gradient over all parameters (for verification)."""
     z = (feats - model.feat_mean) / model.feat_scale
-    loss, grads = _loss_and_grads(model, z, y1, y2, _trunk_inputs(pts))
-    return loss, np.concatenate([np.ravel(g) for g in grads])
+    grad = np.empty_like(get_flat_params(model))
+    loss = _loss_and_grads(model, z, y1, y2, _trunk_inputs(pts), grad)
+    return loss, grad
 
 
-def _loss_and_grads(model: DeepONetModel, z, y1, y2, pts):
-    """Training MSE on normalized features and trunk inputs, and its gradient.
+def _loss_and_grads(model: DeepONetModel, z, y1, y2, pts, grad, trunk=None, work=None):
+    """Training MSE on normalized features and trunk inputs; its gradient goes into grad.
 
-    The gradient comes as [*branch_w, *branch_b, *trunk_w, *trunk_b, db1, db2],
-    in the order of ``model.parameters()`` followed by the two output biases.
+    grad is a flat vector in get_flat_params order.  ``trunk`` is the pair
+    (output, activations) of the trunk at pts, computed here if not given;
+    its hidden activations are overwritten.  The residuals and the trunk's
+    backward pass go into arrays from ``work`` (see _scratch).
     """
     p = model.p
     bout, bacts = _mlp_forward(model.branch_w, model.branch_b, z, keep=True)
-    tout, tacts = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
-    d1 = bout[:, :p] @ tout.T + model.b1 - y1
-    d2 = bout[:, p:] @ tout.T + model.b2 - y2
+    if trunk is None:
+        trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
+    tout, tacts = trunk
+    shape = (len(z), len(tout))
+    d1, d2 = _scratch(work, "d1", shape), _scratch(work, "d2", shape)
+    np.matmul(bout[:, :p], tout.T, out=d1)
+    d1 += model.b1
+    d1 -= y1
+    np.matmul(bout[:, p:], tout.T, out=d2)
+    d2 += model.b2
+    d2 -= y2
     n_terms = d1.size + d2.size
-    loss = (np.sum(d1 * d1) + np.sum(d2 * d2)) / n_terms
-    g1 = (2.0 / n_terms) * d1
-    g2 = (2.0 / n_terms) * d2
-    d_bout = np.concatenate([g1 @ tout, g2 @ tout], axis=1)
-    d_tout = g1.T @ bout[:, :p] + g2.T @ bout[:, p:]
-    dbw, dbb, _ = _mlp_backward(model.branch_w, bacts, d_bout)
-    dtw, dtb, _ = _mlp_backward(model.trunk_w, tacts, d_tout)
-    return loss, [*dbw, *dbb, *dtw, *dtb, float(g1.sum()), float(g2.sum())]
+    sq = np.multiply(d1, d1, out=_scratch(work, "sq", shape))
+    loss = np.sum(sq)
+    loss += np.sum(np.multiply(d2, d2, out=sq))
+    loss /= n_terms
+    d1 *= 2.0 / n_terms
+    d2 *= 2.0 / n_terms
+    d_bout = np.concatenate([d1 @ tout, d2 @ tout], axis=1)
+    d_tout = np.matmul(d1.T, bout[:, :p], out=_scratch(work, "d_tout", tout.shape))
+    d_tout += np.matmul(d2.T, bout[:, p:], out=_scratch(work, "d_tout2", tout.shape))
+    dbw, dbb, dtw, dtb = _views(model, grad)
+    _mlp_backward(model.branch_w, bacts, d_bout, dbw, dbb)
+    _mlp_backward(model.trunk_w, tacts, d_tout, dtw, dtb, work)
+    grad[-2] = d1.sum()
+    grad[-1] = d2.sum()
+    return loss
+
+
+def _views(model: DeepONetModel, flat: np.ndarray):
+    """(branch_w, branch_b, trunk_w, trunk_b) shaped like the model's, as views of flat in get_flat_params order."""
+    groups, pos = [], 0
+    for arrays in (model.branch_w, model.branch_b, model.trunk_w, model.trunk_b):
+        views = []
+        for a in arrays:
+            views.append(flat[pos : pos + a.size].reshape(a.shape))
+            pos += a.size
+        groups.append(views)
+    return groups
 
 
 def get_flat_params(model: DeepONetModel) -> np.ndarray:
@@ -465,12 +536,11 @@ def get_flat_params(model: DeepONetModel) -> np.ndarray:
 
 
 def set_flat_params(model: DeepONetModel, flat: np.ndarray) -> None:
-    pos = 0
-    for p in model.parameters():
-        p[...] = flat[pos : pos + p.size].reshape(p.shape)
-        pos += p.size
-    model.b1 = float(flat[pos])
-    model.b2 = float(flat[pos + 1])
+    for arrays, views in zip((model.branch_w, model.branch_b, model.trunk_w, model.trunk_b), _views(model, flat)):
+        for a, v in zip(arrays, views):
+            a[...] = v
+    model.b1 = float(flat[-2])
+    model.b2 = float(flat[-1])
 
 
 def save_model(model: DeepONetModel, path) -> None:

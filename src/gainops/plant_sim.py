@@ -91,6 +91,13 @@ def cfl_dt(coeffs: CoefficientSet, grid: IntervalGrid) -> float:
     return CFL_NUMBER * grid.h / float(max(coeffs.lam.max(), coeffs.mu.max()))
 
 
+def step_count(coeffs: CoefficientSet, grid: IntervalGrid, T: float) -> int:
+    """Steps of a run to time T; its step T / step_count is at most cfl_dt."""
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got T = {T}")
+    return max(1, int(np.ceil(T / cfl_dt(coeffs, grid))))
+
+
 def reference_initial_state(grid: IntervalGrid) -> PlantState:
     """The standard experiment initial data u0 = 1, v0 = sin(x)."""
     return PlantState(grid, np.ones(grid.n + 1), np.sin(grid.points))
@@ -179,11 +186,9 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     is non-finite.  Only those four records and the snapshots outlive a
     chunk.
     """
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"T must be finite and positive, got T = {T}")
     grid = init.grid
+    n_steps = step_count(coeffs, grid, T)
     n, h, q = grid.n, grid.h, coeffs.q
-    n_steps = max(1, int(np.ceil(T / cfl_dt(coeffs, grid))))
     dt = T / n_steps
 
     # row k of S (of a) is the next state (the control) of unknown k alone,

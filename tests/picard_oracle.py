@@ -11,8 +11,10 @@ through the diagonal; the ascending family (k2) keeps M(xi) - M(x) constant
 and always enters through the bottom edge.  Each node's path is sampled at a
 fine uniform resolution, trapezoid-integrated, and the field values along the
 path are interpolated from the current iterate until the sup change drops
-below tolerance.  None of this shares code with the production marching
-scheme.
+below tolerance.  The path integrals are linear in the iterate, so they are
+summed once into a sparse operator per family and field, and a sweep is four
+sparse matrix-vector products.  None of this shares code with the production
+marching scheme.
 """
 
 import numpy as np
@@ -67,7 +69,7 @@ def _tri_weights(n, xs, xis):
 
 
 def _build_paths(x_nodes, xi_nodes, xc, xi_of_s, ds):
-    """Uniform path samples per node plus trapezoid weights and offsets."""
+    """Uniform path samples per node, their trapezoid weights and the node of each."""
     lengths = x_nodes - xc
     m = np.maximum(2, np.ceil(lengths / ds).astype(int) + 1)
     offsets = np.concatenate([[0], np.cumsum(m)])
@@ -81,7 +83,35 @@ def _build_paths(x_nodes, xi_nodes, xc, xi_of_s, ds):
     w = step.copy()
     w[offsets[:-1]] *= 0.5
     w[offsets[1:] - 1] *= 0.5
-    return s, xi_s, w, offsets[:-1], node_of
+    return s, xi_s, w, node_of
+
+
+def _fold(node_of, idx, wgt, coefs, n_rows, n_cols, block=256):
+    """Sum every path sample's stencil into one sparse operator per coefficient.
+
+    Row r of operator c maps a field on the grid nodes to the sum over node
+    r's samples s of coefs[c][s] times the field interpolated at s.  Returns
+    (rows, cols, [vals per coefficient]), entries sorted by row; node_of must
+    be sorted.  Rows are folded ``block`` at a time so the dense
+    (row, column) count stays small.
+    """
+    rows, cols, vals = [], [], [[] for _ in coefs]
+    for first in range(0, n_rows, block):
+        lo, hi = np.searchsorted(node_of, [first, first + block])
+        key = ((node_of[lo:hi, None] - first) * n_cols + idx[lo:hi]).ravel()
+        size = block * n_cols
+        hit = np.flatnonzero(np.bincount(key, minlength=size))
+        rows.append(first + hit // n_cols)
+        cols.append(hit % n_cols)
+        for out, c in zip(vals, coefs):
+            out.append(np.bincount(key, weights=(c[lo:hi, None] * wgt[lo:hi]).ravel(), minlength=size)[hit])
+    return np.concatenate(rows), np.concatenate(cols), [np.concatenate(v) for v in vals]
+
+
+def _apply(op, fields, n_rows):
+    """Sum of each operator of op applied to its field."""
+    rows, cols, vals = op
+    return np.bincount(rows, weights=sum(v * f[cols] for v, f in zip(vals, fields)), minlength=n_rows)
 
 
 def picard_kernels(coeffs, n, ds=1.0 / FINE, tol=1e-10):
@@ -126,12 +156,13 @@ def picard_kernels(coeffs, n, ds=1.0 / FINE, tol=1e-10):
     x1, xi1 = x_all[sel1], xi_all[sel1]
     const1 = l_of(xi1) + m_of(x1)
     xc1 = np.minimum(inv_w(const1), x1)
-    s1, xis1, w1, off1, nof1 = _build_paths(
+    s1, xis1, w1, nof1 = _build_paths(
         x1, xi1, xc1, lambda s, k: np.clip(inv_l(const1[k] - m_of(s) + 0.0), 0.0, s), 1.0 / FINE
     )
     idx1, wg1 = _tri_weights(n, s1, xis1)
     a11 = w1 * (dlam(xis1) + sigma(xis1)) / mu(s1)
     a12 = w1 * theta(xis1) / mu(s1)
+    op1 = _fold(nof1, idx1, wg1, (a11, a12), x1.size, n_nodes)
     bc1 = g_diag(xc1)
 
     # ascending family: every node off the bottom edge integrates from it
@@ -139,12 +170,13 @@ def picard_kernels(coeffs, n, ds=1.0 / FINE, tol=1e-10):
     x2, xi2 = x_all[sel2], xi_all[sel2]
     const2 = m_of(xi2) - m_of(x2)
     xc2 = np.clip(inv_m(-const2), 0.0, x2)
-    s2, xis2, w2, off2, nof2 = _build_paths(
+    s2, xis2, w2, nof2 = _build_paths(
         x2, xi2, xc2, lambda s, k: np.clip(inv_m(const2[k] + m_of(s)), 0.0, s), 1.0 / FINE
     )
     idx2, wg2 = _tri_weights(n, s2, xis2)
     a21 = -w2 * dmu(xis2) / mu(s2)
     a22 = w2 * omega(xis2) / mu(s2)
+    op2 = _fold(nof2, idx2, wg2, (a21, a22), x2.size, n_nodes)
 
     bottom_flat = np.array([i * (i + 1) // 2 for i in range(n + 1)])
     diag_flat = np.array([i * (i + 1) // 2 + i for i in range(n + 1)])
@@ -153,19 +185,13 @@ def picard_kernels(coeffs, n, ds=1.0 / FINE, tol=1e-10):
     k1 = np.zeros(n_nodes)
     k2 = np.zeros(n_nodes)
     for it in range(MAX_ITER):
-        f1_s1 = (k1[idx1] * wg1).sum(axis=1)
-        f2_s1 = (k2[idx1] * wg1).sum(axis=1)
         new1 = k1.copy()
-        new1[sel1] = bc1 + np.add.reduceat(a11 * f1_s1 + a12 * f2_s1, off1)
+        new1[sel1] = bc1 + _apply(op1, (k1, k2), x1.size)
         new1[diag_flat] = g_diag(pts)
 
         k1_bottom = k1[bottom_flat]
-        f1_s2 = (k1[idx2] * wg2).sum(axis=1)
-        f2_s2 = (k2[idx2] * wg2).sum(axis=1)
         new2 = k2.copy()
-        new2[sel2] = bc_ratio * np.interp(xc2, pts, k1_bottom) + np.add.reduceat(
-            a21 * f2_s2 + a22 * f1_s2, off2
-        )
+        new2[sel2] = bc_ratio * np.interp(xc2, pts, k1_bottom) + _apply(op2, (k2, k1), x2.size)
         new2[bottom_flat] = bc_ratio * k1_bottom
 
         change = max(np.abs(new1 - k1).max(), np.abs(new2 - k2).max())

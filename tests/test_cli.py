@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from gainops import plant_sim
 from gainops.cli import main
+from gainops.coefficients import gamma_family
 from gainops.data_store import expected_file_size
+from gainops.numerics import IntervalGrid
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,18 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"--fit-start 2 must be less than --T {horizon}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_too_few_samples_to_fit_rejected(self, tmp_path, capsys):
+        # a run to T = 2.01 at n = 100 has 5 samples at t >= 2, whatever its controller
+        init = plant_sim.reference_initial_state(IntervalGrid(100))
+        trace = plant_sim.simulate(gamma_family(1.0), init, plant_sim.ControllerSpec.open_loop(), 2.01)
+        assert np.count_nonzero(trace.times >= 2.0) == 5
+        out = tmp_path / "trace.csv"
+        rc = main(["simulate", "--gamma", "1.0", "--controller", "exact", "--T", "2.01", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--T 2.01 leaves 5 samples at or after --fit-start 2; the decay fit needs 10" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_neural_needs_model(self, workdir):

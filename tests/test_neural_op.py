@@ -327,6 +327,21 @@ class TestTrunkSlot:
         nn.set_flat_params(model, 0.9 * nn.get_flat_params(model))
         changed()
 
+    def test_edits_of_a_trained_model_take_effect(self, tiny_dataset, gamma1):
+        # train leaves the model's arrays as views of one vector
+        model, _ = nn.train(tiny_dataset, nn.TrainConfig(epochs=2, seed=9))
+        feats = nn.encode_input(gamma1, model.m_enc)
+        pts = top_edge(30)
+        before = nn.forward(model, feats, pts).tobytes()
+        model.trunk_w[0][1, 2] += 1e-3
+        after = nn.forward(model, feats, pts).tobytes()
+        assert after != before
+        assert after == fresh_forward(model, feats, pts).tobytes()
+        nn.set_flat_params(model, 0.9 * nn.get_flat_params(model))
+        last = nn.forward(model, feats, pts).tobytes()
+        assert last != after
+        assert last == fresh_forward(model, feats, pts).tobytes()
+
     def test_edited_points_are_not_reused(self, gamma1):
         model = nn.init_model(small_config(seed=2))
         feats = nn.encode_input(gamma1, model.m_enc)
@@ -384,10 +399,11 @@ class TestModelFile:
         back = nn.load_model(path)
         assert back.branch_dims == model.branch_dims
         assert back.trunk_dims == model.trunk_dims
-        for a, b in zip(model.parameters(), back.parameters()):
-            assert np.array_equal(a, b)
-        assert np.array_equal(model.feat_mean, back.feat_mean)
-        assert back.b1 == model.b1 and back.b2 == model.b2
+        assert nn.get_flat_params(back).tobytes() == nn.get_flat_params(model).tobytes()
+        assert back.feat_mean.tobytes() == model.feat_mean.tobytes()
+        assert back.feat_scale.tobytes() == model.feat_scale.tobytes()
+        nn.save_model(back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -469,3 +485,135 @@ class TestModelFile:
         )
         with pytest.raises(ValueError, match="model file truncated while reading branch weights"):
             nn.load_model(path)
+
+
+def per_array_grads(model, z, y1, y2, pts):
+    """Training MSE and its gradient as a list in parameters() order, then db1 and db2."""
+    p = model.p
+    bout, bacts = nn._mlp_forward(model.branch_w, model.branch_b, z, keep=True)
+    tout, tacts = nn._mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
+    d1 = bout[:, :p] @ tout.T + model.b1 - y1
+    d2 = bout[:, p:] @ tout.T + model.b2 - y2
+    n_terms = d1.size + d2.size
+    loss = (np.sum(d1 * d1) + np.sum(d2 * d2)) / n_terms
+    g1 = (2.0 / n_terms) * d1
+    g2 = (2.0 / n_terms) * d2
+
+    def backward(ws, acts, delta):
+        dws, dbs = [None] * len(ws), [None] * len(ws)
+        for l in range(len(ws) - 1, -1, -1):
+            dws[l] = acts[l].T @ delta
+            dbs[l] = delta.sum(axis=0)
+            delta = delta @ ws[l].T
+            if l > 0:
+                delta = delta * (1.0 - acts[l] ** 2)
+        return dws, dbs
+
+    dbw, dbb = backward(model.branch_w, bacts, np.concatenate([g1 @ tout, g2 @ tout], axis=1))
+    dtw, dtb = backward(model.trunk_w, tacts, g1.T @ bout[:, :p] + g2.T @ bout[:, p:])
+    return loss, [*dbw, *dbb, *dtw, *dtb, float(g1.sum()), float(g2.sum())]
+
+
+def per_array_train(dataset, config):
+    """train with one Adam update per parameter array, the output biases as
+    Python floats and a fresh trunk pass wherever one is read; returns the
+    model, the history and how many bias gradients g had g**2 != g * g."""
+    rng = np.random.default_rng(config.seed)
+    model = nn.init_model(config, rng)
+    feats, y1, y2 = nn._dataset_tensors(dataset, config.m_enc)
+    tr, te = nn.split_indices(len(dataset.samples), config.train_fraction, config.seed)
+    std = feats[tr].std(axis=0)
+    model.feat_mean = feats[tr].mean(axis=0)
+    model.feat_scale = np.where(std > 1e-12, std, 1.0)
+    z_tr = (feats[tr] - model.feat_mean) / model.feat_scale
+    y1_tr, y2_tr = y1[tr], y2[tr]
+    grid = TriangularGrid(dataset.n_grid)
+    pts = nn._trunk_inputs(np.column_stack(grid.node_coordinates()))
+    w_tri = tri_quad_weights(grid)
+    b1, b2, eps = nn._ADAM_BETA1, nn._ADAM_BETA2, nn._ADAM_EPS
+
+    params = model.parameters()
+    adam_m = [np.zeros_like(a) for a in params] + [0.0, 0.0]
+    adam_v = [np.zeros_like(a) for a in params] + [0.0, 0.0]
+    hist = nn.TrainHistory(np.zeros(config.epochs), np.full(config.epochs, np.nan), np.full(config.epochs, np.nan))
+    t_step = pow_differs = 0
+    for epoch in range(config.epochs):
+        frac = epoch / max(config.epochs - 1, 1)
+        lr = config.learning_rate * (0.002 + 0.998 * 0.5 * (1 + np.cos(np.pi * frac)))
+        order = rng.permutation(len(tr))
+        losses = []
+        for start in range(0, len(tr), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grads = per_array_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], pts)
+            losses.append(loss)
+            t_step += 1
+            bc1, bc2 = 1.0 - b1**t_step, 1.0 - b2**t_step
+            for k, g in enumerate(grads):
+                if isinstance(g, float):
+                    square = g**2
+                    pow_differs += square != g * g
+                else:
+                    square = g * g
+                adam_m[k] = b1 * adam_m[k] + (1 - b1) * g
+                adam_v[k] = b2 * adam_v[k] + (1 - b2) * square
+                step = lr * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + eps)
+                if k < len(params):
+                    params[k] -= step
+                elif k == len(params):
+                    model.b1 -= step
+                else:
+                    model.b2 -= step
+        hist.train_loss[epoch] = sum(losses) / len(losses)
+        if len(te):
+            res = nn._evaluate(model, feats[te], y1[te], y2[te], pts, w_tri)
+            hist.test_rel_l2_k1[epoch], hist.test_rel_l2_k2[epoch] = res.rel_l2_k1, res.rel_l2_k2
+    nn._polish_readout(model, z_tr, y1_tr, y2_tr, pts)
+    if len(te):
+        res = nn._evaluate(model, feats[te], y1[te], y2[te], pts, w_tri)
+        hist.test_rel_l2_k1[-1], hist.test_rel_l2_k2[-1] = res.rel_l2_k1, res.rel_l2_k2
+    return model, hist, pow_differs
+
+
+def assert_same_fit(model, hist, ref, ref_hist):
+    for a, b in zip(model.parameters(), ref.parameters(), strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert np.float64(model.b1).tobytes() == np.float64(ref.b1).tobytes()
+    assert np.float64(model.b2).tobytes() == np.float64(ref.b2).tobytes()
+    for name in ("train_loss", "test_rel_l2_k1", "test_rel_l2_k2"):
+        assert getattr(hist, name).tobytes() == getattr(ref_hist, name).tobytes()
+
+
+class TestFlatAdam:
+    """train keeps every parameter in one vector; its fits are those of the per-array loop."""
+
+    def test_default_widths_with_a_short_last_minibatch(self, tiny_dataset):
+        # 22 training samples in minibatches of 5: the last holds 2
+        config = nn.TrainConfig(epochs=3, batch_size=5, seed=4)
+        model, hist = nn.train(tiny_dataset, config)
+        ref, ref_hist, _ = per_array_train(tiny_dataset, config)
+        assert_same_fit(model, hist, ref, ref_hist)
+
+    def test_one_sample_without_held_out_split(self, tiny_dataset):
+        # nothing is held out, so no epoch-end trunk pass exists and the readout solve makes its own
+        one = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, tiny_dataset.samples[:1])
+        config = nn.TrainConfig(epochs=4, seed=6)
+        model, hist = nn.train(one, config)
+        ref, ref_hist, _ = per_array_train(one, config)
+        assert np.all(np.isnan(hist.test_rel_l2_k1))
+        assert_same_fit(model, hist, ref, ref_hist)
+
+    def test_one_hidden_trunk_layer(self, tiny_dataset):
+        config = nn.TrainConfig(epochs=3, trunk_hidden=(8,), seed=2)
+        model, hist = nn.train(tiny_dataset, config)
+        ref, ref_hist, _ = per_array_train(tiny_dataset, config)
+        assert_same_fit(model, hist, ref, ref_hist)
+
+    def test_bias_squares_where_pow_and_product_differ(self, tiny_dataset):
+        # a bias gradient of this fit has g**2 != g * g, and squaring it as g * g
+        # changes the fitted weights (1 of the seeds 0 .. 299 does so)
+        config = small_config(epochs=2, batch_size=4, seed=137)
+        model, hist = nn.train(tiny_dataset, config)
+        ref, ref_hist, pow_differs = per_array_train(tiny_dataset, config)
+        assert pow_differs > 0
+        assert_same_fit(model, hist, ref, ref_hist)
+
