@@ -46,14 +46,17 @@ class CoefficientSet:
     def __post_init__(self):
         m = self.grid.n + 1
         arrays = (self.lam, self.dlam, self.mu, self.dmu, self.sigma, self.omega, self.theta)
-        for a in arrays:
+        for k, a in enumerate(arrays):
             if a.shape != (m,):
+                if not np.isfinite(arrays[:k]).all():  # as when each array was checked in turn
+                    raise ValueError("coefficient arrays must be finite")
                 raise ValueError("coefficient arrays must all live on the shared grid")
-            if not np.all(np.isfinite(a)):
-                raise ValueError("coefficient arrays must be finite")
+        # one check over the seven arrays as a table costs half as much as seven
+        if not np.isfinite(arrays).all():
+            raise ValueError("coefficient arrays must be finite")
         if not np.isfinite(self.q):
             raise ValueError("q must be finite")
-        if np.any(self.lam <= 0) or np.any(self.mu <= 0):
+        if min(self.lam.min(), self.mu.min()) <= 0:
             raise ValueError("transport speeds lam, mu must be positive at every node")
 
 
@@ -79,6 +82,8 @@ class CoefficientFamily:
             raise ValueError("gamma_range must be a subset of (0, inf)")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
+        if self.m < 3:
+            raise ValueError(f"need at least 3 coefficient nodes, got m = {self.m}")
 
 
 def _gamma_shape(gamma: float, grid: IntervalGrid):
@@ -104,8 +109,8 @@ def gamma_family(gamma: float, m: int = 101) -> CoefficientSet:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if m < 2:
-        raise ValueError("need at least 2 coefficient nodes")
+    if m < 3:
+        raise ValueError(f"need at least 3 coefficient nodes, got m = {m}")
     grid = IntervalGrid(m - 1)
     return CoefficientSet(grid, *_gamma_shape(gamma, grid))
 

@@ -1,9 +1,12 @@
 """Generation and bit-exact binary persistence of coefficient/kernel datasets.
 
 File layout (little-endian): magic "HKDS", version u32, n_samples u32,
-m_coeff u32, n_grid u32, then per sample in index order: q f64, the five
-coefficient arrays (m_coeff f64 each, order lam mu sigma omega theta), then
-k1 and k2 in canonical triangular flattening.
+m_coeff u32, n_grid u32, then per sample in index order: q f64, the seven
+coefficient arrays (m_coeff f64 each, order lam mu sigma omega theta dlam
+dmu), then k1 and k2 in canonical triangular flattening.  Version 1 files,
+which lack dlam and dmu, still read: their derivatives are centred
+differences of lam and mu, so only version 2 records re-solve to their own
+kernels.
 """
 
 from __future__ import annotations
@@ -26,37 +29,21 @@ from .kernel_solver import KernelField, KernelSet, PlantError, check_boundary_co
 from .numerics import IntervalGrid, TriangularGrid, read_exact
 
 MAGIC = b"HKDS"
-VERSION = 1
+VERSION = 2
 # plants solved per batched march; bounds the march's working memory
 BLOCK = 256
 
 
-@dataclass(eq=False)
-class SampleRecord:
-    q: float
-    lam: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    omega: np.ndarray
-    theta: np.ndarray
+@dataclass(frozen=True, eq=False)
+class SampleRecord(CoefficientSet):
+    """A plant and its kernels k1, k2 in canonical triangular flattening."""
+
     k1: np.ndarray
     k2: np.ndarray
 
     def coefficient_set(self) -> CoefficientSet:
-        """Rebuild a CoefficientSet; derivatives come from centered differences."""
-        m = self.lam.size
-        grid = IntervalGrid(m - 1)
-        return CoefficientSet(
-            grid=grid,
-            lam=self.lam,
-            dlam=np.gradient(self.lam, grid.h),
-            mu=self.mu,
-            dmu=np.gradient(self.mu, grid.h),
-            sigma=self.sigma,
-            omega=self.omega,
-            theta=self.theta,
-            q=self.q,
-        )
+        """The record itself, which is its plant's CoefficientSet."""
+        return self
 
 
 @dataclass(eq=False)
@@ -106,7 +93,7 @@ def generate(
         except PlantError as exc:
             raise RuntimeError(f"sample {start + exc.index} failed: {exc}") from exc
         for c, k in zip(block, kernels):
-            samples.append(SampleRecord(c.q, c.lam, c.mu, c.sigma, c.omega, c.theta, k.k1.values, k.k2.values))
+            samples.append(SampleRecord(**vars(c), k1=k.k1.values, k2=k.k2.values))
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
 
 
@@ -117,7 +104,7 @@ def write(dataset: Dataset, path, manifest: dict | None = None) -> None:
         f.write(struct.pack("<IIII", VERSION, len(dataset.samples), dataset.m_coeff, dataset.n_grid))
         for r in dataset.samples:
             f.write(struct.pack("<d", r.q))
-            for arr in (r.lam, r.mu, r.sigma, r.omega, r.theta, r.k1, r.k2):
+            for arr in (r.lam, r.mu, r.sigma, r.omega, r.theta, r.dlam, r.dmu, r.k1, r.k2):
                 f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     if manifest is not None:
         with open(str(path) + ".manifest.json", "w") as f:
@@ -130,15 +117,16 @@ def read(path) -> Dataset:
         if read_exact(f, 4, "magic", "dataset file") != MAGIC:
             raise ValueError("not a dataset file (bad magic)")
         version, n_samples, m_coeff, n_grid = struct.unpack("<IIII", read_exact(f, 16, "header", "dataset file"))
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise ValueError(f"unsupported dataset version {version}")
-        if n_samples == 0 or m_coeff < 2 or n_grid < 2:
+        if n_samples == 0 or m_coeff < 3 or n_grid < 2:
             raise ValueError(f"degenerate header: {n_samples} samples, m_coeff {m_coeff}, n_grid {n_grid}")
         t = (n_grid + 1) * (n_grid + 2) // 2
-        # a record is q, the five coefficient arrays, then k1 and k2
-        edges = list(accumulate([0, 1] + [m_coeff] * 5 + [t, t]))
+        # a record is q, the coefficient arrays (five in version 1), then k1 and k2
+        edges = list(accumulate([0, 1] + [m_coeff] * (5 if version == 1 else 7) + [t, t]))
         if 8 * edges[-1] > os.fstat(f.fileno()).st_size:  # before asking for that much memory
             raise ValueError("dataset file truncated inside record 0: the file is shorter than one record")
+        grid = IntervalGrid(m_coeff - 1)
         samples = []
         for i in range(n_samples):
             try:
@@ -148,10 +136,17 @@ def read(path) -> Dataset:
             rec = np.frombuffer(buf, dtype="<f8").copy()
             if not np.all(np.isfinite(rec)):
                 raise ValueError(f"dataset record {i} holds non-finite values")
-            q, *arrays = (rec[a:b] for a, b in zip(edges, edges[1:]))
-            if arrays[0].min() <= 0 or arrays[1].min() <= 0:
+            q, lam, mu, sigma, omega, theta, *rest = (rec[a:b] for a, b in zip(edges, edges[1:]))
+            if lam.min() <= 0 or mu.min() <= 0:
                 raise ValueError(f"dataset record {i} has a transport speed lam or mu <= 0")
-            samples.append(SampleRecord(float(q[0]), *arrays))
+            if version == 1:
+                with np.errstate(over="ignore"):  # an overflow is refused as non-finite below
+                    rest = [np.gradient(lam, grid.h), np.gradient(mu, grid.h), *rest]
+            dlam, dmu, k1, k2 = rest
+            try:
+                samples.append(SampleRecord(grid, lam, dlam, mu, dmu, sigma, omega, theta, float(q[0]), k1, k2))
+            except ValueError as exc:
+                raise ValueError(f"dataset record {i}: {exc}") from exc
         if f.read(1):
             raise ValueError("dataset file has trailing bytes")
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
@@ -159,7 +154,7 @@ def read(path) -> Dataset:
 
 def expected_file_size(n_samples: int, m_coeff: int, n_grid: int) -> int:
     t = (n_grid + 1) * (n_grid + 2) // 2
-    return 20 + n_samples * 8 * (1 + 5 * m_coeff + 2 * t)
+    return 20 + n_samples * 8 * (1 + 7 * m_coeff + 2 * t)
 
 
 def validate_boundary_identities(dataset: Dataset, tol: float = 1e-12) -> None:
@@ -167,6 +162,6 @@ def validate_boundary_identities(dataset: Dataset, tol: float = 1e-12) -> None:
     grid = TriangularGrid(dataset.n_grid)
     for i, r in enumerate(dataset.samples):
         ks = KernelSet(k1=KernelField(grid, r.k1), k2=KernelField(grid, r.k2))
-        d, b = check_boundary_conditions(r.coefficient_set(), ks)
+        d, b = check_boundary_conditions(r, ks)
         if d > tol or b > tol:
             raise ValueError(f"sample {i} violates a boundary identity ({d:.2e}, {b:.2e})")

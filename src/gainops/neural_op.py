@@ -124,10 +124,7 @@ def init_model(config: TrainConfig, rng: np.random.Generator | None = None) -> D
 
 
 def encode_input(coeffs: CoefficientSet, m_enc: int) -> np.ndarray:
-    """Flattened features: five functions at m_enc uniform nodes, then q.
-
-    Reads only lam, mu, sigma, omega, theta and q, so a dataset record works too.
-    """
+    """Flattened features: lam, mu, sigma, omega, theta at m_enc uniform nodes, then q."""
     if m_enc < 2:
         raise ValueError("m_enc must be at least 2")
     xq = np.arange(m_enc) / (m_enc - 1)

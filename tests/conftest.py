@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,15 @@ def mixed_plants(count):
     families = (g.CoefficientFamily("gamma"), g.CoefficientFamily("random_smooth"))
     plants += [g.sample_random(families[k % 2], 1000 + k) for k in range(count - len(plants))]
     return plants[:count]
+
+
+def as_version_1(data: bytes) -> bytes:
+    """The HKDS version 1 file of a version 2 one: version word 1, each
+    record's dlam and dmu blocks cut out."""
+    n, m, n_grid = struct.unpack_from("<III", data, 8)
+    t = (n_grid + 1) * (n_grid + 2) // 2
+    size = 8 * (1 + 7 * m + 2 * t)
+    out = [data[:4], struct.pack("<I", 1), data[8:20]]
+    for at in range(20, 20 + n * size, size):
+        out += [data[at : at + 8 * (1 + 5 * m)], data[at + 8 * (1 + 7 * m) : at + size]]
+    return b"".join(out)

@@ -68,7 +68,7 @@ def _tri_weights(n, xs, xis):
     return idx, wgt
 
 
-def _build_paths(x_nodes, xi_nodes, xc, xi_of_s, ds):
+def _build_paths(x_nodes, xc, ds):
     """Uniform path samples per node, their trapezoid weights and the node of each."""
     lengths = x_nodes - xc
     m = np.maximum(2, np.ceil(lengths / ds).astype(int) + 1)
@@ -79,33 +79,37 @@ def _build_paths(x_nodes, xi_nodes, xc, xi_of_s, ds):
     step = lengths[node_of] / (m[node_of] - 1)
     s = xc[node_of] + r * step
     s = np.minimum(s, x_nodes[node_of])
-    xi_s = xi_of_s(s, node_of)
     w = step.copy()
     w[offsets[:-1]] *= 0.5
     w[offsets[1:] - 1] *= 0.5
-    return s, xi_s, w, node_of
+    return s, w, node_of
 
 
-def _fold(node_of, idx, wgt, coefs, n_rows, n_cols, block=256):
+def _operators(n, x_nodes, xc, xi_of_s, coefs, ds, block=64):
     """Sum every path sample's stencil into one sparse operator per coefficient.
 
     Row r of operator c maps a field on the grid nodes to the sum over node
-    r's samples s of coefs[c][s] times the field interpolated at s.  Returns
-    (rows, cols, [vals per coefficient]), entries sorted by row; node_of must
-    be sorted.  Rows are folded ``block`` at a time so the dense
-    (row, column) count stays small.
+    r's samples s of coefs(...)[c] at s times the field interpolated at s.
+    xi_of_s(s, k) is the path's xi at s for node k, and coefs(s, xi_s, w)
+    gives the weighted coefficients of those samples.  Paths, stencils and
+    coefficients are built ``block`` nodes at a time, so only the folded
+    entries outlive a block and the dense (row, column) count stays small.
+    Returns (rows, cols, [vals per coefficient]), entries sorted by row.
     """
-    rows, cols, vals = [], [], [[] for _ in coefs]
-    for first in range(0, n_rows, block):
-        lo, hi = np.searchsorted(node_of, [first, first + block])
-        key = ((node_of[lo:hi, None] - first) * n_cols + idx[lo:hi]).ravel()
+    n_cols = (n + 1) * (n + 2) // 2
+    rows, cols, vals = [], [], []
+    for first in range(0, x_nodes.size, block):
+        nodes = np.arange(first, min(first + block, x_nodes.size))
+        s, w, node_of = _build_paths(x_nodes[nodes], xc[nodes], ds)
+        xi_s = xi_of_s(s, nodes[node_of])
+        idx, wgt = _tri_weights(n, s, xi_s)
+        key = (node_of[:, None] * n_cols + idx).ravel()
         size = block * n_cols
         hit = np.flatnonzero(np.bincount(key, minlength=size))
         rows.append(first + hit // n_cols)
         cols.append(hit % n_cols)
-        for out, c in zip(vals, coefs):
-            out.append(np.bincount(key, weights=(c[lo:hi, None] * wgt[lo:hi]).ravel(), minlength=size)[hit])
-    return np.concatenate(rows), np.concatenate(cols), [np.concatenate(v) for v in vals]
+        vals.append([np.bincount(key, weights=(c[:, None] * wgt).ravel(), minlength=size)[hit] for c in coefs(s, xi_s, w)])
+    return np.concatenate(rows), np.concatenate(cols), [np.concatenate(v) for v in zip(*vals)]
 
 
 def _apply(op, fields, n_rows):
@@ -156,13 +160,12 @@ def picard_kernels(coeffs, n, ds=1.0 / FINE, tol=1e-10):
     x1, xi1 = x_all[sel1], xi_all[sel1]
     const1 = l_of(xi1) + m_of(x1)
     xc1 = np.minimum(inv_w(const1), x1)
-    s1, xis1, w1, nof1 = _build_paths(
-        x1, xi1, xc1, lambda s, k: np.clip(inv_l(const1[k] - m_of(s) + 0.0), 0.0, s), 1.0 / FINE
+    op1 = _operators(
+        n, x1, xc1,
+        lambda s, k: np.clip(inv_l(const1[k] - m_of(s) + 0.0), 0.0, s),
+        lambda s, xis, w: (w * (dlam(xis) + sigma(xis)) / mu(s), w * theta(xis) / mu(s)),
+        ds,
     )
-    idx1, wg1 = _tri_weights(n, s1, xis1)
-    a11 = w1 * (dlam(xis1) + sigma(xis1)) / mu(s1)
-    a12 = w1 * theta(xis1) / mu(s1)
-    op1 = _fold(nof1, idx1, wg1, (a11, a12), x1.size, n_nodes)
     bc1 = g_diag(xc1)
 
     # ascending family: every node off the bottom edge integrates from it
@@ -170,13 +173,12 @@ def picard_kernels(coeffs, n, ds=1.0 / FINE, tol=1e-10):
     x2, xi2 = x_all[sel2], xi_all[sel2]
     const2 = m_of(xi2) - m_of(x2)
     xc2 = np.clip(inv_m(-const2), 0.0, x2)
-    s2, xis2, w2, nof2 = _build_paths(
-        x2, xi2, xc2, lambda s, k: np.clip(inv_m(const2[k] + m_of(s)), 0.0, s), 1.0 / FINE
+    op2 = _operators(
+        n, x2, xc2,
+        lambda s, k: np.clip(inv_m(const2[k] + m_of(s)), 0.0, s),
+        lambda s, xis, w: (-w * dmu(xis) / mu(s), w * omega(xis) / mu(s)),
+        ds,
     )
-    idx2, wg2 = _tri_weights(n, s2, xis2)
-    a21 = -w2 * dmu(xis2) / mu(s2)
-    a22 = w2 * omega(xis2) / mu(s2)
-    op2 = _fold(nof2, idx2, wg2, (a21, a22), x2.size, n_nodes)
 
     bottom_flat = np.array([i * (i + 1) // 2 for i in range(n + 1)])
     diag_flat = np.array([i * (i + 1) // 2 + i for i in range(n + 1)])

@@ -44,6 +44,8 @@ class TestGammaFamily:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             gamma_family(1.0, m=1)
+        with pytest.raises(ValueError, match="at least 3 coefficient nodes"):
+            gamma_family(1.0, m=2)
 
     def test_derivatives_match_finite_differences(self):
         # centered differences agree with the stored analytic derivatives
@@ -106,6 +108,11 @@ class TestSampling:
     def test_bad_gamma_range_rejected(self):
         with pytest.raises(ValueError):
             CoefficientFamily("gamma", (-1.0, 2.0))
+
+    @pytest.mark.parametrize("m", [2, 0, -1])
+    def test_fewer_than_three_nodes_rejected(self, m):
+        with pytest.raises(ValueError, match="at least 3 coefficient nodes"):
+            CoefficientFamily("random_smooth", m=m)
 
 
 def written_out_random_smooth(family, seed):
@@ -170,6 +177,25 @@ class TestResample:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sigma": np.ones(4)}, "must all live on the shared grid"),
+            ({"omega": np.full(5, np.inf)}, "must be finite"),
+            ({"dmu": np.full(5, np.nan), "theta": np.ones(6)}, "must be finite"),
+            ({"dmu": np.ones(6), "theta": np.full(5, np.nan)}, "must all live on the shared grid"),
+            ({"q": np.nan}, "q must be finite"),
+            ({"mu": np.array([1.0, 1.0, -1.0, 1.0, 1.0])}, "transport speeds lam, mu must be positive"),
+        ],
+    )
+    def test_messages(self, change, message):
+        fields = dict(
+            grid=IntervalGrid(4), lam=np.ones(5), dlam=np.zeros(5), mu=np.ones(5), dmu=np.zeros(5),
+            sigma=np.zeros(5), omega=np.zeros(5), theta=np.zeros(5), q=0.0,
+        )
+        with pytest.raises(ValueError, match=message):
+            CoefficientSet(**{**fields, **change})
+
     def test_nonpositive_speed_rejected(self):
         grid = IntervalGrid(4)
         m = 5

@@ -19,6 +19,8 @@ from gainops.data_store import (
 from gainops.kernel_solver import PlantError, solve_kernels, solve_kernels_batch
 from gainops.numerics import TriangularGrid
 
+from conftest import as_version_1
+
 
 @pytest.fixture(scope="module")
 def small_dataset():
@@ -90,8 +92,42 @@ class TestRoundTrip:
         assert back.n_grid == small_dataset.n_grid
         for a, b in zip(small_dataset.samples, back.samples):
             assert a.q == b.q
-            for name in ("lam", "mu", "sigma", "omega", "theta", "k1", "k2"):
+            for name in ("lam", "mu", "sigma", "omega", "theta", "dlam", "dmu", "k1", "k2"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("kind", ["gamma", "random_smooth"])
+    def test_every_record_resolves_to_its_kernels(self, kind, tmp_path):
+        ds = generate(CoefficientFamily(kind), 6, m_coeff=101, n_grid=20, seed=5)
+        path = tmp_path / "ds.bin"
+        write(ds, path)
+        grid = TriangularGrid(ds.n_grid)
+        for r in ds.samples + read(path).samples:
+            ks = solve_kernels(r, grid)
+            assert ks.k1.values.tobytes() == r.k1.tobytes()
+            assert ks.k2.values.tobytes() == r.k2.tobytes()
+
+    def test_version_1_reads_with_centred_derivatives(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.bin"
+        write(small_dataset, path)
+        path.write_bytes(as_version_1(path.read_bytes()))
+        back = read(path)
+        assert (back.m_coeff, back.n_grid) == (small_dataset.m_coeff, small_dataset.n_grid)
+        for a, b in zip(small_dataset.samples, back.samples):
+            assert a.q == b.q and b.grid.n == small_dataset.m_coeff - 1
+            for name in ("lam", "mu", "sigma", "omega", "theta", "k1", "k2"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert b.dlam.tobytes() == np.gradient(a.lam, b.grid.h).tobytes()
+            assert b.dmu.tobytes() == np.gradient(a.mu, b.grid.h).tobytes()
+
+    def test_version_1_derivative_overflow_rejected(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.bin"
+        write(small_dataset, path)
+        data = bytearray(as_version_1(path.read_bytes()))
+        at = 20 + 2 * 8 * (1 + 5 * 41 + 2 * 153) + 8 + 8 * 1  # lam node 1 of record 2
+        data[at : at + 8] = struct.pack("<d", 1.7e308)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="record 2: coefficient arrays must be finite"):
+            read(path)
 
     def test_file_size_matches_format(self, small_dataset, tmp_path):
         path = tmp_path / "ds.bin"
@@ -118,10 +154,11 @@ class TestRoundTrip:
         path = tmp_path / "ds.bin"
         write(small_dataset, path)
         data = bytearray(path.read_bytes())
-        data[4] = 7
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="version"):
-            read(path)
+        for version in (3, 7):
+            data[4] = version
+            path.write_bytes(bytes(data))
+            with pytest.raises(ValueError, match=f"unsupported dataset version {version}"):
+                read(path)
 
     def test_truncation_reports_record_index(self, small_dataset, tmp_path):
         path = tmp_path / "ds.bin"
@@ -147,8 +184,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "header, what",
-        [((0, 41, 16), "0 samples"), ((1, 1, 16), "m_coeff 1"), ((1, 41, 1), "n_grid 1")],
-        ids=["no_samples", "one_coefficient_node", "one_cell_grid"],
+        [((0, 41, 16), "0 samples"), ((1, 1, 16), "m_coeff 1"), ((1, 2, 16), "m_coeff 2"), ((1, 41, 1), "n_grid 1")],
+        ids=["no_samples", "one_coefficient_node", "two_coefficient_nodes", "one_cell_grid"],
     )
     def test_degenerate_header_rejected(self, tmp_path, header, what):
         path = tmp_path / "ds.bin"

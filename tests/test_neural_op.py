@@ -227,12 +227,7 @@ class TestEvaluate:
 
     def test_zero_norm_samples_skipped(self, tiny_dataset):
         rec = tiny_dataset.samples[0]
-        from gainops.data_store import SampleRecord
-
-        dead = SampleRecord(
-            q=rec.q, lam=rec.lam, mu=rec.mu, sigma=rec.sigma, omega=rec.omega,
-            theta=rec.theta, k1=np.zeros_like(rec.k1), k2=np.zeros_like(rec.k2),
-        )
+        dead = replace(rec, k1=np.zeros_like(rec.k1), k2=np.zeros_like(rec.k2))
         ds = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, [rec, dead])
         model = nn.init_model(small_config())
         res = nn.evaluate(model, ds)

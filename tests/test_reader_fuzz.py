@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from gainops import neural_op as nn
 from gainops.data_store import Dataset, SampleRecord, read, write
+from gainops.numerics import IntervalGrid
+
+from conftest import as_version_1
 
 # u32 header values at the edges of what the readers must refuse or accept
 EDGE_U32 = [0, 1, 2, 3, 4, 5, 11, 2**31, 2**32 - 1]
@@ -39,7 +42,8 @@ def valid_dataset(tmp_path_factory) -> bytes:
     rng = np.random.default_rng(0)
     m, t = 3, 6  # m_coeff 3 on an n_grid 2 triangle of 6 nodes
     samples = [
-        SampleRecord(0.5, 1 + rng.random(m), 1 + rng.random(m), *rng.standard_normal((3, m)), *rng.standard_normal((2, t)))
+        SampleRecord(IntervalGrid(m - 1), 1 + rng.random(m), rng.standard_normal(m), 1 + rng.random(m),
+                     *rng.standard_normal((4, m)), 0.5, *rng.standard_normal((2, t)))
         for _ in range(2)
     ]
     write(Dataset(m_coeff=m, n_grid=2, samples=samples), path)
@@ -65,6 +69,13 @@ def _outcome(reader, path, data):
 @given(data=st.data())
 def test_dataset_reader_returns_dataset_or_value_error(tmp_path, valid_dataset, data):
     out = _outcome(read, tmp_path / "fuzz.bin", data.draw(_near(valid_dataset, 20)))
+    assert out is None or isinstance(out, Dataset)
+
+
+@FUZZ
+@given(data=st.data())
+def test_version_1_dataset_reader_returns_dataset_or_value_error(tmp_path, valid_dataset, data):
+    out = _outcome(read, tmp_path / "fuzz.bin", data.draw(_near(as_version_1(valid_dataset), 20)))
     assert out is None or isinstance(out, Dataset)
 
 
