@@ -79,15 +79,11 @@ def cmd_train(args) -> int:
     model, history = neural_op.train(ds, config)
     neural_op.save_model(model, args.out)
     hist_path = os.path.splitext(args.out)[0] + "_history.json"
+    # strict JSON has no NaN: an epoch without a held-out error (no held-out split) is null
+    names = ("train_loss", "test_rel_l2_k1", "test_rel_l2_k2")
+    curves = {k: [v if np.isfinite(v) else None for v in getattr(history, k).tolist()] for k in names}
     with open(hist_path, "w") as f:
-        json.dump(
-            {
-                "train_loss": history.train_loss.tolist(),
-                "test_rel_l2_k1": history.test_rel_l2_k1.tolist(),
-                "test_rel_l2_k2": history.test_rel_l2_k2.tolist(),
-            },
-            f,
-        )
+        json.dump(curves, f)
     print(f"model -> {args.out}")
     print(f"final train loss {history.train_loss[-1]:.3e}")
     return 0
@@ -158,6 +154,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def median_time(fn, repeats: int) -> float:
+    """Median wall time in seconds of repeats calls of fn()."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         print("repeats must be at least 1", file=sys.stderr)
@@ -167,22 +173,13 @@ def cmd_bench(args) -> int:
     model = neural_op.load_model(args.model)
     features = neural_op.encode_input(coeffs, model.m_enc)
     xi_grid = IntervalGrid(args.n)
-
-    def median_time(fn):
-        times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    t_solve = median_time(lambda: solve_kernels(coeffs, grid))
+    t_solve = median_time(lambda: solve_kernels(coeffs, grid), args.repeats)
     # the loaded model's first gain update fills its trunk slot (see neural_op.forward)
     t0 = time.perf_counter()
     neural_op.infer_gains(model, coeffs, xi_grid)
     t_cold = time.perf_counter() - t0
-    t_gains = median_time(lambda: neural_op.infer_gains(model, coeffs, xi_grid))
-    t_dense = median_time(lambda: neural_op.predict_fields(model, features, grid))
+    t_gains = median_time(lambda: neural_op.infer_gains(model, coeffs, xi_grid), args.repeats)
+    t_dense = median_time(lambda: neural_op.predict_fields(model, features, grid), args.repeats)
     out = {
         "n": args.n,
         "repeats": args.repeats,

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if min((*self.branch_hidden, *self.trunk_hidden), default=1) < 1:
+            raise ValueError("hidden layer widths must be positive")
 
 
 @dataclass(eq=False)
@@ -284,6 +286,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     squared error of both kernel values over all triangular-grid nodes of the
     batch; the recorded test metric is the trapezoid-weighted relative L2
     error per kernel.  A non-finite loss aborts with a diagnostic.
+    The trunk output at the grid nodes is computed before the first step and
+    after each weight update (steps + 1 passes); every reader shares it.
     """
     if len(dataset.samples) == 0:
         raise ValueError("dataset is empty")
@@ -325,8 +329,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
 
     # the large arrays of a step, which every step writes into (see _scratch)
     work = {}
-    # the trunk's output and activations, kept only while the weights are unchanged
-    trunk = None
+    # the trunk's (output, activations) at the grid nodes for the current weights
+    trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
     for epoch in range(config.epochs):
         # cosine decay to 0.2% of the base rate; late-epoch step noise
         # otherwise keeps the minibatch loss from settling
@@ -337,8 +341,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
         n_batches = 0
         for start in range(0, n_train, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss = _loss_and_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], pts, grad, trunk, work)
-            trunk = None
+            loss = _loss_and_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], trunk, grad, work)
+            trunk = None  # spent: its arrays are freed before the next pass allocates new ones
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, step {n_batches}"
@@ -368,38 +372,35 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
             step /= denom
             flat -= step
             model.b1, model.b2 = float(flat[-2]), float(flat[-1])
+            trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
 
         hist_loss[epoch] = epoch_loss / max(n_batches, 1)
         if len(te_idx) > 0:
-            trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
-            res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri, trunk[0])
+            res = _evaluate(model, f_te, y1_te, y2_te, trunk[0], w_tri)
             hist_te1[epoch], hist_te2[epoch] = res.rel_l2_k1, res.rel_l2_k2
 
     # the readout solve leaves the trunk as it is
-    tout = None if trunk is None else trunk[0]
-    _polish_readout(model, z_tr, y1_tr, y2_tr, pts, tout)
+    _polish_readout(model, z_tr, y1_tr, y2_tr, trunk[0])
     if len(te_idx) > 0:
-        res = _evaluate(model, f_te, y1_te, y2_te, pts, w_tri, tout)
+        res = _evaluate(model, f_te, y1_te, y2_te, trunk[0], w_tri)
         hist_te1[-1], hist_te2[-1] = res.rel_l2_k1, res.rel_l2_k2
 
     history = TrainHistory(train_loss=hist_loss, test_rel_l2_k1=hist_te1, test_rel_l2_k2=hist_te2)
     return model, history
 
 
-def _polish_readout(model: DeepONetModel, z_tr, y1_tr, y2_tr, pts, tout=None) -> None:
+def _polish_readout(model: DeepONetModel, z_tr, y1_tr, y2_tr, tout) -> None:
     """Solve the linear readout exactly once the nonlinear layers are trained.
 
     With the hidden layers frozen the prediction is linear in the last branch
     layer and the output biases, and the normal equations factor over the
     (sample, node) product grid, so the train MSE minimizer is available in
     closed form.  Adaptive-moment steps leave this layer far from optimal.
-    ``tout`` is the trunk output at pts, computed here if not given.
+    ``tout`` is the trunk output at the grid nodes.
     """
     p = model.p
     acts = _mlp_forward(model.branch_w, model.branch_b, z_tr, keep=True)[1]
     a_pen = np.column_stack([acts[-2], np.ones(z_tr.shape[0])])
-    if tout is None:
-        tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     ga_val, ga_vec = np.linalg.eigh(a_pen.T @ a_pen)
     gt_val, gt_vec = np.linalg.eigh(tout.T @ tout)
     denom = np.outer(np.maximum(ga_val, 0.0), np.maximum(gt_val, 0.0))
@@ -432,18 +433,14 @@ def evaluate(model: DeepONetModel, dataset: Dataset) -> EvalResult:
     grid = TriangularGrid(dataset.n_grid)
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
     feats, y1, y2 = _dataset_tensors(dataset, model.m_enc)
-    return _evaluate(model, feats, y1, y2, pts, tri_quad_weights(grid))
+    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
+    return _evaluate(model, feats, y1, y2, tout, tri_quad_weights(grid))
 
 
-def _evaluate(model: DeepONetModel, feats, y1, y2, pts, w, tout=None) -> EvalResult:
-    """The result of evaluate, from encoded features, true kernels, trunk inputs and quadrature weights.
-
-    ``tout`` is the trunk output at pts, computed here if not given.
-    """
+def _evaluate(model: DeepONetModel, feats, y1, y2, tout, w) -> EvalResult:
+    """evaluate's result from encoded features, true kernels, the trunk output at the nodes and their weights."""
     z = (feats - model.feat_mean) / model.feat_scale
     bout = _mlp_forward(model.branch_w, model.branch_b, z)
-    if tout is None:
-        tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     p = model.p
     means, skipped = [], []
     for pred, truth in ((bout[:, :p] @ tout.T + model.b1, y1), (bout[:, p:] @ tout.T + model.b2, y2)):
@@ -472,22 +469,22 @@ def loss_and_gradients(model: DeepONetModel, feats: np.ndarray, y1: np.ndarray, 
     """Loss plus flat analytic gradient over all parameters (for verification)."""
     z = (feats - model.feat_mean) / model.feat_scale
     grad = np.empty_like(get_flat_params(model))
-    loss = _loss_and_grads(model, z, y1, y2, _trunk_inputs(pts), grad)
+    trunk = _mlp_forward(model.trunk_w, model.trunk_b, _trunk_inputs(pts), keep=True)
+    loss = _loss_and_grads(model, z, y1, y2, trunk, grad)
     return loss, grad
 
 
-def _loss_and_grads(model: DeepONetModel, z, y1, y2, pts, grad, trunk=None, work=None):
-    """Training MSE on normalized features and trunk inputs; its gradient goes into grad.
+def _loss_and_grads(model: DeepONetModel, z, y1, y2, trunk, grad, work=None):
+    """Training MSE on normalized features; its gradient goes into grad.
 
-    grad is a flat vector in get_flat_params order.  ``trunk`` is the pair
-    (output, activations) of the trunk at pts, computed here if not given;
-    its hidden activations are overwritten.  The residuals and the trunk's
-    backward pass go into arrays from ``work`` (see _scratch).
+    ``trunk`` is the pair (output, activations) of _mlp_forward(..., keep=True)
+    on the trunk inputs, for the current trunk weights; its hidden activations
+    are overwritten.  grad is a flat vector in get_flat_params order.  The
+    residuals and the trunk's backward pass go into arrays from ``work`` (see
+    _scratch).
     """
     p = model.p
     bout, bacts = _mlp_forward(model.branch_w, model.branch_b, z, keep=True)
-    if trunk is None:
-        trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
     tout, tacts = trunk
     shape = (len(z), len(tout))
     d1, d2 = _scratch(work, "d1", shape), _scratch(work, "d2", shape)

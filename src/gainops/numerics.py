@@ -22,7 +22,7 @@ class IntervalGrid:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError(f"IntervalGrid needs n >= 2 cells, got {self.n}")
+            raise ValueError(f"{type(self).__name__} needs n >= 2 cells, got {self.n}")
         object.__setattr__(self, "points", np.arange(self.n + 1) / self.n)
 
     @property
@@ -31,24 +31,14 @@ class IntervalGrid:
 
 
 @dataclass(frozen=True)
-class TriangularGrid:
+class TriangularGrid(IntervalGrid):
     """Nodes (x_i, xi_j) with 0 <= j <= i <= n on the triangle 0 <= xi <= x <= 1.
 
-    Canonical flattening: i outer ascending, j inner ascending (the order of
+    ``points`` are the interval grid's nodes on either axis.  Canonical
+    flattening: i outer ascending, j inner ascending (the order of
     ``np.tril_indices``), so node (i, j) sits at flat index i*(i+1)/2 + j.
+    A triangular grid never equals an interval grid of the same n.
     """
-
-    n: int
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"TriangularGrid needs n >= 2, got {self.n}")
-        object.__setattr__(self, "points", np.arange(self.n + 1) / self.n)
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
 
     @property
     def node_count(self) -> int:

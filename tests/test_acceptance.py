@@ -24,6 +24,7 @@ from gainops.analysis import (
     psi1,
     residual_operators,
 )
+from gainops.cli import median_time
 from gainops.coefficients import CoefficientFamily
 from gainops.controller import forward_transform, inverse_transform
 from gainops.data_store import Dataset, generate, read, write
@@ -298,21 +299,12 @@ def test_c12_speedup(gamma1, trained_model):
     model, _ = trained_model
     tgrid = TriangularGrid(100)
     igrid = g.IntervalGrid(100)
-
-    def median_time(fn, repeats=20):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    t_solve = median_time(lambda: solve_kernels(gamma1, tgrid))
+    t_solve = median_time(lambda: solve_kernels(gamma1, tgrid), 20)
     cold = replace(model)  # the same weights with an empty trunk slot: its first call fills it
     t0 = time.perf_counter()
     nn.infer_gains(cold, gamma1, igrid)
     t_cold = time.perf_counter() - t0
-    t_gains = median_time(lambda: nn.infer_gains(model, gamma1, igrid))
+    t_gains = median_time(lambda: nn.infer_gains(model, gamma1, igrid), 20)
     assert t_gains <= t_solve / 10
     report(
         "criterion 12 (speedup)",

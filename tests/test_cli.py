@@ -83,6 +83,20 @@ class TestDatasetTrainEval:
         assert "train" in metrics and "test" in metrics
         assert np.isfinite(metrics["test"]["rel_l2_k1"])
 
+    def test_history_is_strict_json_without_held_out_split(self, tmp_path):
+        # 2 samples at the default --train-fraction 0.9 leave nothing held out
+        data, model = tmp_path / "two.bin", tmp_path / "two_model.bin"
+        args = ["--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--seed", "1", "--out", str(data)]
+        assert main(["dataset", *args]) == 0
+        assert main(["train", "--dataset", str(data), "--epochs", "2", "--out", str(model)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        history = json.loads((tmp_path / "two_model_history.json").read_text(), parse_constant=refuse)
+        assert history["test_rel_l2_k1"] == history["test_rel_l2_k2"] == [None, None]
+        assert all(np.isfinite(history["train_loss"])) and len(history["train_loss"]) == 2
+
     def test_missing_dataset_errors(self, workdir):
         rc = main(["train", "--dataset", str(workdir / "nope.bin"), "--out", str(workdir / "m.bin")])
         assert rc == 1

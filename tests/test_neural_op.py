@@ -183,6 +183,17 @@ class TestTraining:
         with pytest.raises(ValueError, match="m_enc"):
             small_config(m_enc=1)
 
+    @pytest.mark.parametrize("widths", [dict(trunk_hidden=(0,)), dict(branch_hidden=(-3,)), dict(branch_hidden=(8, 0))])
+    def test_hidden_widths_below_one_rejected(self, widths):
+        # a zero-width trunk layer used to train into a model file load_model refuses,
+        # and a negative width to fail inside numpy at init_model
+        with pytest.raises(ValueError, match="hidden layer widths must be positive"):
+            small_config(**widths)
+
+    def test_no_hidden_layer_is_valid(self):
+        config = small_config(branch_hidden=(), trunk_hidden=())
+        assert nn.init_model(config).trunk_dims == (2, config.p)
+
     def test_empty_dataset_rejected(self, tiny_dataset):
         empty = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, [])
         with pytest.raises(ValueError):
@@ -400,6 +411,13 @@ class TestModelFile:
         nn.save_model(back, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
+    def test_one_unit_hidden_layers_roundtrip(self, tiny_dataset, tmp_path):
+        model, _ = nn.train(tiny_dataset, small_config(epochs=1, branch_hidden=(1,), trunk_hidden=(1, 1)))
+        nn.save_model(model, tmp_path / "model.bin")
+        back = nn.load_model(tmp_path / "model.bin")
+        assert back.trunk_dims == (2, 1, 1, 8)
+        assert nn.get_flat_params(back).tobytes() == nn.get_flat_params(model).tobytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\0" * 64)
@@ -560,11 +578,14 @@ def per_array_train(dataset, config):
                     model.b2 -= step
         hist.train_loss[epoch] = sum(losses) / len(losses)
         if len(te):
-            res = nn._evaluate(model, feats[te], y1[te], y2[te], pts, w_tri)
+            tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts)
+            res = nn._evaluate(model, feats[te], y1[te], y2[te], tout, w_tri)
             hist.test_rel_l2_k1[epoch], hist.test_rel_l2_k2[epoch] = res.rel_l2_k1, res.rel_l2_k2
-    nn._polish_readout(model, z_tr, y1_tr, y2_tr, pts)
+    tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts)
+    nn._polish_readout(model, z_tr, y1_tr, y2_tr, tout)
     if len(te):
-        res = nn._evaluate(model, feats[te], y1[te], y2[te], pts, w_tri)
+        tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts)
+        res = nn._evaluate(model, feats[te], y1[te], y2[te], tout, w_tri)
         hist.test_rel_l2_k1[-1], hist.test_rel_l2_k2[-1] = res.rel_l2_k1, res.rel_l2_k2
     return model, hist, pow_differs
 
@@ -589,7 +610,7 @@ class TestFlatAdam:
         assert_same_fit(model, hist, ref, ref_hist)
 
     def test_one_sample_without_held_out_split(self, tiny_dataset):
-        # nothing is held out, so no epoch-end trunk pass exists and the readout solve makes its own
+        # nothing is held out, so only the steps and the readout solve read the trunk output
         one = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, tiny_dataset.samples[:1])
         config = nn.TrainConfig(epochs=4, seed=6)
         model, hist = nn.train(one, config)
@@ -612,3 +633,27 @@ class TestFlatAdam:
         assert pow_differs > 0
         assert_same_fit(model, hist, ref, ref_hist)
 
+
+class TestTrunkPasses:
+    """train makes one trunk pass before the first step and one after each weight update."""
+
+    def count_passes(self, monkeypatch, dataset, config):
+        inner, passes = nn._mlp_forward, []
+
+        def counting(ws, bs, x, keep=False):
+            if x.shape[1] == 2:  # the trunk reads (x, xi); the branch reads 5 * m_enc + 1 features
+                passes.append(ws)
+            return inner(ws, bs, x, keep)
+
+        monkeypatch.setattr(nn, "_mlp_forward", counting)
+        nn.train(dataset, config)
+        return len(passes)
+
+    def test_with_held_out_split(self, monkeypatch, tiny_dataset):
+        # 22 training samples in minibatches of 5 over 3 epochs: 15 steps
+        config = nn.TrainConfig(epochs=3, batch_size=5, seed=4)
+        assert self.count_passes(monkeypatch, tiny_dataset, config) == 15 + 1
+
+    def test_one_sample(self, monkeypatch, tiny_dataset):
+        one = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, tiny_dataset.samples[:1])
+        assert self.count_passes(monkeypatch, one, nn.TrainConfig(epochs=3, seed=6)) == 3 + 1

@@ -182,10 +182,17 @@ class TestGridsAndFlattening:
         assert np.all(np.diff(grid.points) > 0)
 
     def test_small_grids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^IntervalGrid needs n >= 2 cells, got 1$"):
             IntervalGrid(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^TriangularGrid needs n >= 2 cells, got 1$"):
             TriangularGrid(1)
+
+    def test_grid_kinds_differ(self):
+        # a triangular grid shares the interval grid's nodes and spacing but is not equal to it
+        assert IntervalGrid(4) != TriangularGrid(4)
+        assert TriangularGrid(4) == TriangularGrid(4) and IntervalGrid(4) == IntervalGrid(4)
+        assert TriangularGrid(4).points.tobytes() == IntervalGrid(4).points.tobytes()
+        assert TriangularGrid(4).h == IntervalGrid(4).h
 
     def test_node_count(self):
         assert TriangularGrid(10).node_count == 66
