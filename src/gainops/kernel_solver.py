@@ -93,7 +93,10 @@ class PlantError(ValueError):
 # Rows of the stacked coefficient table.  The k1 foot reads rows 2:5, the
 # diagonal crossing rows 0:5 and the k2 foot rows 5:7.
 _TABLE = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
-GEOMETRY_NODES = 2048  # node-plant pairs of march geometry computed at a time; bounds memory only
+# Node-plant pairs of march geometry computed at a time; bounds memory only.  A
+# pair is a k1 node and the k2 node to its right: 8 gather indices, 8 weights and
+# 6 update coefficients (176 bytes) outlive _geometry, plus compact crossing data.
+GEOMETRY_NODES = 2048
 
 
 def _lerp(table: np.ndarray, at: np.ndarray, frac: np.ndarray, stride: int) -> np.ndarray:
@@ -118,62 +121,140 @@ def _level_groups(n: int, plants: int):
         a = b
 
 
-def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int):
+def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int, ratio: np.ndarray, values: np.ndarray):
     """Everything levels a..b-1 of the march compute without the previous level.
 
-    ``table`` is the node-major (7, n+1, B) coefficient table.  Level i owns
-    rows o..o+i-1 of every returned (rows, B) array, o being the sum of the
-    levels before it in the run: the k1 nodes j = 0..i-1 and the k2 nodes
-    j = 1..i.  The lerps of the previous level at the k1 and the k2 feet are
-    returned as ``at``, the flat indices ``node * B + plant`` of their left
-    and right values, and ``weight``, both (left/right, k1/k2, rows, B);
-    level 1 has no such lerp, and its entries are not used.
+    ``table`` is the node-major (7, n+1, B) coefficient table; ``values`` is
+    the march's output buffer (see :func:`solve_kernels_batch`), whose flat
+    cells all indices here address.  Pair o + j holds the k1 node j and the
+    k2 node j + 1 of level i, o being the sum of the levels before it in the
+    run, and every returned array is (..., pairs, B).
+
+    Each node is updated as V + T*(P*V + Q*Z), V and Z being lerps
+    e_l*w_l + e_r*w_r of two cells.  A regular node lerps the previous level
+    at its foot: V is its own kernel there, Z the other one, T = h/mu(x_i)
+    and P, Q its sources at the foot.  A k1 node whose characteristic
+    crossed the diagonal reads V = bc exactly, weights (1, 0) on its own
+    cell, into which bc is prefilled here; Z is k2 at (i-1, i-1), read
+    exactly too, P = lam' + sigma and Q = theta at the crossing, and T the
+    remaining arc.  Only crossing nodes compute the crossing lerps.
+
+    Returns ``at``, the cells (left/right, V/Z, k1/k2, pairs, B),
+    ``weight`` of the same shape, ``src``, (P/Q/T, k1/k2, pairs, B), and a
+    map from each level where k2 characteristics leave through the bottom
+    edge to its fix-up: the k1 cells at (i-1, 0) and (i, 0), the k2 cells to
+    overwrite, and (keep, frac, arc, q lam(0)/mu(0), -mu'(0), omega(0)) for
+    each of them.
     """
     _, m, plants = table.shape
     n = m - 1
     flat = table.reshape(len(_TABLE), -1)
     lam, mu = table[:2]
+    k2_of = values[1].size - plants  # from the cell of k1 at a node to that of k2
     levels = np.arange(a, b)
     level = np.repeat(levels, levels)
     j = np.arange(level.size) - np.repeat(np.cumsum(levels) - levels, levels)
     col = np.arange(plants)
     mu_i = mu[level]
-    x_i, x_prev = x[level][:, None], x[level - 1][:, None]
+    x_i, x_prev = x[level], x[level - 1][:, None]
+    prev0 = (level * (level - 1) // 2 + 1)[:, None] * plants + col  # cell of k1 at (i-1, 0)
+    here0 = prev0 + level[:, None] * plants  # cell of k1 at (i, 0)
 
-    def coeff_lerp(rows, t):
-        ic = np.minimum(t.astype(int), n - 1)
-        return _lerp(flat[rows], ic * plants + col, t - ic, plants)
+    # --- feet of the k1 node j and the k2 node j + 1, (k1/k2, pairs, B) ---
+    foot = np.empty((2, level.size, plants))
+    np.divide(h * lam[j], mu_i, out=foot[0])
+    foot[0] += x[j][:, None]
+    np.divide(h * mu[j + 1], mu_i, out=foot[1])
+    np.subtract(x[j + 1][:, None], foot[1], out=foot[1])
+    crossed, bottom = foot[0] > x_prev, foot[1] < 0.0
+    t = np.minimum(np.maximum(foot, 0.0, out=foot), x_prev, out=foot)
+    t /= h
+    it = t.astype(int)
+    ik = np.minimum(it, (level - 2)[:, None])
+    weight = np.empty((2, 2, 2, level.size, plants))
+    weight[1] = t - ik
+    np.subtract(1.0, weight[1], out=weight[0])
+    ik *= plants
+    ik += prev0
+    cells = np.array([[0, k2_of], [k2_of, 0]])  # (V/Z, k1/k2) offsets from k1 at the left end
+    at = np.add(ik, np.stack([cells, cells + plants])[..., None, None])
+    ic = np.minimum(it, n - 1, out=it)
+    frac = np.subtract(t, ic, out=t)
+    ic *= plants
+    ic += col
+    dlam_f, sig_f, tht_f = _lerp(flat[2:5], ic[0], frac[0], plants)
+    dmu_f, omg_f = _lerp(flat[5:7], ic[1], frac[1], plants)
+    src = np.empty((3, 2, level.size, plants))
+    np.add(dlam_f, sig_f, out=src[0, 0])
+    np.negative(dmu_f, out=src[0, 1])
+    src[1] = tht_f, omg_f
+    src[2] = h / mu_i
 
-    at = np.empty((2, 2, level.size, plants), dtype=int)
-    weight = np.empty((2, 2, level.size, plants))
+    # --- k1 nodes whose characteristic crossed the diagonal ---
+    if a == 1:  # level 1 has no lerp; an uncrossed node there reads a prefilled 0
+        zero = ~crossed[0]
+        crossed[0] = True
+    kk, pp = np.nonzero(crossed)
+    jc, xc_i, mu_c = j[kk], x_i[kk], mu_i[kk, pp]
+    slope = lam[jc, pp] / mu_c
+    xc = (x[jc] + slope * xc_i) / (1.0 + slope)
+    t = xc / h
+    ic = np.minimum(t.astype(int), n - 1)
+    lam_c, mu_cc, dlam_c, sig_c, tht_c = _lerp(flat[:5], ic * plants + pp, t - ic, plants)
+    bc = -tht_c / (lam_c + mu_cc)
+    arc = (xc_i - xc) / mu_c
+    if a == 1:
+        bc[:plants][zero] = arc[:plants][zero] = 0.0
+    own = here0[kk, pp] + jc * plants
+    values.reshape(-1)[own] = bc
+    at[:, 0, 0, kk, pp] = own
+    at[:, 1, 0, kk, pp] = here0[kk, pp] - plants + k2_of
+    weight[:, :, 0, kk, pp] = ((1.0,),), ((0.0,),)
+    src[:, 0, kk, pp] = dlam_c + sig_c, tht_c, arc
+    if a == 1:  # the k2 node of level 1 reads node (0, 0) exactly
+        at[:, :, 1, 0] = col + plants + k2_of, col + plants
+        weight[:, :, 1, 0] = ((1.0,),), ((0.0,),)
 
-    def foot_lerp(foot, rows, k):
-        """Coefficients at the foot; the lerp of the previous level there goes to at, weight [:, k]."""
-        t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
-        ik = np.minimum(t.astype(int), level[:, None] - 2)
-        frac = np.subtract(t, ik, out=weight[1, k])
-        np.subtract(1.0, frac, out=weight[0, k])
-        np.add(ik * plants, col, out=at[0, k])
-        np.add(at[0, k], plants, out=at[1, k])
-        return coeff_lerp(rows, t)
+    # --- k2 nodes whose characteristic crossed the bottom edge ---
+    kk, pp = np.nonzero(bottom)
+    if not kk.size:
+        return at, weight, src, {}
+    jc, xc_i, mu_c = j[kk] + 1, x_i[kk], mu_i[kk, pp]
+    xc = xc_i - x[jc] * mu_c / mu[jc, pp]
+    frac = np.minimum(np.maximum((xc - x_prev[kk, 0]) / h, 0.0), 1.0)
+    cells = np.stack([prev0[kk, pp], here0[kk, pp]])
+    dst = here0[kk, pp] + jc * plants + k2_of
+    data = np.stack([1.0 - frac, frac, (xc_i - xc) / mu_c, ratio[pp], -table[5, 0, pp], table[6, 0, pp]])
+    starts = np.flatnonzero(np.diff(level[kk], prepend=0))
+    fixes = {
+        int(level[kk[s]]): (cells[:, s:e], dst[s:e], data[:, s:e])
+        for s, e in zip(starts, [*starts[1:], kk.size])
+    }
+    return at, weight, src, fixes
 
-    # --- k1 at nodes j: the foot, and the crossing of the diagonal ---
-    foot = x[j][:, None] + h * lam[j] / mu_i
-    dlam_f, sig_f, tht_f = foot_lerp(foot, slice(2, 5), 0)
-    slope = lam[j] / mu_i
-    xc = (x[j][:, None] + slope * x_i) / (1.0 + slope)
-    lam_c, mu_c, dlam_c, sig_c, tht_c = coeff_lerp(slice(0, 5), xc / h)
-    bc = -tht_c / (lam_c + mu_c)
-    k1 = (foot > x_prev, dlam_f + sig_f, tht_f, bc, (dlam_c + sig_c) * bc, tht_c, (x_i - xc) / mu_i)
 
-    # --- k2 at nodes j + 1: the foot, and the crossing of the bottom edge ---
-    j += 1
-    foot = x[j][:, None] - h * mu[j] / mu_i
-    dmu_f, omg_f = foot_lerp(foot, slice(5, 7), 1)
-    xc = x_i - x[j][:, None] * mu_i / mu[j]
-    frac = np.minimum(np.maximum((xc - x_prev) / h, 0.0), 1.0)
-    k2 = (foot < 0.0, -dmu_f, omg_f, 1.0 - frac, frac, (x_i - xc) / mu_i)
-    return at, weight, k1, k2
+def _march(values: np.ndarray, ratio: np.ndarray, a: int, b: int, at, weight, src, fixes) -> None:
+    """Levels a..b-1 of the march, in place in ``values``, from their :func:`_geometry`."""
+    cells = values.reshape(-1)
+    o = 0
+    for i in range(a, b):
+        s = slice(o, o + i)
+        o += i
+        r = i * (i + 1) // 2 + 1  # slot of k1 at (i, 0) and of k2 at (i, 1)
+        ends = cells.take(at[:, :, :, s])
+        ends *= weight[:, :, :, s]
+        vz = ends[0] + ends[1]
+        new = vz * src[:2, :, s]
+        new = new[0] + new[1]
+        new *= src[2, :, s]
+        np.add(new, vz[0], out=values[:, r : r + i])
+        np.multiply(ratio, values[0, r], out=values[1, r - 1])
+        if i in fixes:  # k2 from the bottom data, lerped between k1 at (i-1, 0) and (i, 0)
+            at_b, dst, (keep, frac, arc, ratio_b, ndmu0, omg0) = fixes[i]
+            left, right = cells.take(at_b)
+            k1b = left * keep + right * frac
+            bc = ratio_b * k1b
+            cells[dst] = bc + arc * (ndmu0 * bc + omg0 * k1b)
 
 
 def solve_kernels(coeffs: CoefficientSet, grid: TriangularGrid) -> KernelSet:
@@ -195,78 +276,47 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     values at the foot, which makes the scheme first-order and keeps all
     updates functions of the previous level only.
 
-    All plants march together, one level at a time.  What depends only on
-    the coefficients (feet, crossings, their coefficient lerps, weights) is
-    computed by :func:`_geometry` for a run of levels at once, node-major as
-    (node, plant) so that each level's rows are one contiguous slice; a run
-    holds at most GEOMETRY_NODES node-plant pairs, which bounds the extra
-    memory.  The level loop keeps only the lerps of the previous level and
-    the arithmetic on them.  Every operation is elementwise, so each plant's
+    All plants march together, one level at a time, in place in one buffer:
+    ``values[0, q + 1]`` is k1 and ``values[1, q]`` is k2 at flat node q,
+    node-major as (node, plant), so that the k1 nodes j = 0..i-1 and the k2
+    nodes j = 1..i of level i share the slots of one slice.  The k1
+    diagonal is prefilled.  :func:`_geometry` computes what depends only on
+    the coefficients for a run of levels at once (at most GEOMETRY_NODES
+    node-plant pairs, or one level that alone has more), so that
+    :func:`_march` updates every node of a level in one fused
+    V + T*(P*V + Q*Z): one gather of the lerp cells of V and Z from the
+    previous level, the arithmetic, and one write of both rows; then k2 at
+    node 0.  The k2 nodes whose characteristics cross the bottom edge need
+    this level's k1 at node 0, so they are recomputed after it, only at
+    levels that have them.  Every operation is elementwise, so each plant's
     kernels are bit-identical however the batch is composed.  A plant with
-    lam + mu <= 0 somewhere or non-finite kernels raises :class:`PlantError`
-    naming its index.
+    lam + mu <= 0 somewhere or non-finite kernels raises
+    :class:`PlantError` naming its index; an overflow inside the march is
+    left to that check.
     """
     n, h = grid.n, grid.h
     plants = len(coeffs)
     fields = [resample(c, n) for c in coeffs]
     table = np.stack([np.stack([f[name] for f in fields], axis=1) for name in _TABLE])
-    lam, mu, dlam, sig, tht, dmu, omg = table
+    lam, mu, tht = table[0], table[1], table[4]
     bad = np.flatnonzero(np.any(lam + mu <= 0, axis=0))
     if bad.size:
         raise PlantError(int(bad[0]), "lam + mu must be positive on the whole grid")
-    x = grid.points
-    bc_ratio = np.array([c.q for c in coeffs]) * lam[0] / mu[0]
-    diag_bc = -tht / (lam + mu)
-    tau = h / mu  # characteristic time back to the previous level
-    ndmu0, omg0 = -dmu[0], omg[0]
 
-    # (k1, k2) of every plant in flat order; two node-major buffers hold the last two levels
-    values = np.empty((2, plants, grid.node_count))
-    prev, cur = np.zeros((2, 2, n + 1, plants))
-    prev[0, 0] = diag_bc[0]
-    prev[1, 0] = bc_ratio * prev[0, 0]
-    values[:, :, 0] = prev[:, 0]
+    values = np.empty((2, grid.node_count + 1, plants))
+    values[0, 0] = values[1, -1] = 0.0  # the slots no node uses
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.array([c.q for c in coeffs]) * lam[0] / mu[0]
+        diag = np.arange(n + 1)
+        values[0, diag * (diag + 3) // 2 + 1] = -tht / (lam + mu)
+        values[1, 0] = ratio * values[0, 1]
+        for a, b in _level_groups(n, plants):
+            _march(values, ratio, a, b, *_geometry(table, grid.points, h, a, b, ratio, values))
 
-    for a, b in _level_groups(n, plants):
-        at, weight, geo1, geo2 = _geometry(table, x, h, a, b)
-        o = 0
-        for i in range(a, b):
-            s = slice(o, o + i)
-            o += i
-
-            # --- k1: interior nodes j = 0..i-1, diagonal node imposed ---
-            crossed, src1, src2, bc, src_bc, tht_c, arc = (g[s] for g in geo1)
-            if i >= 2:
-                # (k1, k2) of the previous level at both feet, [component, foot, node, plant]
-                ends = prev.reshape(2, -1).take(at[:, :, s], axis=1)
-                feet = ends[:, 0] * weight[0, :, s] + ends[:, 1] * weight[1, :, s]
-                k1f, k2f = feet[:, 0]
-                regular = k1f + tau[i] * (src1 * k1f + src2 * k2f)
-            else:
-                regular = 0.0
-            # diagonal crossing: k2 at the nearest available node for the coupling term
-            from_bc = bc + arc * (src_bc + tht_c * prev[1, i - 1])
-            cur[0, :i] = np.where(crossed, from_bc, regular)
-            cur[0, i] = diag_bc[i]
-
-            # --- k2: nodes j = 1..i, bottom node imposed from this level's k1 ---
-            crossed, src1, src2, keep, frac, arc = (g[s] for g in geo2)
-            if i >= 2:
-                k1f, k2f = feet[:, 1]
-            else:
-                k1f, k2f = prev[:, :1]
-            regular = k2f + tau[i] * (src1 * k2f + src2 * k1f)
-            k1b = prev[0, 0] * keep + cur[0, 0] * frac
-            bc = bc_ratio * k1b
-            from_bc = bc + arc * (ndmu0 * bc + omg0 * k1b)
-            cur[1, 1 : i + 1] = np.where(crossed, from_bc, regular)
-            cur[1, 0] = bc_ratio * cur[0, 0]
-            values[:, :, i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = cur[:, : i + 1].transpose(0, 2, 1)
-            prev, cur = cur, prev
-
-    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=(0, 2)))
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=(0, 1)))
     if bad.size:
         raise PlantError(int(bad[0]), "kernel marching produced non-finite values")
+    values = np.stack([values[0, 1:].T, values[1, :-1].T])
     return [KernelSet(k1=KernelField(grid, v1), k2=KernelField(grid, v2)) for v1, v2 in zip(*values)]
 
 

@@ -67,12 +67,24 @@ class TestGenerate:
                 assert not draws[a] & draws[b], (a, b)
 
     def test_batch_failure_names_the_plant(self):
+        # no np.errstate: an overflow inside the march must surface as the PlantError
         ok = gamma_family(1.0)
-        overflow = replace(ok, theta=np.full(ok.lam.size, 1e300))
-        with np.errstate(over="ignore", invalid="ignore"):
+        for theta in (1e155, 1e200, 1e300):
+            overflow = replace(ok, theta=np.full(ok.lam.size, theta))
             with pytest.raises(PlantError, match="plant 2: kernel marching produced non-finite") as info:
                 solve_kernels_batch([ok, ok, overflow, ok], TriangularGrid(12))
-        assert info.value.index == 2
+            assert info.value.index == 2
+
+    def test_generate_names_an_overflowing_sample(self, monkeypatch):
+        from gainops import data_store
+
+        def draw(family, seed):
+            c = sample_random(family, seed)
+            return replace(c, theta=np.full(c.theta.size, 1e300)) if seed == sample_seed(7, 2) else c
+
+        monkeypatch.setattr(data_store, "sample_random", draw)
+        with pytest.raises(RuntimeError, match="sample 2 failed: plant 2: kernel marching produced non-finite"):
+            generate(CoefficientFamily("gamma"), 4, m_coeff=21, n_grid=12, seed=7)
 
     def test_boundary_identities_hold(self, small_dataset):
         validate_boundary_identities(small_dataset)

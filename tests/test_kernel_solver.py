@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestSolveKernels:
         assert np.array_equal(a.k2.values, b.k2.values)
 
 
+def crossing_plants():
+    """A decreasing-mu plant, whose k2 characteristics leave through the bottom
+    edge, and a 4 x lam plant, whose k1 characteristics cross the diagonal at
+    up to three nodes of a level."""
+    c = g.gamma_family(2.0)
+    return [replace(c, mu=c.mu[::-1].copy(), dmu=-c.dmu[::-1]), replace(c, lam=4.0 * c.lam, dlam=4.0 * c.dlam)]
+
+
 def per_level_march(coeffs, grid):
     """The batched march with every coefficient-only quantity recomputed at each
     level, plant-major; kernels (2, B, nodes) that solve_kernels_batch must
@@ -175,13 +184,40 @@ class TestMarchGeometry:
     def test_bitwise_equal_to_per_level_march(self, monkeypatch, n, budget):
         # budget 64 puts every level of 7 or more plants above n = 9 in a run of its own
         monkeypatch.setattr(kernel_solver, "GEOMETRY_NODES", budget)
-        plants = mixed_plants(36)
+        plants, crossing = mixed_plants(36), crossing_plants()
         grid = TriangularGrid(n)
-        for batch in (plants[:1], plants[1:8], plants):
+        for batch in (plants[:1], plants[1:8], plants, crossing[:1], crossing[1:], plants + crossing):
             expected = per_level_march(batch, grid)
             for b, ks in enumerate(solve_kernels_batch(batch, grid)):
                 assert ks.k1.values.tobytes() == expected[0, b].tobytes()
                 assert ks.k2.values.tobytes() == expected[1, b].tobytes()
+
+    def test_crossing_plants_reach_both_crossing_branches(self):
+        # mixed_plants has no bottom crossing and one diagonal crossing per level and plant
+        n, h = 100, 0.01
+        x = np.arange(n + 1) * h
+        decreasing, fast = (resample(c, n) for c in crossing_plants())
+        levels = range(1, n + 1)
+        bottom = [np.sum(x[1 : i + 1] - h * decreasing["mu"][1 : i + 1] / decreasing["mu"][i] < 0.0) for i in levels]
+        diagonal = [np.sum(x[:i] + h * fast["lam"][:i] / fast["mu"][i] > x[i - 1]) for i in levels]
+        assert sum(bottom) > 0 and max(diagonal) > 1
+
+    @pytest.mark.parametrize("n", [3, 20, 100])
+    def test_signed_zeros_bitwise(self, n):
+        plants = []
+        for c in (g.gamma_family(2.0), crossing_plants()[0]):
+            zero = np.zeros_like(c.theta)
+            # alternating signs put a -0 crossing value next to a +0 diagonal one
+            mixed = np.where(np.arange(zero.size) % 2 == 0, 0.0, -0.0)
+            plants += [replace(c, theta=t) for t in (zero, -zero, mixed, -mixed)]
+            plants += [replace(c, q=0.0), replace(c, q=-0.0)]
+        expected = per_level_march(plants, TriangularGrid(n))
+        for b, ks in enumerate(solve_kernels_batch(plants, TriangularGrid(n))):
+            assert ks.k1.values.tobytes() == expected[0, b].tobytes()
+            assert ks.k2.values.tobytes() == expected[1, b].tobytes()
+        # both signs of zero occur, so a flipped sign would show
+        zeros = np.signbit(expected[expected == 0.0])
+        assert zeros.any() and not zeros.all()
 
     def test_rejects_nonpositive_speed_sum_by_index(self):
         # CoefficientSet itself rejects lam <= 0, so a plain namespace stands in
