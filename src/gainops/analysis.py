@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import CoefficientSet, resample, sup_bounds
 from .controller import forward_transform
 from .kernel_solver import KernelField, KernelSet, solve_kappa_c
-from .numerics import lower_indices, trapezoid_integral
+from .numerics import lower_mask, trapezoid_integral
 from .plant_sim import PlantState, SimTrace
 
 
@@ -141,7 +141,7 @@ def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField)
         sup_bc_bottom=float(np.abs(bc_bottom).max()),
         sup_pde1=float(np.abs(r1).max()),
         sup_pde2=float(np.abs(r2).max()),
-        epsilon_estimate=float(summed[lower_indices(n + 1)].max()),
+        epsilon_estimate=float(summed[lower_mask(n + 1)].max()),
     )
 
 
@@ -189,7 +189,7 @@ def epsilon_estimate(
     ekap = exact.kappa.as_matrix() - approx.kappa.as_matrix()
 
     d1, d2, d3, d4 = _residual_terms(cf, coeffs.q, e1, e2, n, h)
-    mask = lower_indices(n + 1)
+    mask = lower_mask(n + 1)
     summed = (
         np.abs(e1)
         + np.abs(e2)
@@ -227,15 +227,21 @@ def psi1(state: PlantState, kernels: KernelSet) -> float:
 
 
 def lyapunov_v1(u: np.ndarray, beta: np.ndarray, coeffs: CoefficientSet, p1: float, p2: float) -> float:
-    """Weighted functional int p1 e^(-p2 x) u^2 / lam + int e^(p2 x) beta^2 / mu."""
+    """Weighted functional int p1 e^(-p2 x) u^2 / lam + int e^(p2 x) beta^2 / mu.
+
+    lam and mu are what :func:`resample` gives on the n = u.size - 1 grid:
+    the coefficient arrays themselves on their own grid, else interpolated.
+    """
     if p1 <= 0:
         raise ValueError("p1 must be positive")
     n = u.size - 1
     x = np.arange(n + 1) / n
     h = 1.0 / n
-    # resample's np.interp call, for the two arrays read here only
-    lam = np.interp(x, coeffs.grid.points, coeffs.lam)
-    mu = np.interp(x, coeffs.grid.points, coeffs.mu)
+    if n == coeffs.grid.n:
+        lam, mu = coeffs.lam, coeffs.mu
+    else:  # resample's np.interp call, for the two arrays read here only
+        lam = np.interp(x, coeffs.grid.points, coeffs.lam)
+        mu = np.interp(x, coeffs.grid.points, coeffs.mu)
     wu = p1 * np.exp(-p2 * x) / lam
     wb = np.exp(p2 * x) / mu
     return trapezoid_integral(wu * u * u, h) + trapezoid_integral(wb * beta * beta, h)

@@ -190,9 +190,13 @@ def resample(c: CoefficientSet, n: int) -> dict[str, np.ndarray]:
     """Coefficient arrays linearly interpolated onto an n-cell grid.
 
     The queries lie in [0, 1], so this is :func:`interp_linear` without its
-    checks, bit for bit.
+    checks, bit for bit.  Interpolation is exact at the nodes: np.interp
+    returns a node's value itself there, so on the coefficients' own grid
+    (n == c.grid.n) the result is a copy of each array.
     """
+    names = ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta")
+    if n == c.grid.n:
+        return {name: getattr(c, name).copy() for name in names}
     x = np.arange(n + 1) / n
     nodes = c.grid.points
-    names = ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta")
     return {name: np.interp(x, nodes, getattr(c, name)) for name in names}

@@ -112,7 +112,12 @@ def write(dataset: Dataset, path, manifest: dict | None = None) -> None:
 
 
 def read(path) -> Dataset:
-    """Load a dataset file, validating magic, version, header, length, finite values and positive speeds."""
+    """Load a dataset file, validating magic, version, header, length, finite values and positive speeds.
+
+    The whole records are read as one (records, record length) array and
+    checked in one vectorized pass; the first bad record is reported by
+    index, and a file cut short only after the whole records before the cut.
+    """
     with open(path, "rb") as f:
         if read_exact(f, 4, "magic", "dataset file") != MAGIC:
             raise ValueError("not a dataset file (bad magic)")
@@ -124,31 +129,38 @@ def read(path) -> Dataset:
         t = (n_grid + 1) * (n_grid + 2) // 2
         # a record is q, the coefficient arrays (five in version 1), then k1 and k2
         edges = list(accumulate([0, 1] + [m_coeff] * (5 if version == 1 else 7) + [t, t]))
-        if 8 * edges[-1] > os.fstat(f.fileno()).st_size:  # before asking for that much memory
+        size = os.fstat(f.fileno()).st_size
+        if 8 * edges[-1] > size:  # before asking for that much memory
             raise ValueError("dataset file truncated inside record 0: the file is shorter than one record")
+        records = np.empty((min(n_samples, (size - f.tell()) // (8 * edges[-1])), edges[-1]), dtype="<f8")
+        if f.readinto(records) != records.nbytes:
+            raise ValueError("dataset file truncated while reading the records")
+        q, lam, mu, sigma, omega, theta, *rest = (records[:, a:b] for a, b in zip(edges, edges[1:]))
         grid = IntervalGrid(m_coeff - 1)
-        samples = []
-        for i in range(n_samples):
-            try:
-                buf = read_exact(f, 8 * edges[-1], "the record", "dataset file")
-            except ValueError as exc:
-                raise ValueError(f"dataset file truncated inside record {i}: {exc}") from exc
-            rec = np.frombuffer(buf, dtype="<f8").copy()
-            if not np.all(np.isfinite(rec)):
-                raise ValueError(f"dataset record {i} holds non-finite values")
-            q, lam, mu, sigma, omega, theta, *rest = (rec[a:b] for a, b in zip(edges, edges[1:]))
-            if lam.min() <= 0 or mu.min() <= 0:
-                raise ValueError(f"dataset record {i} has a transport speed lam or mu <= 0")
-            if version == 1:
-                with np.errstate(over="ignore"):  # an overflow is refused as non-finite below
-                    rest = [np.gradient(lam, grid.h), np.gradient(mu, grid.h), *rest]
-            dlam, dmu, k1, k2 = rest
-            try:
-                samples.append(SampleRecord(grid, lam, dlam, mu, dmu, sigma, omega, theta, float(q[0]), k1, k2))
-            except ValueError as exc:
-                raise ValueError(f"dataset record {i}: {exc}") from exc
+        problems = [
+            (~np.isfinite(records).all(axis=1), "dataset record {} holds non-finite values"),
+            ((lam <= 0).any(axis=1) | (mu <= 0).any(axis=1), "dataset record {} has a transport speed lam or mu <= 0"),
+        ]
+        if version == 1:
+            with np.errstate(over="ignore"):  # an overflow is refused as non-finite below
+                rest = [np.gradient(lam, grid.h, axis=1), np.gradient(mu, grid.h, axis=1), *rest]
+            finite = np.isfinite(rest[0]).all(axis=1) & np.isfinite(rest[1]).all(axis=1)
+            problems.append((~finite, "dataset record {}: coefficient arrays must be finite"))
+        bad = np.flatnonzero(np.logical_or.reduce([rows for rows, _ in problems]))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(next(message for rows, message in problems if rows[i]).format(i))
+        if len(records) < n_samples:
+            raise ValueError(
+                f"dataset file truncated inside record {len(records)}: dataset file truncated while reading the record"
+            )
         if f.read(1):
             raise ValueError("dataset file has trailing bytes")
+    dlam, dmu, k1, k2 = rest
+    samples = [
+        SampleRecord(grid, *arrays, float(qi), k1i, k2i)
+        for qi, *arrays, k1i, k2i in zip(q[:, 0], lam, dlam, mu, dmu, sigma, omega, theta, k1, k2)
+    ]
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
 
 

@@ -330,31 +330,69 @@ def check_boundary_conditions(coeffs: CoefficientSet, ks: KernelSet):
     return float(r_diag.max()), float(r_bottom.max())
 
 
+# Columns (kappa) or rows (l1, l2) that the Volterra solves take at a time.
+_VOLTERRA_BLOCK = 16
+
+
+def _volterra_matrix(k2m: np.ndarray, h: float) -> np.ndarray:
+    """I - M for the trapezoid rule of int k2 on the triangle, k2m lower-triangular.
+
+    M is h*k2 below the diagonal and h/2*k2(j, j) on it, the half weight of
+    the integral's endpoint at the unknown's own node.  The diagonal holds
+    the pivots 1 - h/2*k2(j, j).
+    """
+    a = k2m * -h
+    np.fill_diagonal(a, 1.0 - 0.5 * h * np.diagonal(k2m))
+    return a
+
+
+def _block_inverses(a: np.ndarray, blocks: list[tuple[int, int]]) -> np.ndarray:
+    """Inverses of the lower-triangular diagonal blocks a[s:e, s:e], from one batched LAPACK call.
+
+    Each block is padded to _VOLTERRA_BLOCK with the identity, which leaves
+    its inverse in the leading corner.  An inverse of a lower-triangular
+    block is lower-triangular; tril drops what LAPACK's pivoting rounds
+    above the diagonal.
+    """
+    stack = np.tile(np.eye(_VOLTERRA_BLOCK), (len(blocks), 1, 1))
+    for b, (s, e) in enumerate(blocks):
+        stack[b, : e - s, : e - s] = a[s:e, s:e]
+    return np.tril(np.linalg.inv(stack))
+
+
 def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
-    """Fill kappa and c by Volterra solves marched over xi columns.
+    """Fill kappa and c by Volterra solves marched over blocks of xi columns.
 
     Per row (fixed x) kappa satisfies
 
         kappa(x, xi) = omega(x) k2(x, xi) + int_xi^x kappa(x, s) k2(s, xi) ds
 
-    under the trapezoid rule.  Column xi_j needs only the columns to its
-    right, so the march runs j = n-1 .. 0 with all rows of a column at once.
-    c uses k1 with kappa in the integrand.
+    under the trapezoid rule.  kappa(x, x) = omega(x) k2(x, x); its endpoint
+    term moves to the right-hand side, so the strictly lower part X solves
+    X (I - M) = R, with M from :func:`_volterra_matrix` and
+    R = tril((omega + h/2 kappa(x, x)) k2, -1).  Column xi_j needs only the
+    columns to its right, so the solve runs right to left in blocks of
+    _VOLTERRA_BLOCK columns: one product brings in every column already
+    solved, then the block's own lower-triangular diagonal block of I - M
+    is inverted.  c = omega k1 + int kappa k1 on the triangle.
     """
     n, h = ks.grid.n, ks.grid.h
     omg = resample(coeffs, n)["omega"]
     k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
-    pivot = 1.0 - 0.5 * h * np.diagonal(k2m)
+    a = _volterra_matrix(k2m, h)
+    pivot = np.diagonal(a)
     bad = np.flatnonzero(np.abs(pivot[:n]) < PIVOT_TOL)
     if bad.size:
         raise ZeroDivisionError(f"singular Volterra pivot at row {bad[0] + 1}, xi index {bad[0]}")
 
     dk = omg * np.diagonal(k2m)
-    kap = np.diag(dk)
-    for j in range(n - 1, -1, -1):
-        col = k2m[j + 1 :, j]
-        acc = h * (kap[j + 1 :, j + 1 :] @ col) - 0.5 * h * dk[j + 1 :] * col
-        kap[j + 1 :, j] = (omg[j + 1 :] * col + acc) / pivot[j]
+    kap = (omg + 0.5 * h * dk)[:, None] * k2m
+    np.fill_diagonal(kap, 0.0)
+    blocks = [(max(j1 - _VOLTERRA_BLOCK, 0), j1) for j1 in range(n, 0, -_VOLTERRA_BLOCK)]
+    for (j0, j1), inv in zip(blocks, _block_inverses(a, blocks)):
+        rows = kap[j0 + 1 :]  # rows at or above j0 are zero in these columns
+        rows[:, j0:j1] = (rows[:, j0:j1] - rows[:, j1:] @ a[j1:, j0:j1]) @ inv[: j1 - j0, : j1 - j0]
+    np.fill_diagonal(kap, dk)
     cm = omg[:, None] * k1m + compose(kap, k1m, h)
 
     grid = ks.grid
@@ -366,29 +404,37 @@ def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
 
 
 def solve_inverse_kernels(ks: KernelSet) -> KernelSet:
-    """Fill the inverse-transformation kernels l1, l2.
+    """Fill the inverse-transformation kernels l1, l2 by blocked Volterra solves.
 
     For each fixed xi the pair satisfies
 
         l_i(x, xi) = k_i(x, xi) + int_xi^x k2(x, s) l_i(s, xi) ds,
 
-    marched in x over whole rows of both kernels; the newest node enters its
-    own integral through the trapezoid endpoint, giving a scalar pivot per row.
+    so l_i(x, x) = k_i(x, x), and the strictly lower parts Y_i solve
+    (I - M) Y_i = tril(k_i + h/2 k2 l_i(xi, xi), -1), with M from
+    :func:`_volterra_matrix`: the newest node enters its own integral
+    through the trapezoid endpoint.  Row x_m needs only the rows of smaller
+    x, so both kernels, one right-hand side, are solved top-down in blocks of
+    _VOLTERRA_BLOCK rows: one product brings in every row already solved,
+    then the block's own lower-triangular diagonal block is inverted.
     """
     n, h = ks.grid.n, ks.grid.h
     k = np.stack([ks.k1.as_matrix(), ks.k2.as_matrix()])
-    pivot = 1.0 - 0.5 * h * np.diagonal(k[1])
+    a = _volterra_matrix(k[1], h)
+    pivot = np.diagonal(a)
     bad = np.flatnonzero(np.abs(pivot[1:]) < PIVOT_TOL)
     if bad.size:
         raise ZeroDivisionError(f"singular inverse-kernel pivot at x index {bad[0] + 1}")
 
-    # l and k share their diagonal
-    dl = np.diagonal(k, axis1=1, axis2=2)
-    l = k * np.eye(n + 1)
-    for m in range(1, n + 1):
-        row = k[1, m, :m]
-        acc = h * (row @ l[:, :m, :m]) - 0.5 * h * row * dl[:, :m]
-        l[:, m, :m] = (k[:, m, :m] + acc) / pivot[m]
+    dl = np.diagonal(k, axis1=1, axis2=2)  # l and k share their diagonal
+    l = k + 0.5 * h * k[1] * dl[:, None, :]
+    d = np.arange(n + 1)
+    l[:, d, d] = 0.0
+    blocks = [(m0, min(m0 + _VOLTERRA_BLOCK, n + 1)) for m0 in range(1, n + 1, _VOLTERRA_BLOCK)]
+    for (m0, m1), inv in zip(blocks, _block_inverses(a, blocks)):
+        cols = l[:, :, :m1]  # columns at or right of m1 are zero in these rows
+        cols[:, m0:m1] = inv[: m1 - m0, : m1 - m0] @ (cols[:, m0:m1] - a[m0:m1, :m0] @ cols[:, :m0])
+    l[:, d, d] = dl
     grid = ks.grid
     return replace(
         ks,

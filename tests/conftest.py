@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ def mixed_plants(count):
     families = (g.CoefficientFamily("gamma"), g.CoefficientFamily("random_smooth"))
     plants += [g.sample_random(families[k % 2], 1000 + k) for k in range(count - len(plants))]
     return plants[:count]
+
+
+def own_grid_plants(seeds=5):
+    """Draws of both families at the default m and at m = 37, and one plant whose
+    theta holds zeros of both signs, for checks made on a plant's own grid."""
+    families = [
+        g.CoefficientFamily("gamma"),
+        g.CoefficientFamily("random_smooth"),
+        g.CoefficientFamily("gamma", m=37),
+        g.CoefficientFamily("random_smooth", (0.2, 3.0), 1.5, 37),
+    ]
+    plants = [g.sample_random(f, seed) for f in families for seed in range(seeds)]
+    c = plants[0]
+    signed = np.where(np.arange(c.theta.size) % 2 == 0, 0.0, -0.0)
+    return plants + [replace(c, theta=signed)]
 
 
 def as_version_1(data: bytes) -> bytes:

@@ -20,10 +20,10 @@ from gainops.analysis import (
 from gainops.coefficients import resample
 from gainops.controller import forward_transform
 from gainops.kernel_solver import KernelField, KernelSet, solve_kappa_c, solve_kernels
-from gainops.numerics import TriangularGrid, trapezoid_integral
+from gainops.numerics import TriangularGrid, interp_linear, trapezoid_integral
 from gainops.plant_sim import SimTrace
 
-from conftest import make_coeffs, mixed_plants, random_smooth_state
+from conftest import make_coeffs, mixed_plants, own_grid_plants, random_smooth_state
 
 
 class TestResidualOperators:
@@ -313,6 +313,19 @@ class TestLyapunov:
             cf = resample(c, n)
             expected = trapezoid_integral(p1 * np.exp(-p2 * x) / cf["lam"] * u * u, 1.0 / n) + trapezoid_integral(
                 np.exp(p2 * x) / cf["mu"] * beta * beta, 1.0 / n
+            )
+            assert lyapunov_v1(u, beta, c, p1, p2).hex() == expected.hex()
+
+    def test_own_grid_bitwise_equal_to_the_interp_formula(self):
+        rng = np.random.default_rng(0)
+        for c in own_grid_plants():
+            n = c.grid.n
+            x = np.arange(n + 1) / n
+            u, beta = rng.normal(size=(2, n + 1))
+            p1, p2 = rng.uniform(0.1, 1.0), rng.uniform(0.0, 5.0)
+            lam, mu = (interp_linear(a, x) for a in (c.lam, c.mu))
+            expected = trapezoid_integral(p1 * np.exp(-p2 * x) / lam * u * u, 1.0 / n) + trapezoid_integral(
+                np.exp(p2 * x) / mu * beta * beta, 1.0 / n
             )
             assert lyapunov_v1(u, beta, c, p1, p2).hex() == expected.hex()
 

@@ -13,7 +13,7 @@ from gainops.coefficients import (
 )
 from gainops.numerics import IntervalGrid, interp_linear
 
-from conftest import mixed_plants
+from conftest import mixed_plants, own_grid_plants
 
 
 class TestGammaFamily:
@@ -174,6 +174,14 @@ class TestResample:
         for c in mixed_plants(7):
             for name, arr in resample(c, n).items():
                 assert arr.tobytes() == interp_linear(getattr(c, name), x).tobytes()
+
+    def test_own_grid_is_a_bitwise_copy(self):
+        # np.interp returns a node's own value at a node, signed zeros included
+        for c in own_grid_plants():
+            x = np.arange(c.grid.n + 1) / c.grid.n
+            for name, arr in resample(c, c.grid.n).items():
+                assert arr.tobytes() == interp_linear(getattr(c, name), x).tobytes(), name
+                assert not np.shares_memory(arr, getattr(c, name))
 
 
 class TestValidation:

@@ -259,6 +259,34 @@ def dense_volterra_kappa(coeffs, ks):
     return kap
 
 
+def dense_volterra_inverse(ks):
+    """Direct dense solve of the discretized l1, l2 system, one xi column at a time
+    for both kernels; returns (l1, l2) as dense matrices."""
+    n, h = ks.grid.n, ks.grid.h
+    k = np.stack([ks.k1.as_matrix(), ks.k2.as_matrix()])
+    l = np.zeros_like(k)
+    for j in range(n + 1):
+        m = n + 1 - j  # nodes x_j .. x_n of column j
+        A = np.eye(m)
+        for r in range(1, m):
+            A[r, : r + 1] -= trapezoid_weights(r + 1, h) * k[1, j + r, j : j + r + 1]
+        l[:, j:, j] = np.linalg.solve(A, k[:, j:, j].T).T
+    return l
+
+
+def dense_c(coeffs, ks, kap):
+    """c = omega k1 + int_xi^x kappa(x, s) k1(s, xi) ds, node by node with trapezoid_weights."""
+    n, h = ks.grid.n, ks.grid.h
+    omg = resample(coeffs, n)["omega"]
+    k1m = ks.k1.as_matrix()
+    c = np.zeros_like(k1m)
+    for i in range(n + 1):
+        for j in range(i + 1):
+            w = trapezoid_weights(i - j + 1, h) if i > j else np.zeros(1)
+            c[i, j] = omg[i] * k1m[i, j] + w @ (kap[i, j : i + 1] * k1m[j : i + 1, j])
+    return c
+
+
 def worst_volterra_residual(field, data, a, b, h, scale=None):
     """Max over sampled nodes of |field - scale*data - int_xi^x a(x, s) b(s, xi) ds|,
     with the integral taken node by node with trapezoid_weights."""
@@ -322,6 +350,28 @@ class TestKappaC:
         kap = kernels_g1_n100.kappa.as_matrix()
         k2m = kernels_g1_n100.k2.as_matrix()
         assert worst_volterra_residual(kap, k2m, kap, k2m, 0.01, omg) <= 1e-10
+
+
+class TestBlockedVolterraSolves:
+    """The blocked solves against direct dense solves, across the block edges."""
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            pytest.param(lambda: g.gamma_family(1.0), id="gamma1"),
+            pytest.param(lambda: g.gamma_family(5.0), id="gamma5"),
+            pytest.param(lambda: g.sample_random(g.CoefficientFamily("random_smooth"), 3), id="random_smooth3"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 15, 16, 17, 33, 100])
+    def test_matches_dense_solves(self, plant, n):
+        assert kernel_solver._VOLTERRA_BLOCK == 16  # n = 15, 16, 17 and 33 sit at its edges
+        coeffs = plant()
+        ks = solve_inverse_kernels(solve_kappa_c(coeffs, solve_kernels(coeffs, TriangularGrid(n))))
+        kap = dense_volterra_kappa(coeffs, ks)
+        l1, l2 = dense_volterra_inverse(ks)
+        for got, want in [(ks.kappa, kap), (ks.c, dense_c(coeffs, ks, kap)), (ks.l1, l1), (ks.l2, l2)]:
+            assert np.abs(got.as_matrix() - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.fixture(scope="module")

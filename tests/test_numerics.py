@@ -11,6 +11,7 @@ from gainops.numerics import (
     flatten_lower,
     interp_linear,
     lower_indices,
+    lower_mask,
     row_weights,
     trapezoid_integral,
     trapezoid_weights,
@@ -221,6 +222,28 @@ class TestGridsAndFlattening:
                 a[0] = 1
         flat = np.random.default_rng(n).normal(size=rows.size)
         assert flatten_lower(unflatten_lower(flat, n)).tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 100])
+    def test_lower_mask_built_once_and_read_only(self, n):
+        mask = lower_mask(n + 1)
+        assert lower_mask(n + 1) is mask
+        assert mask.dtype == bool and mask.tobytes() == np.tri(n + 1, dtype=bool).tobytes()
+        with pytest.raises(ValueError):
+            mask[0, 1] = True
+        # the mask selects in the canonical order of lower_indices
+        dense = np.random.default_rng(n).normal(size=(n + 1, n + 1))
+        assert flatten_lower(dense).tobytes() == dense[lower_indices(n + 1)].tobytes()
+        expected = np.zeros_like(dense)
+        expected[lower_indices(n + 1)] = dense[lower_indices(n + 1)]
+        assert unflatten_lower(flatten_lower(dense), n).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 100])
+    def test_row_weights_built_once_and_read_only(self, n):
+        w = row_weights(n, 1.0 / n)
+        assert row_weights(n, 1.0 / n) is w
+        with pytest.raises(ValueError):
+            w[1, 0] = 1.0
+        assert np.all(w[0] == 0.0) and w[n, n] == 0.5 / n
 
     def test_tri_quad_weights_integrate_area(self):
         w = tri_quad_weights(TriangularGrid(40))
