@@ -10,7 +10,6 @@ from .analysis import (
     norm_equivalence_constants,
     p2_lower_bound,
     phi,
-    psi1,
     residual_operators,
 )
 from .coefficients import (
@@ -18,9 +17,8 @@ from .coefficients import (
     CoefficientSet,
     gamma_family,
     sample_random,
-    sup_bounds,
 )
-from .controller import GainVector, control_value, forward_transform, inverse_transform
+from .controller import GainVector, forward_transform, inverse_transform
 from .data_store import Dataset, SampleRecord, generate, read, write
 from .kernel_solver import (
     KernelField,
@@ -42,13 +40,7 @@ from .neural_op import (
     save_model,
     train,
 )
-from .numerics import (
-    IntervalGrid,
-    TriangularGrid,
-    interp_linear,
-    trapezoid_integral,
-    tri_interp,
-)
+from .numerics import IntervalGrid, TriangularGrid, trapezoid_integral
 from .plant_sim import (
     ControllerSpec,
     PlantState,
@@ -57,7 +49,6 @@ from .plant_sim import (
     reference_initial_state,
     simulate,
     simulate_target,
-    step,
     trace_to_csv,
 )
 

@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, resample, sup_bounds
-from .controller import forward_transform
+from .coefficients import CoefficientSet, resample
 from .kernel_solver import KernelField, KernelSet, solve_kappa_c
 from .numerics import lower_mask, trapezoid_integral
 from .plant_sim import PlantState, SimTrace
@@ -43,33 +42,22 @@ class ResidualReport:
     sup_pde2: float
     epsilon_estimate: float
 
-    CSV_HEADER = "sup_bc_diag,sup_bc_bottom,sup_pde1,sup_pde2,epsilon_estimate"
-
     def to_json(self) -> str:
-        return json.dumps({k: getattr(self, k) for k in self.CSV_HEADER.split(",")}, indent=2)
-
-    def to_csv_row(self) -> str:
-        return ",".join(f"{getattr(self, k):.17g}" for k in self.CSV_HEADER.split(","))
+        """The four sup values and epsilon_estimate, in field order."""
+        keys = ("sup_bc_diag", "sup_bc_bottom", "sup_pde1", "sup_pde2", "epsilon_estimate")
+        return json.dumps({k: getattr(self, k) for k in keys}, indent=2)
 
 
 @dataclass
 class StabilityReport:
-    """Fitted exponential decay of phi plus optional certificate extras."""
+    """Fitted exponential decay of phi."""
 
     c1_hat: float
     fit_quality: float
     c2_hat: float
-    lyapunov_monotone: bool | None = None
-    s1_emp: float | None = None
-    s2_emp: float | None = None
-
-    CSV_HEADER = "c1_hat,fit_quality,c2_hat"
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    def to_csv_row(self) -> str:
-        return ",".join(f"{getattr(self, k):.17g}" for k in self.CSV_HEADER.split(","))
 
 
 def _directional_derivatives(dense: np.ndarray, n: int, h: float):
@@ -159,9 +147,6 @@ class EpsilonReport:
     sup_d3: float
     sup_d4: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def epsilon_estimate(
     coeffs: CoefficientSet, exact: KernelSet, approx: KernelSet
@@ -219,13 +204,6 @@ def phi(state: PlantState) -> float:
     return trapezoid_integral(state.u**2, h) + trapezoid_integral(state.v**2, h)
 
 
-def psi1(state: PlantState, kernels: KernelSet) -> float:
-    """Squared size of the transformed pair: ||u||^2 + ||beta||^2."""
-    beta = forward_transform(state, kernels)
-    h = state.grid.h
-    return trapezoid_integral(state.u**2, h) + trapezoid_integral(beta**2, h)
-
-
 def lyapunov_v1(u: np.ndarray, beta: np.ndarray, coeffs: CoefficientSet, p1: float, p2: float) -> float:
     """Weighted functional int p1 e^(-p2 x) u^2 / lam + int e^(p2 x) beta^2 / mu.
 
@@ -256,34 +234,20 @@ def default_p1(coeffs: CoefficientSet) -> float:
 def p2_lower_bound(coeffs: CoefficientSet, kernels: KernelSet, p1: float) -> float:
     """Smallest admissible exponential weight for the Lyapunov functional.
 
-    Uses the empirical sup norms of the computed kappa and c fields rather
-    than their conservative a-priori bounds.
+    The larger of p1 (omega + kappa) / lam and (2 sigma + omega + 2 c + kappa)
+    / lam, where omega and sigma are their largest nodal values, lam its
+    smallest, and kappa and c the sup norms of the computed fields.
     """
     if kernels.kappa is None or kernels.c is None:
         raise ValueError("p2_lower_bound needs kappa and c; run solve_kappa_c")
-    b = sup_bounds(coeffs)
+    omega_max, sigma_max = float(coeffs.omega.max()), float(coeffs.sigma.max())
+    lam_min = float(coeffs.lam.min())
     kap_sup = kernels.kappa.sup()
     c_sup = kernels.c.sup()
     return max(
-        p1 * (b.omega_max + kap_sup) / b.lam_min,
-        (2 * b.sigma_max + b.omega_max + 2 * c_sup + kap_sup) / b.lam_min,
+        p1 * (omega_max + kap_sup) / lam_min,
+        (2 * sigma_max + omega_max + 2 * c_sup + kap_sup) / lam_min,
     )
-
-
-def conservative_sup_bounds(coeffs: CoefficientSet, kernels: KernelSet) -> dict:
-    """A-priori sup bounds on kappa, c, l1, l2 from the kernel sup norms.
-
-    Printed for reference next to the empirical values; the certificates all
-    use the empirical ones.
-    """
-    b = sup_bounds(coeffs)
-    s1, s2 = kernels.k1.sup(), kernels.k2.sup()
-    return {
-        "kappa": b.omega_max * s2 * np.exp(s2),
-        "c": b.omega_max * s1 * np.exp(s1),
-        "l1": s1 * np.exp(s2),
-        "l2": s2 * np.exp(s2),
-    }
 
 
 def norm_equivalence_constants(kernels: KernelSet) -> tuple[float, float]:

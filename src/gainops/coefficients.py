@@ -8,7 +8,7 @@ derivative arrays for lam and mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,41 +158,13 @@ def sample_random(family: CoefficientFamily, seed: int) -> CoefficientSet:
     )
 
 
-@dataclass(frozen=True)
-class SupBounds:
-    lam_max: float
-    lam_min: float
-    mu_max: float
-    mu_min: float
-    sigma_max: float
-    omega_max: float
-    theta_max: float
-    dlam_sup: float
-    dmu_sup: float
-
-
-def sup_bounds(c: CoefficientSet) -> SupBounds:
-    """Nodal extrema of the coefficient arrays."""
-    return SupBounds(
-        lam_max=float(c.lam.max()),
-        lam_min=float(c.lam.min()),
-        mu_max=float(c.mu.max()),
-        mu_min=float(c.mu.min()),
-        sigma_max=float(c.sigma.max()),
-        omega_max=float(c.omega.max()),
-        theta_max=float(c.theta.max()),
-        dlam_sup=float(np.abs(c.dlam).max()),
-        dmu_sup=float(np.abs(c.dmu).max()),
-    )
-
-
 def resample(c: CoefficientSet, n: int) -> dict[str, np.ndarray]:
     """Coefficient arrays linearly interpolated onto an n-cell grid.
 
-    The queries lie in [0, 1], so this is :func:`interp_linear` without its
-    checks, bit for bit.  Interpolation is exact at the nodes: np.interp
-    returns a node's value itself there, so on the coefficients' own grid
-    (n == c.grid.n) the result is a copy of each array.
+    Each array is ``np.interp`` of its samples on the coefficients' own
+    nodes.  Interpolation is exact at the nodes: np.interp returns a node's
+    value itself there, so on the coefficients' own grid (n == c.grid.n) the
+    result is a copy of each array.
     """
     names = ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta")
     if n == c.grid.n:

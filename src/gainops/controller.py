@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import IntervalGrid, interp_unit, row_weights, trapezoid_weights
+from .numerics import IntervalGrid, interp_unit, row_weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel_solver import KernelSet
@@ -34,13 +34,6 @@ class GainVector:
             return self
         x = grid.points
         return GainVector(grid, interp_unit(self.g1, x), interp_unit(self.g2, x))
-
-
-def control_value(gains: GainVector, state: "PlantState") -> float:
-    """U = integral of g1*u + g2*v by the shared trapezoid rule."""
-    gains = gains.resample(state.grid)
-    w = trapezoid_weights(state.grid.n + 1, state.grid.h)
-    return float(w @ (gains.g1 * state.u) + w @ (gains.g2 * state.v))
 
 
 def forward_transform(state: "PlantState", kernels: "KernelSet") -> np.ndarray:

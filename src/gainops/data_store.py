@@ -25,7 +25,7 @@ from .coefficients import (
     sample_random,
     splitmix64,
 )
-from .kernel_solver import KernelField, KernelSet, PlantError, check_boundary_conditions, solve_kernels_batch
+from .kernel_solver import PlantError, solve_kernels_batch
 from .numerics import IntervalGrid, TriangularGrid, read_exact
 
 MAGIC = b"HKDS"
@@ -162,18 +162,3 @@ def read(path) -> Dataset:
         for qi, *arrays, k1i, k2i in zip(q[:, 0], lam, dlam, mu, dmu, sigma, omega, theta, k1, k2)
     ]
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
-
-
-def expected_file_size(n_samples: int, m_coeff: int, n_grid: int) -> int:
-    t = (n_grid + 1) * (n_grid + 2) // 2
-    return 20 + n_samples * 8 * (1 + 7 * m_coeff + 2 * t)
-
-
-def validate_boundary_identities(dataset: Dataset, tol: float = 1e-12) -> None:
-    """Check both kernel boundary identities on every record."""
-    grid = TriangularGrid(dataset.n_grid)
-    for i, r in enumerate(dataset.samples):
-        ks = KernelSet(k1=KernelField(grid, r.k1), k2=KernelField(grid, r.k2))
-        d, b = check_boundary_conditions(r, ks)
-        if d > tol or b > tol:
-            raise ValueError(f"sample {i} violates a boundary identity ({d:.2e}, {b:.2e})")

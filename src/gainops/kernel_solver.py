@@ -320,16 +320,6 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     return [KernelSet(k1=KernelField(grid, v1), k2=KernelField(grid, v2)) for v1, v2 in zip(*values)]
 
 
-def check_boundary_conditions(coeffs: CoefficientSet, ks: KernelSet):
-    """Max residual of the diagonal and bottom-edge identities."""
-    n = ks.grid.n
-    cf = resample(coeffs, n)
-    k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
-    r_diag = np.abs(np.diagonal(k1m) + cf["theta"] / (cf["lam"] + cf["mu"]))
-    r_bottom = np.abs(cf["mu"][0] * k2m[:, 0] - coeffs.q * cf["lam"][0] * k1m[:, 0])
-    return float(r_diag.max()), float(r_bottom.max())
-
-
 # Columns (kappa) or rows (l1, l2) that the Volterra solves take at a time.
 _VOLTERRA_BLOCK = 16
 

@@ -75,6 +75,8 @@ class DeepONetModel:
     _trunk_memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.m_enc < 2:
+            raise ValueError("m_enc must be at least 2")
         if self.branch_dims[-1] != 2 * self.p or self.trunk_dims[-1] != self.p:
             raise ValueError("output widths must be 2p (branch) and p (trunk)")
         if self.branch_dims[0] != 5 * self.m_enc + 1 or self.trunk_dims[0] != 2:
@@ -196,11 +198,11 @@ def forward(model: DeepONetModel, features: np.ndarray, points: np.ndarray) -> n
     slot together with copies of the points and of every trunk array it was
     computed from.  A call reuses it only if its points and all trunk arrays
     have the dtypes of those copies and compare equal to them; otherwise it
-    recomputes the trunk and replaces the slot.  In-place edits, reassigned
-    arrays and set_flat_params therefore all take effect on the next call,
-    and the result is bit for bit that of a fresh trunk evaluation.  The
-    slot holds the trunk copies (51 KB at the default widths), the points
-    and the read-only (P, p) output: about 80 KB after infer_gains at
+    recomputes the trunk and replaces the slot.  In-place edits and
+    reassigned arrays therefore both take effect on the next call, and the
+    result is bit for bit that of a fresh trunk evaluation.  The slot holds
+    the trunk copies (51 KB at the default widths), the points and the
+    read-only (P, p) output: about 80 KB after infer_gains at
     n = 100, and about 23 MB after a dense predict_fields at n = 400, until a
     call with other points replaces it.
     """
@@ -465,15 +467,6 @@ def infer_gains(model: DeepONetModel, coeffs: CoefficientSet, xi_grid: IntervalG
     return GainVector(grid=xi_grid, g1=out[:, 0], g2=out[:, 1])
 
 
-def loss_and_gradients(model: DeepONetModel, feats: np.ndarray, y1: np.ndarray, y2: np.ndarray, pts: np.ndarray):
-    """Loss plus flat analytic gradient over all parameters (for verification)."""
-    z = (feats - model.feat_mean) / model.feat_scale
-    grad = np.empty_like(get_flat_params(model))
-    trunk = _mlp_forward(model.trunk_w, model.trunk_b, _trunk_inputs(pts), keep=True)
-    loss = _loss_and_grads(model, z, y1, y2, trunk, grad)
-    return loss, grad
-
-
 def _loss_and_grads(model: DeepONetModel, z, y1, y2, trunk, grad, work=None):
     """Training MSE on normalized features; its gradient goes into grad.
 
@@ -527,14 +520,6 @@ def _views(model: DeepONetModel, flat: np.ndarray):
 def get_flat_params(model: DeepONetModel) -> np.ndarray:
     parts = [p.ravel() for p in model.parameters()] + [[model.b1], [model.b2]]
     return np.concatenate(parts)
-
-
-def set_flat_params(model: DeepONetModel, flat: np.ndarray) -> None:
-    for arrays, views in zip((model.branch_w, model.branch_b, model.trunk_w, model.trunk_b), _views(model, flat)):
-        for a, v in zip(arrays, views):
-            a[...] = v
-    model.b1 = float(flat[-2])
-    model.b2 = float(flat[-1])
 
 
 def save_model(model: DeepONetModel, path) -> None:

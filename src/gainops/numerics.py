@@ -9,9 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Points this close to a boundary are treated as on it (no extrapolation beyond).
-MEMBERSHIP_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class IntervalGrid:
@@ -43,9 +40,6 @@ class TriangularGrid(IntervalGrid):
     @property
     def node_count(self) -> int:
         return (self.n + 1) * (self.n + 2) // 2
-
-    def flat_index(self, i, j):
-        return i * (i + 1) // 2 + j
 
     def node_indices(self):
         """Row and column indices of every node in canonical order (read-only)."""
@@ -143,28 +137,12 @@ def compose(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     return np.tril(h * (a @ b) - 0.5 * h * ends)
 
 
-def interp_linear(grid_values, x):
+def interp_unit(grid_values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Piecewise-linear interpolation of samples on the uniform [0, 1] grid.
 
-    Exact at nodes.  Queries outside [0, 1] (beyond MEMBERSHIP_TOL) raise;
-    there is no extrapolation.  ``x`` may be a scalar or an array.
-    """
-    v = np.asarray(grid_values, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("interp_linear expects >= 2 grid values")
-    xq = np.asarray(x, dtype=float)
-    if np.any(xq < -MEMBERSHIP_TOL) or np.any(xq > 1.0 + MEMBERSHIP_TOL):
-        raise ValueError(f"query outside [0, 1]: {x}")
-    # np.interp returns the end values beyond the end nodes, so no clip is needed
-    out = interp_unit(v, xq)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
-def interp_unit(grid_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`interp_linear` without its checks, for queries known to lie in [0, 1].
-
-    The same np.interp call on the same nodes, so the result is bit for bit
-    what interp_linear returns.
+    ``grid_values`` holds at least two samples, at the nodes k/(size - 1).
+    Queries ``x`` must lie in [0, 1]; they are not checked.  The result is
+    exact at the nodes, bit for bit.
     """
     return np.interp(x, np.arange(grid_values.size) / (grid_values.size - 1), grid_values)
 
@@ -177,42 +155,6 @@ def tri_quad_weights(grid: TriangularGrid) -> np.ndarray:
     """
     wx = trapezoid_weights(grid.n + 1, grid.h)
     return flatten_lower(wx[:, None] * row_weights(grid.n, grid.h))
-
-
-def tri_interp(field, x: float, xi: float) -> float:
-    """Evaluate a KernelField at an off-grid point of the triangle.
-
-    Bilinear on interior cells; cells cut by the diagonal use barycentric
-    interpolation on the lower triangle half.  Points with xi > x by at most
-    MEMBERSHIP_TOL are clamped onto the diagonal; anything further outside T
-    raises.
-    """
-    grid = field.grid
-    n, h = grid.n, grid.h
-    if xi > x + MEMBERSHIP_TOL or xi < -MEMBERSHIP_TOL or x > 1.0 + MEMBERSHIP_TOL:
-        raise ValueError(f"point ({x}, {xi}) lies outside the triangle")
-    x = min(max(x, 0.0), 1.0)
-    xi = min(max(xi, 0.0), x)
-
-    i0 = min(int(x * n), n - 1)
-    j0 = min(int(xi * n), i0)
-    a = x * n - i0
-    b = xi * n - j0
-    vals = field.values
-    idx = grid.flat_index
-    if j0 < i0:
-        # interior cell: all four corners are grid nodes
-        v00 = vals[idx(i0, j0)]
-        v10 = vals[idx(i0 + 1, j0)]
-        v01 = vals[idx(i0, j0 + 1)]
-        v11 = vals[idx(i0 + 1, j0 + 1)]
-        return float((1 - a) * ((1 - b) * v00 + b * v01) + a * ((1 - b) * v10 + b * v11))
-    # diagonal cell: triangle (i0,i0), (i0+1,i0), (i0+1,i0+1)
-    b = min(b, a)
-    va = vals[idx(i0, i0)]
-    vb = vals[idx(i0 + 1, i0)]
-    vc = vals[idx(i0 + 1, i0 + 1)]
-    return float((1 - a) * va + (a - b) * vb + b * vc)
 
 
 def read_exact(f, nbytes: int, what: str, kind: str) -> bytes:

@@ -46,9 +46,6 @@ class PlantState:
         if self.u.shape != (m,) or self.v.shape != (m,):
             raise ValueError("state arrays must match the grid")
 
-    def copy(self) -> "PlantState":
-        return PlantState(self.grid, self.u.copy(), self.v.copy(), self.t)
-
 
 @dataclass(eq=False)
 class SimTrace:
@@ -122,17 +119,6 @@ def _advance(u, v, dt, cf, q, h, source=-0.0):
     vn[..., :-1] = v[..., :-1] + dt * mu[:-1] * (v[..., 1:] - v[..., :-1]) / h + dt * tht[:-1] * u[..., :-1]
     un[..., 0] = q * vn[..., 0]
     return un, vn
-
-
-def step(state: PlantState, coeffs: CoefficientSet, U: float, dt: float) -> PlantState:
-    """Single explicit step with prescribed boundary input v(1) = U."""
-    grid = state.grid
-    if dt > cfl_dt(coeffs, grid) * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} violates the CFL bound {cfl_dt(coeffs, grid)}")
-    cf = resample(coeffs, grid.n)
-    un, vn = _advance(state.u, state.v, dt, cf, coeffs.q, grid.h)
-    vn[-1] = U
-    return PlantState(grid, un, vn, state.t + dt)
 
 
 def _free(u, v):

@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 
 import gainops as g
+from gainops.coefficients import CoefficientSet, resample
+from gainops.controller import GainVector, forward_transform
+from gainops.data_store import Dataset
+from gainops.kernel_solver import KernelField, KernelSet
+from gainops.neural_op import DeepONetModel, _loss_and_grads, _mlp_forward, _trunk_inputs, _views, get_flat_params
+from gainops.numerics import TriangularGrid, trapezoid_integral, trapezoid_weights
+from gainops.plant_sim import PlantState, _advance, cfl_dt
 
 
 @pytest.fixture(scope="session")
@@ -97,3 +104,76 @@ def as_version_1(data: bytes) -> bytes:
     for at in range(20, 20 + n * size, size):
         out += [data[at : at + 8 * (1 + 5 * m)], data[at + 8 * (1 + 7 * m) : at + size]]
     return b"".join(out)
+
+
+# References that only the tests use: the simulator's stencil and feedback
+# closure one step at a time, the transformed-state norm, the kernel boundary
+# identities, the dataset file size, and the loss/gradient through the flat
+# parameter vector.
+
+
+def step(state: PlantState, coeffs: CoefficientSet, U: float, dt: float) -> PlantState:
+    """Single explicit step with prescribed boundary input v(1) = U."""
+    grid = state.grid
+    if dt > cfl_dt(coeffs, grid) * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt} violates the CFL bound {cfl_dt(coeffs, grid)}")
+    cf = resample(coeffs, grid.n)
+    un, vn = _advance(state.u, state.v, dt, cf, coeffs.q, grid.h)
+    vn[-1] = U
+    return PlantState(grid, un, vn, state.t + dt)
+
+
+def control_value(gains: GainVector, state: "PlantState") -> float:
+    """U = integral of g1*u + g2*v by the shared trapezoid rule."""
+    gains = gains.resample(state.grid)
+    w = trapezoid_weights(state.grid.n + 1, state.grid.h)
+    return float(w @ (gains.g1 * state.u) + w @ (gains.g2 * state.v))
+
+
+def psi1(state: PlantState, kernels: KernelSet) -> float:
+    """Squared size of the transformed pair: ||u||^2 + ||beta||^2."""
+    beta = forward_transform(state, kernels)
+    h = state.grid.h
+    return trapezoid_integral(state.u**2, h) + trapezoid_integral(beta**2, h)
+
+
+def check_boundary_conditions(coeffs: CoefficientSet, ks: KernelSet):
+    """Max residual of the diagonal and bottom-edge identities."""
+    n = ks.grid.n
+    cf = resample(coeffs, n)
+    k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
+    r_diag = np.abs(np.diagonal(k1m) + cf["theta"] / (cf["lam"] + cf["mu"]))
+    r_bottom = np.abs(cf["mu"][0] * k2m[:, 0] - coeffs.q * cf["lam"][0] * k1m[:, 0])
+    return float(r_diag.max()), float(r_bottom.max())
+
+
+def expected_file_size(n_samples: int, m_coeff: int, n_grid: int) -> int:
+    t = (n_grid + 1) * (n_grid + 2) // 2
+    return 20 + n_samples * 8 * (1 + 7 * m_coeff + 2 * t)
+
+
+def validate_boundary_identities(dataset: Dataset, tol: float = 1e-12) -> None:
+    """Check both kernel boundary identities on every record."""
+    grid = TriangularGrid(dataset.n_grid)
+    for i, r in enumerate(dataset.samples):
+        ks = KernelSet(k1=KernelField(grid, r.k1), k2=KernelField(grid, r.k2))
+        d, b = check_boundary_conditions(r, ks)
+        if d > tol or b > tol:
+            raise ValueError(f"sample {i} violates a boundary identity ({d:.2e}, {b:.2e})")
+
+
+def loss_and_gradients(model: DeepONetModel, feats: np.ndarray, y1: np.ndarray, y2: np.ndarray, pts: np.ndarray):
+    """Loss plus flat analytic gradient over all parameters (for verification)."""
+    z = (feats - model.feat_mean) / model.feat_scale
+    grad = np.empty_like(get_flat_params(model))
+    trunk = _mlp_forward(model.trunk_w, model.trunk_b, _trunk_inputs(pts), keep=True)
+    loss = _loss_and_grads(model, z, y1, y2, trunk, grad)
+    return loss, grad
+
+
+def set_flat_params(model: DeepONetModel, flat: np.ndarray) -> None:
+    for arrays, views in zip((model.branch_w, model.branch_b, model.trunk_w, model.trunk_b), _views(model, flat)):
+        for a, v in zip(arrays, views):
+            a[...] = v
+    model.b1 = float(flat[-2])
+    model.b2 = float(flat[-1])

@@ -7,8 +7,9 @@ import pytest
 from gainops import plant_sim
 from gainops.cli import main
 from gainops.coefficients import gamma_family
-from gainops.data_store import expected_file_size
 from gainops.numerics import IntervalGrid
+
+from conftest import expected_file_size
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,7 @@ class TestSolve:
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(-1 / 3, abs=1e-12)
         report = json.loads((workdir / "kernels_residuals.json").read_text())
+        assert list(report) == ["sup_bc_diag", "sup_bc_bottom", "sup_pde1", "sup_pde2", "epsilon_estimate"]
         assert report["sup_pde1"] > 0
 
     def test_rejects_nonpositive_gamma(self, workdir):
@@ -118,6 +120,7 @@ class TestSimulate:
                    "--n", "50", "--out", str(out)])
         assert rc == 0
         report = json.loads((workdir / "exact_stability.json").read_text())
+        assert list(report) == ["c1_hat", "fit_quality", "c2_hat"]
         assert report["c1_hat"] > 0
 
     @pytest.mark.parametrize("horizon", ["1", "2"])

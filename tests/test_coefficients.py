@@ -9,9 +9,8 @@ from gainops.coefficients import (
     resample,
     sample_random,
     splitmix64,
-    sup_bounds,
 )
-from gainops.numerics import IntervalGrid, interp_linear
+from gainops.numerics import IntervalGrid
 
 from conftest import mixed_plants, own_grid_plants
 
@@ -59,19 +58,6 @@ class TestGammaFamily:
             ):
                 fd = (vals[2:] - vals[:-2]) / (2 * h)
                 assert np.abs(fd - dvals[1:-1]).max() <= 2 * h * ddsup + 1e-12
-
-
-class TestSupBounds:
-    def test_gamma1(self):
-        b = sup_bounds(gamma_family(1.0))
-        assert b.lam_min == pytest.approx(1.0)
-        assert b.lam_max == pytest.approx(2.0)
-        assert b.mu_min == pytest.approx(2.0)
-        assert b.mu_max == pytest.approx(np.e + 1.0)
-
-    def test_derivative_sup_gamma5(self):
-        b = sup_bounds(gamma_family(5.0))
-        assert b.dmu_sup == pytest.approx(5 * np.exp(5.0))
 
 
 class TestSampling:
@@ -170,17 +156,18 @@ def test_random_smooth_is_the_gamma_family_plus_perturbations_bitwise(family):
 class TestResample:
     @pytest.mark.parametrize("n", [25, 37, 50, 100, 400])
     def test_bitwise_equal_to_interp_linear(self, n):
+        # the reference is linear interpolation by np.interp on the source grid's nodes
         x = np.arange(n + 1) / n
         for c in mixed_plants(7):
             for name, arr in resample(c, n).items():
-                assert arr.tobytes() == interp_linear(getattr(c, name), x).tobytes()
+                assert arr.tobytes() == np.interp(x, c.grid.points, getattr(c, name)).tobytes()
 
     def test_own_grid_is_a_bitwise_copy(self):
         # np.interp returns a node's own value at a node, signed zeros included
         for c in own_grid_plants():
             x = np.arange(c.grid.n + 1) / c.grid.n
             for name, arr in resample(c, c.grid.n).items():
-                assert arr.tobytes() == interp_linear(getattr(c, name), x).tobytes(), name
+                assert arr.tobytes() == np.interp(x, c.grid.points, getattr(c, name)).tobytes(), name
                 assert not np.shares_memory(arr, getattr(c, name))
 
 

@@ -9,17 +9,15 @@ from gainops.data_store import (
     MAGIC,
     VERSION,
     Dataset,
-    expected_file_size,
     generate,
     read,
     sample_seed,
-    validate_boundary_identities,
     write,
 )
 from gainops.kernel_solver import PlantError, solve_kernels, solve_kernels_batch
 from gainops.numerics import TriangularGrid
 
-from conftest import as_version_1
+from conftest import as_version_1, expected_file_size, validate_boundary_identities
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from gainops.coefficients import resample
 from gainops.kernel_solver import (
     KernelField,
     KernelSet,
-    check_boundary_conditions,
     gain_slice,
     solve_inverse_kernels,
     solve_kappa_c,
@@ -20,7 +19,7 @@ from gainops.kernel_solver import (
 )
 from gainops.numerics import TriangularGrid, trapezoid_weights
 
-from conftest import make_coeffs, mixed_plants
+from conftest import check_boundary_conditions, mixed_plants
 from picard_oracle import picard_kernels
 
 # traced peak of one solve_kernels_batch call at n = 50, by batch size (MB)

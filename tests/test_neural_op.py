@@ -11,7 +11,7 @@ from gainops.data_store import Dataset, generate
 from gainops.coefficients import CoefficientFamily
 from gainops.numerics import TriangularGrid, tri_quad_weights
 
-from conftest import mixed_plants
+from conftest import loss_and_gradients, mixed_plants, set_flat_params
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,10 @@ class TestEncodeInput:
 
     @pytest.mark.parametrize("m_enc", [25, 37, 50, 100, 400])
     def test_blocks_bitwise_equal_to_interp_linear(self, m_enc):
+        # the reference is linear interpolation by np.interp on the source grid's nodes
         xq = np.arange(m_enc) / (m_enc - 1)
         for c in mixed_plants(7):
-            expected = [g.interp_linear(getattr(c, f), xq) for f in ("lam", "mu", "sigma", "omega", "theta")]
+            expected = [np.interp(xq, c.grid.points, getattr(c, f)) for f in ("lam", "mu", "sigma", "omega", "theta")]
             assert nn.encode_input(c, m_enc).tobytes() == np.concatenate([*expected, [c.q]]).tobytes()
 
     def test_m_enc_too_small(self, gamma1):
@@ -115,7 +116,7 @@ class TestGradients:
         pts = rng.uniform(0, 1, size=(6, 2))
         y1 = rng.normal(size=(3, 6))
         y2 = rng.normal(size=(3, 6))
-        _, grad = nn.loss_and_gradients(model, feats, y1, y2, pts)
+        _, grad = loss_and_gradients(model, feats, y1, y2, pts)
         flat = nn.get_flat_params(model)
         eps = 1e-6
         fd = np.zeros_like(flat)
@@ -123,12 +124,12 @@ class TestGradients:
             up, dn = flat.copy(), flat.copy()
             up[k] += eps
             dn[k] -= eps
-            nn.set_flat_params(model, up)
-            lu, _ = nn.loss_and_gradients(model, feats, y1, y2, pts)
-            nn.set_flat_params(model, dn)
-            ld, _ = nn.loss_and_gradients(model, feats, y1, y2, pts)
+            set_flat_params(model, up)
+            lu, _ = loss_and_gradients(model, feats, y1, y2, pts)
+            set_flat_params(model, dn)
+            ld, _ = loss_and_gradients(model, feats, y1, y2, pts)
             fd[k] = (lu - ld) / (2 * eps)
-        nn.set_flat_params(model, flat)
+        set_flat_params(model, flat)
         rel = np.abs(grad - fd) / np.maximum(1e-8, np.maximum(np.abs(grad), np.abs(fd)))
         assert rel.max() <= 1e-4
 
@@ -330,7 +331,7 @@ class TestTrunkSlot:
             changed()
         model.trunk_w[1] = model.trunk_w[1] * 1.5
         changed()
-        nn.set_flat_params(model, 0.9 * nn.get_flat_params(model))
+        set_flat_params(model, 0.9 * nn.get_flat_params(model))
         changed()
 
     def test_edits_of_a_trained_model_take_effect(self, tiny_dataset, gamma1):
@@ -343,7 +344,7 @@ class TestTrunkSlot:
         after = nn.forward(model, feats, pts).tobytes()
         assert after != before
         assert after == fresh_forward(model, feats, pts).tobytes()
-        nn.set_flat_params(model, 0.9 * nn.get_flat_params(model))
+        set_flat_params(model, 0.9 * nn.get_flat_params(model))
         last = nn.forward(model, feats, pts).tobytes()
         assert last != after
         assert last == fresh_forward(model, feats, pts).tobytes()
@@ -497,6 +498,18 @@ class TestModelFile:
             + struct.pack("<I", 2) + struct.pack("<II", 2, 4) + b"\0" * 64
         )
         with pytest.raises(ValueError, match="model file truncated while reading branch weights"):
+            nn.load_model(path)
+
+    def test_one_node_encoding_rejected(self, tmp_path):
+        # m_enc = 1 with branch dims (6, 3, 4) fits every width check, but an
+        # encoding needs two nodes: the reader refuses the file, before any inference
+        path = tmp_path / "model.bin"
+        values = np.concatenate([np.zeros(6 * 3 + 3 * 4 + 2 * 2 + 3 + 4 + 2 + 6), np.ones(6), np.zeros(2)])
+        path.write_bytes(
+            nn.MODEL_MAGIC + struct.pack("<IIII", nn.MODEL_VERSION, 1, 2, 3) + struct.pack("<III", 6, 3, 4)
+            + struct.pack("<I", 2) + struct.pack("<II", 2, 2) + values.astype("<f8").tobytes()
+        )
+        with pytest.raises(ValueError, match="m_enc must be at least 2"):
             nn.load_model(path)
 
 

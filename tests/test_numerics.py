@@ -4,22 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gainops.numerics import (
-    MEMBERSHIP_TOL,
     IntervalGrid,
     TriangularGrid,
     compose,
     flatten_lower,
-    interp_linear,
+    interp_unit,
     lower_indices,
     lower_mask,
     row_weights,
     trapezoid_integral,
     trapezoid_weights,
-    tri_interp,
     tri_quad_weights,
     unflatten_lower,
 )
-from gainops.kernel_solver import KernelField
 
 
 class TestTrapezoid:
@@ -93,29 +90,20 @@ class TestTriangleRule:
 
 
 class TestInterpLinear:
+    """Linear interpolation on the uniform [0, 1] grid, as interp_unit does it."""
+
     def test_linear_function_exact(self):
         x = np.linspace(0, 1, 11)
-        assert interp_linear(2 * x, 0.35) == pytest.approx(0.70, abs=1e-14)
+        assert interp_unit(2 * x, 0.35) == pytest.approx(0.70, abs=1e-14)
 
     def test_node_exactness_bitwise(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=11)
-        assert interp_linear(v, 3 / 10) == v[3]
+        assert interp_unit(v, 3 / 10) == v[3]
 
     def test_quadratic_error_bound(self):
         x = np.linspace(0, 1, 101)
-        assert interp_linear(x**2, 0.5) == pytest.approx(0.25, abs=1e-4)
-
-    def test_queries_within_tolerance_take_the_end_values(self):
-        v = np.random.default_rng(5).normal(size=7)
-        assert interp_linear(v, -0.5 * MEMBERSHIP_TOL) == v[0]
-        assert interp_linear(v, 1.0 + 0.5 * MEMBERSHIP_TOL) == v[-1]
-
-    def test_out_of_range_errors(self):
-        with pytest.raises(ValueError):
-            interp_linear(np.zeros(5), 1.5)
-        with pytest.raises(ValueError):
-            interp_linear(np.zeros(5), -0.1)
+        assert interp_unit(x**2, 0.5) == pytest.approx(0.25, abs=1e-4)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -124,55 +112,8 @@ class TestInterpLinear:
     )
     def test_monotone_bounded(self, vals, x):
         v = np.array(vals)
-        out = interp_linear(v, x)
+        out = interp_unit(v, x)
         assert v.min() - 1e-12 <= out <= v.max() + 1e-12
-
-
-class TestTriInterp:
-    def field(self, n, fn):
-        grid = TriangularGrid(n)
-        x, xi = grid.node_coordinates()
-        return KernelField(grid, fn(x, xi))
-
-    def test_planar_exact(self):
-        f = self.field(10, lambda x, xi: x + xi)
-        assert tri_interp(f, 0.5, 0.25) == pytest.approx(0.75, abs=1e-14)
-
-    def test_node_exact(self):
-        rng = np.random.default_rng(5)
-        grid = TriangularGrid(7)
-        f = KernelField(grid, rng.normal(size=grid.node_count))
-        assert tri_interp(f, 3 / 7, 2 / 7) == pytest.approx(f.values[grid.flat_index(3, 2)], abs=1e-15)
-
-    def test_product_error_bound(self):
-        f = self.field(200, lambda x, xi: x * xi)
-        assert tri_interp(f, 0.7, 0.3) == pytest.approx(0.21, abs=1e-3)
-
-    def test_diagonal_cell_planar(self):
-        f = self.field(10, lambda x, xi: 2 * x - xi)
-        # strictly inside a diagonal-cut cell
-        assert tri_interp(f, 0.57, 0.55) == pytest.approx(2 * 0.57 - 0.55, abs=1e-14)
-
-    def test_clamps_to_diagonal_within_tolerance(self):
-        f = self.field(10, lambda x, xi: x + xi)
-        assert tri_interp(f, 0.5, 0.5 + 5e-13) == pytest.approx(1.0, abs=1e-12)
-
-    def test_outside_triangle_errors(self):
-        f = self.field(10, lambda x, xi: x)
-        with pytest.raises(ValueError):
-            tri_interp(f, 0.3, 0.4)
-        with pytest.raises(ValueError):
-            tri_interp(f, 1.2, 0.1)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(0, 1), st.floats(0, 1))
-    def test_bounded_by_stencil(self, x, frac):
-        rng = np.random.default_rng(11)
-        grid = TriangularGrid(9)
-        f = KernelField(grid, rng.normal(size=grid.node_count))
-        xi = x * frac
-        out = tri_interp(f, x, xi)
-        assert f.values.min() - 1e-12 <= out <= f.values.max() + 1e-12
 
 
 class TestGridsAndFlattening:

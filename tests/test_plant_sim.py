@@ -11,7 +11,7 @@ from gainops.coefficients import resample
 from gainops.numerics import row_weights, trapezoid_integral, trapezoid_weights
 from gainops.plant_sim import BLOCK, CHUNK, _block_length
 
-from conftest import make_coeffs
+from conftest import control_value, make_coeffs, step
 
 
 def transport_coeffs():
@@ -37,20 +37,20 @@ class TestStep:
     def test_zero_state_stays_zero(self, gamma1):
         grid = g.IntervalGrid(50)
         state = g.PlantState(grid, np.zeros(51), np.zeros(51))
-        out = g.step(state, gamma1, 0.0, g.cfl_dt(gamma1, grid))
+        out = step(state, gamma1, 0.0, g.cfl_dt(gamma1, grid))
         assert np.all(out.u == 0) and np.all(out.v == 0)
 
     def test_cfl_violation_rejected(self, gamma1):
         grid = g.IntervalGrid(50)
         state = g.PlantState(grid, np.zeros(51), np.zeros(51))
         with pytest.raises(ValueError):
-            g.step(state, gamma1, 0.0, 10 * g.cfl_dt(gamma1, grid))
+            step(state, gamma1, 0.0, 10 * g.cfl_dt(gamma1, grid))
 
     def test_boundary_identities_after_step(self, gamma1):
         grid = g.IntervalGrid(50)
         rng = np.random.default_rng(1)
         state = g.PlantState(grid, rng.normal(size=51), rng.normal(size=51))
-        out = g.step(state, gamma1, 0.7, g.cfl_dt(gamma1, grid))
+        out = step(state, gamma1, 0.7, g.cfl_dt(gamma1, grid))
         assert out.v[-1] == 0.7
         assert out.u[0] == gamma1.q * out.v[0]
 
@@ -134,7 +134,7 @@ class TestSimulate:
         )
         for s in tr.snapshots:
             assert s.u[0] == gamma1.q * s.v[0]
-            assert s.v[-1] == pytest.approx(g.control_value(gains, s), abs=1e-13)
+            assert s.v[-1] == pytest.approx(control_value(gains, s), abs=1e-13)
 
     @pytest.mark.parametrize("T", [np.inf, np.nan, 0.0, -1.0])
     def test_bad_horizon_rejected(self, gamma1, kernels_g1_n100, T):
@@ -162,7 +162,7 @@ class TestSimulate:
 
 
 def reference_trace(coeffs, init, gains, T, snapshot_stride):
-    """Per-step reference: public ``g.step`` with v(1) from the closure formula.
+    """Per-step reference: ``step`` with v(1) from the closure formula.
 
     Without gains v(1) = 0.  The loop stops after the first state whose phi
     exceeds 1e12, as a blown-up run does.
@@ -190,7 +190,7 @@ def reference_trace(coeffs, init, gains, T, snapshot_stride):
     for m in range(1, n_steps + 1):
         if phis[-1] > 1e12:
             break
-        s = g.step(states[-1], coeffs, 0.0, dt)
+        s = step(states[-1], coeffs, 0.0, dt)
         s.v[-1] = control(s.u, s.v)
         states.append(g.PlantState(grid, s.u, s.v, init.t + m * dt))
         phis.append(phi(states[-1]))
