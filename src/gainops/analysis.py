@@ -9,6 +9,7 @@ norm-equivalence constants between original and transformed states.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -119,16 +120,17 @@ def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField)
     cf = resample(coeffs, n)
     diag, bc_bottom, r1, r2 = _residual_terms(cf, coeffs.q, k1.as_matrix(), k2.as_matrix(), n, h)
     bc_diag = diag + cf["theta"]
-    summed = np.abs(bc_diag)[:, None] + np.abs(bc_bottom)[:, None] + np.abs(r1) + np.abs(r2)
+    a_diag, a_bottom, a1, a2 = np.abs(bc_diag), np.abs(bc_bottom), np.abs(r1), np.abs(r2)
+    summed = a_diag[:, None] + a_bottom[:, None] + a1 + a2
     return ResidualReport(
         bc_diag=bc_diag,
         bc_bottom=bc_bottom,
         pde1=r1,
         pde2=r2,
-        sup_bc_diag=float(np.abs(bc_diag).max()),
-        sup_bc_bottom=float(np.abs(bc_bottom).max()),
-        sup_pde1=float(np.abs(r1).max()),
-        sup_pde2=float(np.abs(r2).max()),
+        sup_bc_diag=float(a_diag.max()),
+        sup_bc_bottom=float(a_bottom.max()),
+        sup_pde1=float(a1.max()),
+        sup_pde2=float(a2.max()),
         epsilon_estimate=float(summed[lower_mask(n + 1)].max()),
     )
 
@@ -204,24 +206,37 @@ def phi(state: PlantState) -> float:
     return trapezoid_integral(state.u**2, h) + trapezoid_integral(state.v**2, h)
 
 
+@functools.lru_cache(maxsize=16)
+def _lyapunov_weights(n: int, p1: float, p2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x_i = i/n, p1 e^(-p2 x) and e^(p2 x), built once per (n, p1, p2) and read-only."""
+    x = np.arange(n + 1) / n
+    eu = p1 * np.exp(-p2 * x)
+    eb = np.exp(p2 * x)
+    x.flags.writeable = eu.flags.writeable = eb.flags.writeable = False
+    return x, eu, eb
+
+
 def lyapunov_v1(u: np.ndarray, beta: np.ndarray, coeffs: CoefficientSet, p1: float, p2: float) -> float:
     """Weighted functional int p1 e^(-p2 x) u^2 / lam + int e^(p2 x) beta^2 / mu.
 
     lam and mu are what :func:`resample` gives on the n = u.size - 1 grid:
     the coefficient arrays themselves on their own grid, else interpolated.
+    The nodes and the exponential factors depend on (n, p1, p2) only and are
+    built once per triple; lam and mu are read, and the divisions and both
+    integrals done, on every call, so an edit of the plant's arrays shows.
     """
     if p1 <= 0:
         raise ValueError("p1 must be positive")
     n = u.size - 1
-    x = np.arange(n + 1) / n
+    x, eu, eb = _lyapunov_weights(n, p1, p2)
     h = 1.0 / n
     if n == coeffs.grid.n:
         lam, mu = coeffs.lam, coeffs.mu
     else:  # resample's np.interp call, for the two arrays read here only
         lam = np.interp(x, coeffs.grid.points, coeffs.lam)
         mu = np.interp(x, coeffs.grid.points, coeffs.mu)
-    wu = p1 * np.exp(-p2 * x) / lam
-    wb = np.exp(p2 * x) / mu
+    wu = eu / lam
+    wb = eb / mu
     return trapezoid_integral(wu * u * u, h) + trapezoid_integral(wb * beta * beta, h)
 
 

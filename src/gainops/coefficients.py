@@ -129,20 +129,23 @@ def sample_random(family: CoefficientFamily, seed: int) -> CoefficientSet:
     # sup of each perturbation is capped at 0.8 so lam >= 0.2 and mu >= 1.2
     cap = min(family.amplitude, 0.8)
 
-    def perturbation():
+    def perturbation(deriv=False):
+        """Values a cos(pi f x + phase) + b (x - 0.5), and with ``deriv`` also their x-derivative."""
         a = 0.7 * cap * rng.uniform(-1.0, 1.0)
         b = 0.6 * cap * rng.uniform(-1.0, 1.0)
         f = rng.integers(1, 4)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        vals = a * np.cos(np.pi * f * x + phase) + b * (x - 0.5)
-        deriv = -a * np.pi * f * np.sin(np.pi * f * x + phase) + b
-        return vals, deriv
+        arg = np.pi * f * x + phase
+        vals = a * np.cos(arg) + b * (x - 0.5)
+        if not deriv:
+            return vals
+        return vals, -a * np.pi * f * np.sin(arg) + b
 
-    p_lam, dp_lam = perturbation()
-    p_mu, dp_mu = perturbation()
-    p_sig, _ = perturbation()
-    p_omg, _ = perturbation()
-    p_tht, _ = perturbation()
+    p_lam, dp_lam = perturbation(deriv=True)
+    p_mu, dp_mu = perturbation(deriv=True)
+    p_sig = perturbation()
+    p_omg = perturbation()
+    p_tht = perturbation()
     lam, dlam, mu, dmu, sigma, omega, theta, q = _gamma_shape(gamma, grid)
     q += 0.5 * family.amplitude * rng.uniform(-1.0, 1.0)
     return CoefficientSet(

@@ -14,7 +14,9 @@ P = S^BLOCK and fills each block of BLOCK states with one matrix product
 from the block before it; a short run steps with S itself, one product per
 state.  States go into a buffer of at most CHUNK states; u(0), the actuated
 v(1), phi, the snapshots and the blow-up stop are computed from the states
-of a chunk at once, and the trajectory itself is never kept.
+of a chunk at once, and the trajectory itself is never kept.  A chunk's
+snapshots, its steps on the stride and the run's last step, are built by one
+``_full`` call on those buffer rows and hold row views of its result.
 """
 
 from __future__ import annotations
@@ -171,6 +173,14 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     stops with ``blew_up`` set at the first step whose phi exceeds 1e12 or
     is non-finite.  Only those four records and the snapshots outlive a
     chunk.
+
+    Snapshots are taken at step 0, at every step that is a multiple of
+    ``snapshot_stride`` and at the last step (none if the stride is not
+    positive).  A chunk finds its snapshot steps with one ``arange``, takes
+    their rows of the buffer as a strided view (an index array only when the
+    run's last step is off the stride), and completes them to (u, v) with
+    one ``_full`` call; each ``PlantState`` holds a row of that call's
+    arrays and the time ``init.t + m * dt`` of its step m.
     """
     grid = init.grid
     n_steps = step_count(coeffs, grid, T)
@@ -198,8 +208,10 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
         U = Y @ a if actuate else np.zeros(len(Y))
         return np.stack((np.einsum("ij,ij,j->i", Y, Y, wy) + w[0] * u0 * u0 + w[-1] * U * U, u0, v0, U))
 
-    def snapshot(y, U, m):
-        return PlantState(grid, *_full(y, q, U), init.t + m * dt)
+    def snapshots_at(Y, U, steps):
+        """Snapshots of the states in the rows of Y at the given steps, from one ``_full`` call."""
+        us, vs = _full(Y, q, U)
+        return [PlantState(grid, u, v, init.t + m * dt) for u, v, m in zip(us, vs, steps)]
 
     # rows 0 .. block - 1 hold the last block states, up to state done in row
     # block - 1 (only state 0 before the first chunk); new state done + i
@@ -209,7 +221,9 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     buf = np.empty((block + rows, 2 * n))
     buf[block - 1] = _free(init.u, init.v)
     chunks = [records(buf[block - 1 : block])]
-    snapshots = [snapshot(buf[block - 1], chunks[0][3, 0], 0)] if snapshot_stride > 0 else []
+    # a stride past the run snapshots what n_steps does: step 0 and the last
+    stride = min(snapshot_stride, n_steps)
+    snapshots = snapshots_at(buf[block - 1 : block], chunks[0][3, :1], [0]) if stride > 0 else []
     done = 0
     blew_up = False
     # past a blow-up the rest of its chunk may overflow; it is not recorded.
@@ -233,10 +247,17 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
                 m = int(bad[0]) + 1
                 rec = rec[:, :m]
             chunks.append(rec)
-            if snapshot_stride > 0:
-                for i in range(1, m + 1):
-                    if (done + i) % snapshot_stride == 0 or done + i == n_steps:
-                        snapshots.append(snapshot(buf[block - 1 + i], rec[3, i - 1], done + i))
+            if stride > 0:
+                # new states i = first, first + stride, .. <= m are the chunk's
+                # steps done + i on the stride: a strided view of the buffer;
+                # the last step of the run joins them through an index array
+                first = stride - done % stride
+                i = np.arange(first, m + 1, stride)
+                take = slice(block - 1 + first, block + m, stride)
+                if done + m == n_steps and (m - first) % stride:
+                    i = np.append(i, m)
+                    take = block - 1 + i
+                snapshots += snapshots_at(buf[take], rec[3, i - 1], (done + i).tolist())
             done += m
             buf[:block] = buf[m : m + block]
 

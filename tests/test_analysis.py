@@ -6,6 +6,7 @@ import pytest
 import gainops as g
 from gainops.analysis import (
     _directional_derivatives,
+    _lyapunov_weights,
     default_p1,
     epsilon_estimate,
     fit_decay,
@@ -320,6 +321,44 @@ class TestLyapunov:
                 np.exp(p2 * x) / mu * beta * beta, 1.0 / n
             )
             assert lyapunov_v1(u, beta, c, p1, p2).hex() == expected.hex()
+
+    @staticmethod
+    def formula(u, beta, c, p1, p2):
+        n = u.size - 1
+        x = np.arange(n + 1) / n
+        cf = resample(c, n)
+        return trapezoid_integral(p1 * np.exp(-p2 * x) / cf["lam"] * u * u, 1.0 / n) + trapezoid_integral(
+            np.exp(p2 * x) / cf["mu"] * beta * beta, 1.0 / n
+        )
+
+    def test_cached_weights_keep_the_formula_bits_across_interleaved_calls(self):
+        rng = np.random.default_rng(5)
+        plants = [g.gamma_family(1.0), g.sample_random(g.CoefficientFamily("random_smooth"), 11)]
+        states = {n: rng.normal(size=(2, n + 1)) for n in (25, 100)}
+        pairs = [(0.5, 0.0), (0.5, 2.0), (0.25, 2.0), (0.125, 4.5)]
+        # twice round: the second pass reads every weight from the cache
+        for _ in range(2):
+            for p1, p2 in pairs:
+                for n, (u, beta) in states.items():
+                    for c in plants:
+                        assert lyapunov_v1(u, beta, c, p1, p2).hex() == self.formula(u, beta, c, p1, p2).hex()
+
+    def test_cached_weights_are_read_only(self):
+        lyapunov_v1(np.ones(26), np.ones(26), g.gamma_family(1.0), 0.5, 2.0)
+        for a in _lyapunov_weights(25, 0.5, 2.0):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize("n", [25, 100])
+    def test_in_place_edit_of_lam_shows(self, n):
+        c = g.gamma_family(2.0)
+        u, beta = np.random.default_rng(n).normal(size=(2, n + 1))
+        before = lyapunov_v1(u, beta, c, 0.5, 1.5)
+        c.lam[:] *= 2.0
+        after = lyapunov_v1(u, beta, c, 0.5, 1.5)
+        assert after != before
+        assert after.hex() == self.formula(u, beta, c, 0.5, 1.5).hex()
 
     def test_monotone_along_transformed_closed_loop(self, gamma1, kernels_g1_n100):
         # the closed loop in transformed coordinates: beta from the forward

@@ -251,6 +251,42 @@ def test_blowup_inside_a_block_stops_at_the_per_step_reference(gamma5):
     assert_matches_reference(tr, want, snaps)
 
 
+@pytest.mark.parametrize("stride", [7, 783, 1000])
+def test_strided_snapshots_are_the_stride_one_snapshots_bitwise(stride):
+    coeffs = g.sample_random(g.CoefficientFamily("random_smooth"), 7)
+    n = 40
+    grid = g.IntervalGrid(n)
+    gains = g.gain_slice(g.solve_kernels(coeffs, g.TriangularGrid(n)))
+    init = g.PlantState(grid, np.ones(n + 1), np.sin(grid.points), 0.3)
+    # more than two full chunks and a partial one; the last step, 2349 =
+    # 3 * 783, is on stride 783 and off strides 7 and 1000
+    T = (2 * CHUNK + 300.5) * g.cfl_dt(coeffs, grid)
+    ctrl = g.ControllerSpec.feedback(gains)
+    every = g.simulate(coeffs, init, ctrl, T, snapshot_stride=1)
+    n_steps = 2 * CHUNK + 301
+    assert not every.blew_up and len(every.snapshots) == len(every.times) == n_steps + 1
+    assert np.array([s.t for s in every.snapshots]).tobytes() == every.times.tobytes()
+    tr = g.simulate(coeffs, init, ctrl, T, snapshot_stride=stride)
+    steps = [m for m in range(n_steps + 1) if m % stride == 0 or m == n_steps]
+    assert [s.t for s in tr.snapshots] == [every.times[m] for m in steps]
+    for got, m in zip(tr.snapshots, steps):
+        ref = every.snapshots[m]
+        assert got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
+        assert np.float64(got.t).tobytes() == np.float64(ref.t).tobytes()
+
+
+def test_stride_one_snapshots_stop_at_the_blowup(gamma5):
+    n, T = 16, 5.0
+    grid = g.IntervalGrid(n)
+    tr = g.simulate(gamma5, g.reference_initial_state(grid), g.ControllerSpec.open_loop(), T, snapshot_stride=1)
+    assert tr.blew_up and tr.phi[-1] > 1e12 and np.all(tr.phi[:-1] <= 1e12)
+    # one snapshot per recorded step, the blow-up step last
+    assert np.array([s.t for s in tr.snapshots]).tobytes() == tr.times.tobytes()
+    assert np.array([s.u[0] for s in tr.snapshots]).tobytes() == tr.u_boundary.tobytes()
+    assert np.array([s.v[0] for s in tr.snapshots]).tobytes() == tr.v_boundary.tobytes()
+    assert np.array([s.v[-1] for s in tr.snapshots]).tobytes() == tr.control.tobytes()
+
+
 def test_overflowing_block_matrix_stops_as_a_blowup():
     # one step multiplies u by about 1 + dt sigma = 4.5e5, so S^BLOCK overflows
     c = make_coeffs(m=101, sigma=lambda x: 1e7)
