@@ -21,22 +21,17 @@ from .numerics import lower_mask, trapezoid_integral
 from .plant_sim import PlantState, SimTrace
 
 
-@dataclass(eq=False)
+@dataclass
 class ResidualReport:
-    """Boundary residual arrays (over x) and interior residual fields (over T).
+    """Sups of the boundary residuals (over x) and of the interior ones (over T).
 
-    bc_diag is the diagonal identity residual, bc_bottom the bottom-edge one;
-    pde1 and pde2 are the interior equation residuals of the pair, evaluated
-    with centered differences along grid lines (one-sided at edges).  The two
-    corner nodes sit on single-node rows or columns, have no stencil in one
-    direction, and carry zero in both fields.  epsilon_estimate is the
-    node-wise maximum of the summed residual terms.
+    sup_bc_diag is that of the diagonal identity residual, sup_bc_bottom of
+    the bottom-edge one; sup_pde1 and sup_pde2 are those of the interior
+    equation residuals of the pair, evaluated with centered differences
+    along grid lines (one-sided at edges; see :func:`_residual_terms`).
+    epsilon_estimate is the node-wise maximum of the summed residual terms.
     """
 
-    bc_diag: np.ndarray
-    bc_bottom: np.ndarray
-    pde1: np.ndarray
-    pde2: np.ndarray
     sup_bc_diag: float
     sup_bc_bottom: float
     sup_pde1: float
@@ -44,9 +39,7 @@ class ResidualReport:
     epsilon_estimate: float
 
     def to_json(self) -> str:
-        """The four sup values and epsilon_estimate, in field order."""
-        keys = ("sup_bc_diag", "sup_bc_bottom", "sup_pde1", "sup_pde2", "epsilon_estimate")
-        return json.dumps({k: getattr(self, k) for k in keys}, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass
@@ -118,15 +111,10 @@ def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField)
     if n < 3:
         raise ValueError("residual stencils need n >= 3")
     cf = resample(coeffs, n)
-    diag, bc_bottom, r1, r2 = _residual_terms(cf, coeffs.q, k1.as_matrix(), k2.as_matrix(), n, h)
-    bc_diag = diag + cf["theta"]
-    a_diag, a_bottom, a1, a2 = np.abs(bc_diag), np.abs(bc_bottom), np.abs(r1), np.abs(r2)
+    diag, bottom, r1, r2 = _residual_terms(cf, coeffs.q, k1.as_matrix(), k2.as_matrix(), n, h)
+    a_diag, a_bottom, a1, a2 = np.abs(diag + cf["theta"]), np.abs(bottom), np.abs(r1), np.abs(r2)
     summed = a_diag[:, None] + a_bottom[:, None] + a1 + a2
     return ResidualReport(
-        bc_diag=bc_diag,
-        bc_bottom=bc_bottom,
-        pde1=r1,
-        pde2=r2,
         sup_bc_diag=float(a_diag.max()),
         sup_bc_bottom=float(a_bottom.max()),
         sup_pde1=float(a1.max()),

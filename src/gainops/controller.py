@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import IntervalGrid, interp_unit, row_weights
+from .numerics import IntervalGrid, row_weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel_solver import KernelSet
@@ -32,8 +32,8 @@ class GainVector:
     def resample(self, grid: IntervalGrid) -> "GainVector":
         if grid.n == self.grid.n:
             return self
-        x = grid.points
-        return GainVector(grid, interp_unit(self.g1, x), interp_unit(self.g2, x))
+        x, nodes = grid.points, self.grid.points
+        return GainVector(grid, np.interp(x, nodes, self.g1), np.interp(x, nodes, self.g2))
 
 
 def forward_transform(state: "PlantState", kernels: "KernelSet") -> np.ndarray:

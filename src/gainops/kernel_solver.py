@@ -14,7 +14,10 @@ and on the bottom edge for k2,
     mu(0) k2(x, 0) = q lam(0) k1(x, 0).
 
 The auxiliary fields kappa, c and the inverse kernels l1, l2 solve Volterra
-equations of the second kind driven by (k1, k2).
+equations of the second kind driven by (k1, k2).  The turn
+(x, xi) -> (1 - xi, 1 - x) maps the triangle onto itself and kappa's
+equation onto the one l1 and l2 solve, so all four side kernels come from
+one blocked Volterra solve (c is then a product with kappa).
 """
 
 from __future__ import annotations
@@ -320,117 +323,92 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     return [KernelSet(k1=KernelField(grid, v1), k2=KernelField(grid, v2)) for v1, v2 in zip(*values)]
 
 
-# Columns (kappa) or rows (l1, l2) that the Volterra solves take at a time.
+# Rows that the Volterra solve takes at a time: rows of l1, l2, columns of kappa.
 _VOLTERRA_BLOCK = 16
 
 
-def _volterra_matrix(k2m: np.ndarray, h: float) -> np.ndarray:
-    """I - M for the trapezoid rule of int k2 on the triangle, k2m lower-triangular.
+def _turn(m: np.ndarray) -> np.ndarray:
+    """The view of ``m`` under the turn (x, xi) -> (1 - xi, 1 - x), which maps the triangle onto itself."""
+    return m.T[::-1, ::-1]
 
-    M is h*k2 below the diagonal and h/2*k2(j, j) on it, the half weight of
-    the integral's endpoint at the unknown's own node.  The diagonal holds
-    the pivots 1 - h/2*k2(j, j).
+
+def _volterra(k2m: np.ndarray, h: float, data: np.ndarray) -> np.ndarray:
+    """Solve l = d + int_xi^x k2(x, s) l(s, xi) ds for each field d of the stack ``data``.
+
+    Under the trapezoid rule l(x, x) = d(x, x), and the strictly lower parts
+    Y solve (I - M) Y = tril(d + h/2 k2 l(xi, xi), -1), where M is h*k2
+    below the diagonal and h/2*k2(j, j) on it: the newest node enters its
+    own integral through the trapezoid endpoint.  Row x_m needs only the
+    rows of smaller x, so every field, one right-hand side, is solved
+    top-down in blocks of _VOLTERRA_BLOCK rows: one product brings in every
+    row already solved, then the block's own lower-triangular diagonal
+    block of I - M is inverted.  Those inverses come from one batched LAPACK
+    call, each block padded to _VOLTERRA_BLOCK with the identity; tril drops
+    what LAPACK's pivoting rounds above the diagonal.  The pivots
+    1 - h/2*k2(m, m), m >= 1, are the caller's to check.
     """
+    n = k2m.shape[0] - 1
     a = k2m * -h
     np.fill_diagonal(a, 1.0 - 0.5 * h * np.diagonal(k2m))
-    return a
-
-
-def _block_inverses(a: np.ndarray, blocks: list[tuple[int, int]]) -> np.ndarray:
-    """Inverses of the lower-triangular diagonal blocks a[s:e, s:e], from one batched LAPACK call.
-
-    Each block is padded to _VOLTERRA_BLOCK with the identity, which leaves
-    its inverse in the leading corner.  An inverse of a lower-triangular
-    block is lower-triangular; tril drops what LAPACK's pivoting rounds
-    above the diagonal.
-    """
+    dl = np.diagonal(data, axis1=1, axis2=2)  # l and d share their diagonal
+    l = data + 0.5 * h * k2m * dl[:, None, :]
+    d = np.arange(n + 1)
+    l[:, d, d] = 0.0
+    blocks = [(m0, min(m0 + _VOLTERRA_BLOCK, n + 1)) for m0 in range(1, n + 1, _VOLTERRA_BLOCK)]
     stack = np.tile(np.eye(_VOLTERRA_BLOCK), (len(blocks), 1, 1))
-    for b, (s, e) in enumerate(blocks):
-        stack[b, : e - s, : e - s] = a[s:e, s:e]
-    return np.tril(np.linalg.inv(stack))
+    for b, (m0, m1) in enumerate(blocks):
+        stack[b, : m1 - m0, : m1 - m0] = a[m0:m1, m0:m1]
+    for (m0, m1), inv in zip(blocks, np.tril(np.linalg.inv(stack))):
+        cols = l[:, :, :m1]  # columns at or right of m1 are zero in these rows
+        cols[:, m0:m1] = inv[: m1 - m0, : m1 - m0] @ (cols[:, m0:m1] - a[m0:m1, :m0] @ cols[:, :m0])
+    l[:, d, d] = dl
+    return l
 
 
 def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
-    """Fill kappa and c by Volterra solves marched over blocks of xi columns.
+    """Fill kappa and c; kappa is the l-equation of :func:`_volterra` on the turned triangle.
 
     Per row (fixed x) kappa satisfies
 
-        kappa(x, xi) = omega(x) k2(x, xi) + int_xi^x kappa(x, s) k2(s, xi) ds
+        kappa(x, xi) = omega(x) k2(x, xi) + int_xi^x kappa(x, s) k2(s, xi) ds.
 
-    under the trapezoid rule.  kappa(x, x) = omega(x) k2(x, x); its endpoint
-    term moves to the right-hand side, so the strictly lower part X solves
-    X (I - M) = R, with M from :func:`_volterra_matrix` and
-    R = tril((omega + h/2 kappa(x, x)) k2, -1).  Column xi_j needs only the
-    columns to its right, so the solve runs right to left in blocks of
-    _VOLTERRA_BLOCK columns: one product brings in every column already
-    solved, then the block's own lower-triangular diagonal block of I - M
-    is inverted.  c = omega k1 + int kappa k1 on the triangle.
+    The turn T(m)(x, xi) = m(1 - xi, 1 - x) maps the triangle onto itself
+    and this equation onto l = d + int_xi^x k2(x, s) l(s, xi) ds with kernel
+    T(k2) and data T(omega k2), so kappa = T(l), from the same blocked
+    solve as l1 and l2: all four side kernels come from one solver.  Under
+    the turn the pivot 1 - h/2*k2(j, j) of column xi_j, j < n, is that of
+    row n - j.  c = omega k1 + int kappa k1 on the triangle.
     """
-    n, h = ks.grid.n, ks.grid.h
+    grid = ks.grid
+    n, h = grid.n, grid.h
     omg = resample(coeffs, n)["omega"]
     k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
-    a = _volterra_matrix(k2m, h)
-    pivot = np.diagonal(a)
-    bad = np.flatnonzero(np.abs(pivot[:n]) < PIVOT_TOL)
+    bad = np.flatnonzero(np.abs(1.0 - 0.5 * h * np.diagonal(k2m)[:n]) < PIVOT_TOL)
     if bad.size:
         raise ZeroDivisionError(f"singular Volterra pivot at row {bad[0] + 1}, xi index {bad[0]}")
 
-    dk = omg * np.diagonal(k2m)
-    kap = (omg + 0.5 * h * dk)[:, None] * k2m
-    np.fill_diagonal(kap, 0.0)
-    blocks = [(max(j1 - _VOLTERRA_BLOCK, 0), j1) for j1 in range(n, 0, -_VOLTERRA_BLOCK)]
-    for (j0, j1), inv in zip(blocks, _block_inverses(a, blocks)):
-        rows = kap[j0 + 1 :]  # rows at or above j0 are zero in these columns
-        rows[:, j0:j1] = (rows[:, j0:j1] - rows[:, j1:] @ a[j1:, j0:j1]) @ inv[: j1 - j0, : j1 - j0]
-    np.fill_diagonal(kap, dk)
+    kap = _turn(_volterra(_turn(k2m), h, _turn(omg[:, None] * k2m)[None])[0])
     cm = omg[:, None] * k1m + compose(kap, k1m, h)
-
-    grid = ks.grid
-    return replace(
-        ks,
-        kappa=KernelField.from_matrix(grid, kap),
-        c=KernelField.from_matrix(grid, cm),
-    )
+    return replace(ks, kappa=KernelField.from_matrix(grid, kap), c=KernelField.from_matrix(grid, cm))
 
 
 def solve_inverse_kernels(ks: KernelSet) -> KernelSet:
-    """Fill the inverse-transformation kernels l1, l2 by blocked Volterra solves.
+    """Fill the inverse-transformation kernels l1, l2 by one blocked Volterra solve.
 
     For each fixed xi the pair satisfies
 
         l_i(x, xi) = k_i(x, xi) + int_xi^x k2(x, s) l_i(s, xi) ds,
 
-    so l_i(x, x) = k_i(x, x), and the strictly lower parts Y_i solve
-    (I - M) Y_i = tril(k_i + h/2 k2 l_i(xi, xi), -1), with M from
-    :func:`_volterra_matrix`: the newest node enters its own integral
-    through the trapezoid endpoint.  Row x_m needs only the rows of smaller
-    x, so both kernels, one right-hand side, are solved top-down in blocks of
-    _VOLTERRA_BLOCK rows: one product brings in every row already solved,
-    then the block's own lower-triangular diagonal block is inverted.
+    the equation :func:`_volterra` solves, here with data (k1, k2).
     """
-    n, h = ks.grid.n, ks.grid.h
+    grid = ks.grid
     k = np.stack([ks.k1.as_matrix(), ks.k2.as_matrix()])
-    a = _volterra_matrix(k[1], h)
-    pivot = np.diagonal(a)
-    bad = np.flatnonzero(np.abs(pivot[1:]) < PIVOT_TOL)
+    bad = np.flatnonzero(np.abs(1.0 - 0.5 * grid.h * np.diagonal(k[1])[1:]) < PIVOT_TOL)
     if bad.size:
         raise ZeroDivisionError(f"singular inverse-kernel pivot at x index {bad[0] + 1}")
 
-    dl = np.diagonal(k, axis1=1, axis2=2)  # l and k share their diagonal
-    l = k + 0.5 * h * k[1] * dl[:, None, :]
-    d = np.arange(n + 1)
-    l[:, d, d] = 0.0
-    blocks = [(m0, min(m0 + _VOLTERRA_BLOCK, n + 1)) for m0 in range(1, n + 1, _VOLTERRA_BLOCK)]
-    for (m0, m1), inv in zip(blocks, _block_inverses(a, blocks)):
-        cols = l[:, :, :m1]  # columns at or right of m1 are zero in these rows
-        cols[:, m0:m1] = inv[: m1 - m0, : m1 - m0] @ (cols[:, m0:m1] - a[m0:m1, :m0] @ cols[:, :m0])
-    l[:, d, d] = dl
-    grid = ks.grid
-    return replace(
-        ks,
-        l1=KernelField.from_matrix(grid, l[0]),
-        l2=KernelField.from_matrix(grid, l[1]),
-    )
+    l1, l2 = _volterra(k[1], grid.h, k)
+    return replace(ks, l1=KernelField.from_matrix(grid, l1), l2=KernelField.from_matrix(grid, l2))
 
 
 def gain_slice(ks: KernelSet) -> GainVector:

@@ -20,7 +20,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .controller import GainVector
 from .data_store import Dataset
-from .numerics import IntervalGrid, TriangularGrid, interp_unit, read_exact, tri_quad_weights
+from .numerics import IntervalGrid, TriangularGrid, read_exact, tri_quad_weights
 
 MODEL_MAGIC = b"NOM1"
 MODEL_VERSION = 1
@@ -132,7 +132,8 @@ def encode_input(coeffs: CoefficientSet, m_enc: int) -> np.ndarray:
     if m_enc < 2:
         raise ValueError("m_enc must be at least 2")
     xq = np.arange(m_enc) / (m_enc - 1)
-    blocks = [interp_unit(arr, xq) for arr in (coeffs.lam, coeffs.mu, coeffs.sigma, coeffs.omega, coeffs.theta)]
+    fields = (coeffs.lam, coeffs.mu, coeffs.sigma, coeffs.omega, coeffs.theta)
+    blocks = [np.interp(xq, coeffs.grid.points, arr) for arr in fields]
     return np.concatenate([*blocks, [coeffs.q]])
 
 

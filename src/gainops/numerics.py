@@ -137,16 +137,6 @@ def compose(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     return np.tril(h * (a @ b) - 0.5 * h * ends)
 
 
-def interp_unit(grid_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation of samples on the uniform [0, 1] grid.
-
-    ``grid_values`` holds at least two samples, at the nodes k/(size - 1).
-    Queries ``x`` must lie in [0, 1]; they are not checked.  The result is
-    exact at the nodes, bit for bit.
-    """
-    return np.interp(x, np.arange(grid_values.size) / (grid_values.size - 1), grid_values)
-
-
 def tri_quad_weights(grid: TriangularGrid) -> np.ndarray:
     """Flat canonical weights realizing the double trapezoid integral over T.
 

@@ -7,6 +7,7 @@ import gainops as g
 from gainops.analysis import (
     _directional_derivatives,
     _lyapunov_weights,
+    _residual_terms,
     default_p1,
     epsilon_estimate,
     fit_decay,
@@ -60,11 +61,13 @@ class TestResidualOperators:
 
     def test_interior_fields_vanish_off_the_stencil_nodes(self, gamma5):
         n = 20
-        ks = solve_kernels(gamma5, TriangularGrid(n))
-        rep = residual_operators(gamma5, ks.k1, ks.k2)
+        grid = TriangularGrid(n)
+        ks = solve_kernels(gamma5, grid)
+        cf = resample(gamma5, n)
+        _, _, pde1, pde2 = _residual_terms(cf, gamma5.q, ks.k1.as_matrix(), ks.k2.as_matrix(), n, grid.h)
         off = ~np.tril(np.ones((n + 1, n + 1), dtype=bool))
         off[0, 0] = off[n, n] = True
-        for r in (rep.pde1, rep.pde2):
+        for r in (pde1, pde2):
             assert r[off].tobytes() == bytes(8 * off.sum())
             assert np.all(r[~off] != 0)
 

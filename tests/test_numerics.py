@@ -8,7 +8,6 @@ from gainops.numerics import (
     TriangularGrid,
     compose,
     flatten_lower,
-    interp_unit,
     lower_indices,
     lower_mask,
     row_weights,
@@ -87,33 +86,6 @@ class TestTriangleRule:
         assert np.abs(out - ref).max() <= 1e-14
         assert np.all(np.diagonal(out) == 0.0)
         assert np.all(np.triu(out, 1) == 0.0)
-
-
-class TestInterpLinear:
-    """Linear interpolation on the uniform [0, 1] grid, as interp_unit does it."""
-
-    def test_linear_function_exact(self):
-        x = np.linspace(0, 1, 11)
-        assert interp_unit(2 * x, 0.35) == pytest.approx(0.70, abs=1e-14)
-
-    def test_node_exactness_bitwise(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=11)
-        assert interp_unit(v, 3 / 10) == v[3]
-
-    def test_quadratic_error_bound(self):
-        x = np.linspace(0, 1, 101)
-        assert interp_unit(x**2, 0.5) == pytest.approx(0.25, abs=1e-4)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.floats(-10, 10), min_size=2, max_size=20),
-        st.floats(0, 1),
-    )
-    def test_monotone_bounded(self, vals, x):
-        v = np.array(vals)
-        out = interp_unit(v, x)
-        assert v.min() - 1e-12 <= out <= v.max() + 1e-12
 
 
 class TestGridsAndFlattening:
