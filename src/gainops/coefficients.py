@@ -46,11 +46,8 @@ class CoefficientSet:
     def __post_init__(self):
         m = self.grid.n + 1
         arrays = (self.lam, self.dlam, self.mu, self.dmu, self.sigma, self.omega, self.theta)
-        for k, a in enumerate(arrays):
-            if a.shape != (m,):
-                if not np.isfinite(arrays[:k]).all():  # as when each array was checked in turn
-                    raise ValueError("coefficient arrays must be finite")
-                raise ValueError("coefficient arrays must all live on the shared grid")
+        if any(a.shape != (m,) for a in arrays):
+            raise ValueError("coefficient arrays must all live on the shared grid")
         # one check over the seven arrays as a table costs half as much as seven
         if not np.isfinite(arrays).all():
             raise ValueError("coefficient arrays must be finite")

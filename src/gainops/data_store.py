@@ -3,10 +3,9 @@
 File layout (little-endian): magic "HKDS", version u32, n_samples u32,
 m_coeff u32, n_grid u32, then per sample in index order: q f64, the seven
 coefficient arrays (m_coeff f64 each, order lam mu sigma omega theta dlam
-dmu), then k1 and k2 in canonical triangular flattening.  Version 1 files,
-which lack dlam and dmu, still read: their derivatives are centred
-differences of lam and mu, so only version 2 records re-solve to their own
-kernels.
+dmu), then k1 and k2 in canonical triangular flattening.  The reader
+accepts only what ``write`` writes, so every stored record re-solves to its
+own kernels.
 """
 
 from __future__ import annotations
@@ -122,41 +121,34 @@ def read(path) -> Dataset:
         if read_exact(f, 4, "magic", "dataset file") != MAGIC:
             raise ValueError("not a dataset file (bad magic)")
         version, n_samples, m_coeff, n_grid = struct.unpack("<IIII", read_exact(f, 16, "header", "dataset file"))
-        if version not in (1, VERSION):
+        if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
         if n_samples == 0 or m_coeff < 3 or n_grid < 2:
             raise ValueError(f"degenerate header: {n_samples} samples, m_coeff {m_coeff}, n_grid {n_grid}")
         t = (n_grid + 1) * (n_grid + 2) // 2
-        # a record is q, the coefficient arrays (five in version 1), then k1 and k2
-        edges = list(accumulate([0, 1] + [m_coeff] * (5 if version == 1 else 7) + [t, t]))
+        # a record is q, the seven coefficient arrays, then k1 and k2
+        edges = list(accumulate([0, 1] + [m_coeff] * 7 + [t, t]))
         size = os.fstat(f.fileno()).st_size
         if 8 * edges[-1] > size:  # before asking for that much memory
             raise ValueError("dataset file truncated inside record 0: the file is shorter than one record")
         records = np.empty((min(n_samples, (size - f.tell()) // (8 * edges[-1])), edges[-1]), dtype="<f8")
         if f.readinto(records) != records.nbytes:
             raise ValueError("dataset file truncated while reading the records")
-        q, lam, mu, sigma, omega, theta, *rest = (records[:, a:b] for a, b in zip(edges, edges[1:]))
-        grid = IntervalGrid(m_coeff - 1)
-        problems = [
-            (~np.isfinite(records).all(axis=1), "dataset record {} holds non-finite values"),
-            ((lam <= 0).any(axis=1) | (mu <= 0).any(axis=1), "dataset record {} has a transport speed lam or mu <= 0"),
-        ]
-        if version == 1:
-            with np.errstate(over="ignore"):  # an overflow is refused as non-finite below
-                rest = [np.gradient(lam, grid.h, axis=1), np.gradient(mu, grid.h, axis=1), *rest]
-            finite = np.isfinite(rest[0]).all(axis=1) & np.isfinite(rest[1]).all(axis=1)
-            problems.append((~finite, "dataset record {}: coefficient arrays must be finite"))
-        bad = np.flatnonzero(np.logical_or.reduce([rows for rows, _ in problems]))
+        q, lam, mu, sigma, omega, theta, dlam, dmu, k1, k2 = (records[:, a:b] for a, b in zip(edges, edges[1:]))
+        nonfinite = ~np.isfinite(records).all(axis=1)
+        bad = np.flatnonzero(nonfinite | (lam <= 0).any(axis=1) | (mu <= 0).any(axis=1))
         if bad.size:
             i = int(bad[0])
-            raise ValueError(next(message for rows, message in problems if rows[i]).format(i))
+            if nonfinite[i]:
+                raise ValueError(f"dataset record {i} holds non-finite values")
+            raise ValueError(f"dataset record {i} has a transport speed lam or mu <= 0")
         if len(records) < n_samples:
             raise ValueError(
                 f"dataset file truncated inside record {len(records)}: dataset file truncated while reading the record"
             )
         if f.read(1):
             raise ValueError("dataset file has trailing bytes")
-    dlam, dmu, k1, k2 = rest
+    grid = IntervalGrid(m_coeff - 1)
     samples = [
         SampleRecord(grid, *arrays, float(qi), k1i, k2i)
         for qi, *arrays, k1i, k2i in zip(q[:, 0], lam, dlam, mu, dmu, sigma, omega, theta, k1, k2)

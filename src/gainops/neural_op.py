@@ -77,10 +77,12 @@ class DeepONetModel:
     def __post_init__(self):
         if self.m_enc < 2:
             raise ValueError("m_enc must be at least 2")
-        if self.branch_dims[-1] != 2 * self.p or self.trunk_dims[-1] != self.p:
-            raise ValueError("output widths must be 2p (branch) and p (trunk)")
-        if self.branch_dims[0] != 5 * self.m_enc + 1 or self.trunk_dims[0] != 2:
-            raise ValueError("input widths must be 5*m_enc+1 (branch) and 2 (trunk)")
+        bd, td = self.branch_dims, self.trunk_dims
+        _check_dims(self.p, bd, td)
+        # the shapes of parameters() and of the normalization, layer by layer
+        layout = [*zip(bd, bd[1:]), *zip(bd[1:]), *zip(td, td[1:]), *zip(td[1:]), (bd[0],), (bd[0],)]
+        if bd[0] != 5 * self.m_enc + 1 or [np.shape(a) for a in (*self.parameters(), self.feat_mean, self.feat_scale)] != layout:
+            raise ValueError(f"inconsistent model: dims branch {bd}, trunk {td} and m_enc {self.m_enc} do not fit its arrays")
         values = [*self.parameters(), self.feat_mean, self.feat_scale, [self.b1, self.b2]]
         if not all(np.all(np.isfinite(v)) for v in values):
             raise ValueError("model weights, biases and normalization must be finite")
@@ -89,6 +91,15 @@ class DeepONetModel:
 
     def parameters(self):
         return [*self.branch_w, *self.branch_b, *self.trunk_w, *self.trunk_b]
+
+
+def _check_dims(p: int, branch_dims, trunk_dims) -> None:
+    """Refuse layer dims that no model fits; load_model calls it before it reads the arrays they size."""
+    nb, nt = len(branch_dims), len(trunk_dims)
+    if nb < 2 or nt < 2:
+        raise ValueError(f"model needs at least 2 branch and 2 trunk dims, got {nb} and {nt}")
+    if min(*branch_dims, *trunk_dims) < 1 or (trunk_dims[0], trunk_dims[-1], branch_dims[-1]) != (2, p, 2 * p):
+        raise ValueError(f"inconsistent model dims: branch {branch_dims}, trunk {trunk_dims}, p {p}")
 
 
 def init_model(config: TrainConfig, rng: np.random.Generator | None = None) -> DeepONetModel:
@@ -360,10 +371,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
             np.multiply(grad, 1 - _ADAM_BETA1, out=step)
             adam_m += step
             np.multiply(grad, grad, out=step)
-            # the two output-bias gradients are squared by float pow, which
-            # differs from g * g in the last bit for about one value in a
-            # thousand; it keeps fits bit for bit those of a per-array update
-            step[-2:] = float(grad[-2]) ** 2, float(grad[-1]) ** 2
             step *= 1 - _ADAM_BETA2
             adam_v *= _ADAM_BETA2
             adam_v += step
@@ -551,10 +558,7 @@ def load_model(path) -> DeepONetModel:
         branch_dims = struct.unpack(f"<{nb}I", read_exact(f, 4 * nb, "branch dims", "model file"))
         (nt,) = struct.unpack("<I", read_exact(f, 4, "trunk layer count", "model file"))
         trunk_dims = struct.unpack(f"<{nt}I", read_exact(f, 4 * nt, "trunk dims", "model file"))
-        if nb < 2 or nt < 2:
-            raise ValueError(f"model needs at least 2 branch and 2 trunk dims, got {nb} and {nt}")
-        if trunk_dims[0] != 2 or trunk_dims[-1] != p or branch_dims[-1] != 2 * p or 0 in branch_dims + trunk_dims:
-            raise ValueError(f"inconsistent model dims: branch {branch_dims}, trunk {trunk_dims}, p {p}")
+        _check_dims(p, branch_dims, trunk_dims)
 
         def read_array(shape, what):
             count = math.prod(shape)

@@ -33,7 +33,9 @@ BLOWUP_THRESHOLD = 1e12
 CFL_NUMBER = 0.9
 CHUNK = 1024  # states a run holds at a time; bounds memory only
 BLOCK = 64  # states filled by one product with S^BLOCK in a long run; a power of two
-ASSEMBLY_ROWS = 32  # rows of the step matrix assembled at a time; bounds memory only
+# rows of the step matrix assembled at a time, for speed: a one-step simulate (Gamma 1, one BLAS
+# thread, Xeon) took 0.56 / 5.8 ms at n = 100 / 400 with 32 rows, 0.80 / 13.6 ms with all at once
+ASSEMBLY_ROWS = 32
 
 
 @dataclass(eq=False)
@@ -188,7 +190,7 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     dt = T / n_steps
 
     # row k of S (of a) is the next state (the control) of unknown k alone,
-    # assembled ASSEMBLY_ROWS rows at a time to keep the temporaries small
+    # assembled ASSEMBLY_ROWS rows at a time, which keeps the temporaries small and fast
     S = np.empty((2 * n, 2 * n))
     a = np.empty(2 * n) if actuate else None
     for k in range(0, 2 * n, ASSEMBLY_ROWS):

@@ -1,4 +1,3 @@
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -92,18 +91,6 @@ def own_grid_plants(seeds=5):
     c = plants[0]
     signed = np.where(np.arange(c.theta.size) % 2 == 0, 0.0, -0.0)
     return plants + [replace(c, theta=signed)]
-
-
-def as_version_1(data: bytes) -> bytes:
-    """The HKDS version 1 file of a version 2 one: version word 1, each
-    record's dlam and dmu blocks cut out."""
-    n, m, n_grid = struct.unpack_from("<III", data, 8)
-    t = (n_grid + 1) * (n_grid + 2) // 2
-    size = 8 * (1 + 7 * m + 2 * t)
-    out = [data[:4], struct.pack("<I", 1), data[8:20]]
-    for at in range(20, 20 + n * size, size):
-        out += [data[at : at + 8 * (1 + 5 * m)], data[at + 8 * (1 + 7 * m) : at + size]]
-    return b"".join(out)
 
 
 # References that only the tests use: the simulator's stencil and feedback

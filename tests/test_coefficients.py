@@ -177,7 +177,7 @@ class TestValidation:
         [
             ({"sigma": np.ones(4)}, "must all live on the shared grid"),
             ({"omega": np.full(5, np.inf)}, "must be finite"),
-            ({"dmu": np.full(5, np.nan), "theta": np.ones(6)}, "must be finite"),
+            ({"dmu": np.full(5, np.nan), "theta": np.ones(6)}, "must all live on the shared grid"),
             ({"dmu": np.ones(6), "theta": np.full(5, np.nan)}, "must all live on the shared grid"),
             ({"q": np.nan}, "q must be finite"),
             ({"mu": np.array([1.0, 1.0, -1.0, 1.0, 1.0])}, "transport speeds lam, mu must be positive"),

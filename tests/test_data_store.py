@@ -17,7 +17,7 @@ from gainops.data_store import (
 from gainops.kernel_solver import PlantError, solve_kernels, solve_kernels_batch
 from gainops.numerics import TriangularGrid
 
-from conftest import as_version_1, expected_file_size, validate_boundary_identities
+from conftest import expected_file_size, validate_boundary_identities
 
 
 @pytest.fixture(scope="module")
@@ -116,29 +116,6 @@ class TestRoundTrip:
             assert ks.k1.values.tobytes() == r.k1.tobytes()
             assert ks.k2.values.tobytes() == r.k2.tobytes()
 
-    def test_version_1_reads_with_centred_derivatives(self, small_dataset, tmp_path):
-        path = tmp_path / "ds.bin"
-        write(small_dataset, path)
-        path.write_bytes(as_version_1(path.read_bytes()))
-        back = read(path)
-        assert (back.m_coeff, back.n_grid) == (small_dataset.m_coeff, small_dataset.n_grid)
-        for a, b in zip(small_dataset.samples, back.samples):
-            assert a.q == b.q and b.grid.n == small_dataset.m_coeff - 1
-            for name in ("lam", "mu", "sigma", "omega", "theta", "k1", "k2"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-            assert b.dlam.tobytes() == np.gradient(a.lam, b.grid.h).tobytes()
-            assert b.dmu.tobytes() == np.gradient(a.mu, b.grid.h).tobytes()
-
-    def test_version_1_derivative_overflow_rejected(self, small_dataset, tmp_path):
-        path = tmp_path / "ds.bin"
-        write(small_dataset, path)
-        data = bytearray(as_version_1(path.read_bytes()))
-        at = 20 + 2 * 8 * (1 + 5 * 41 + 2 * 153) + 8 + 8 * 1  # lam node 1 of record 2
-        data[at : at + 8] = struct.pack("<d", 1.7e308)
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="record 2: coefficient arrays must be finite"):
-            read(path)
-
     def test_file_size_matches_format(self, small_dataset, tmp_path):
         path = tmp_path / "ds.bin"
         write(small_dataset, path)
@@ -164,7 +141,7 @@ class TestRoundTrip:
         path = tmp_path / "ds.bin"
         write(small_dataset, path)
         data = bytearray(path.read_bytes())
-        for version in (3, 7):
+        for version in (1, 3, 7):
             data[4] = version
             path.write_bytes(bytes(data))
             with pytest.raises(ValueError, match=f"unsupported dataset version {version}"):

@@ -104,6 +104,16 @@ class TestForward:
         with pytest.raises(ValueError):
             nn.forward(model, np.ones(7), np.array([[0.5, 0.2]]))
 
+    @pytest.mark.parametrize("hidden", [3, 0])
+    def test_model_whose_arrays_do_not_fit_its_dims_rejected(self, hidden):
+        # trunk weights (2, 5), (5, p) next to trunk dims (2, 3, p) used to fail
+        # only in forward, and a zero-width hidden layer to predict a constant
+        model = nn.init_model(small_config(trunk_hidden=(5,)))
+        p = model.p
+        arrays = {} if hidden else dict(trunk_w=[np.zeros((2, 0)), np.zeros((0, p))], trunk_b=[np.zeros(0), np.zeros(p)])
+        with pytest.raises(ValueError, match="inconsistent"):
+            replace(model, trunk_dims=(2, hidden, p), **arrays)
+
 
 class TestGradients:
     def test_analytic_matches_central_differences(self):
@@ -543,7 +553,7 @@ def per_array_grads(model, z, y1, y2, pts):
 def per_array_train(dataset, config):
     """train with one Adam update per parameter array, the output biases as
     Python floats and a fresh trunk pass wherever one is read; returns the
-    model, the history and how many bias gradients g had g**2 != g * g."""
+    model and the history."""
     rng = np.random.default_rng(config.seed)
     model = nn.init_model(config, rng)
     feats, y1, y2 = nn._dataset_tensors(dataset, config.m_enc)
@@ -562,7 +572,7 @@ def per_array_train(dataset, config):
     adam_m = [np.zeros_like(a) for a in params] + [0.0, 0.0]
     adam_v = [np.zeros_like(a) for a in params] + [0.0, 0.0]
     hist = nn.TrainHistory(np.zeros(config.epochs), np.full(config.epochs, np.nan), np.full(config.epochs, np.nan))
-    t_step = pow_differs = 0
+    t_step = 0
     for epoch in range(config.epochs):
         frac = epoch / max(config.epochs - 1, 1)
         lr = config.learning_rate * (0.002 + 0.998 * 0.5 * (1 + np.cos(np.pi * frac)))
@@ -575,13 +585,8 @@ def per_array_train(dataset, config):
             t_step += 1
             bc1, bc2 = 1.0 - b1**t_step, 1.0 - b2**t_step
             for k, g in enumerate(grads):
-                if isinstance(g, float):
-                    square = g**2
-                    pow_differs += square != g * g
-                else:
-                    square = g * g
                 adam_m[k] = b1 * adam_m[k] + (1 - b1) * g
-                adam_v[k] = b2 * adam_v[k] + (1 - b2) * square
+                adam_v[k] = b2 * adam_v[k] + (1 - b2) * (g * g)
                 step = lr * (adam_m[k] / bc1) / (np.sqrt(adam_v[k] / bc2) + eps)
                 if k < len(params):
                     params[k] -= step
@@ -600,7 +605,7 @@ def per_array_train(dataset, config):
         tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts)
         res = nn._evaluate(model, feats[te], y1[te], y2[te], tout, w_tri)
         hist.test_rel_l2_k1[-1], hist.test_rel_l2_k2[-1] = res.rel_l2_k1, res.rel_l2_k2
-    return model, hist, pow_differs
+    return model, hist
 
 
 def assert_same_fit(model, hist, ref, ref_hist):
@@ -619,7 +624,7 @@ class TestFlatAdam:
         # 22 training samples in minibatches of 5: the last holds 2
         config = nn.TrainConfig(epochs=3, batch_size=5, seed=4)
         model, hist = nn.train(tiny_dataset, config)
-        ref, ref_hist, _ = per_array_train(tiny_dataset, config)
+        ref, ref_hist = per_array_train(tiny_dataset, config)
         assert_same_fit(model, hist, ref, ref_hist)
 
     def test_one_sample_without_held_out_split(self, tiny_dataset):
@@ -627,23 +632,14 @@ class TestFlatAdam:
         one = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, tiny_dataset.samples[:1])
         config = nn.TrainConfig(epochs=4, seed=6)
         model, hist = nn.train(one, config)
-        ref, ref_hist, _ = per_array_train(one, config)
+        ref, ref_hist = per_array_train(one, config)
         assert np.all(np.isnan(hist.test_rel_l2_k1))
         assert_same_fit(model, hist, ref, ref_hist)
 
     def test_one_hidden_trunk_layer(self, tiny_dataset):
         config = nn.TrainConfig(epochs=3, trunk_hidden=(8,), seed=2)
         model, hist = nn.train(tiny_dataset, config)
-        ref, ref_hist, _ = per_array_train(tiny_dataset, config)
-        assert_same_fit(model, hist, ref, ref_hist)
-
-    def test_bias_squares_where_pow_and_product_differ(self, tiny_dataset):
-        # a bias gradient of this fit has g**2 != g * g, and squaring it as g * g
-        # changes the fitted weights (1 of the seeds 0 .. 299 does so)
-        config = small_config(epochs=2, batch_size=4, seed=137)
-        model, hist = nn.train(tiny_dataset, config)
-        ref, ref_hist, pow_differs = per_array_train(tiny_dataset, config)
-        assert pow_differs > 0
+        ref, ref_hist = per_array_train(tiny_dataset, config)
         assert_same_fit(model, hist, ref, ref_hist)
 
 

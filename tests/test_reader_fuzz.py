@@ -11,8 +11,6 @@ from gainops import neural_op as nn
 from gainops.data_store import Dataset, SampleRecord, read, write
 from gainops.numerics import IntervalGrid
 
-from conftest import as_version_1
-
 # u32 header values at the edges of what the readers must refuse or accept
 EDGE_U32 = [0, 1, 2, 3, 4, 5, 11, 2**31, 2**32 - 1]
 FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -69,13 +67,6 @@ def _outcome(reader, path, data):
 @given(data=st.data())
 def test_dataset_reader_returns_dataset_or_value_error(tmp_path, valid_dataset, data):
     out = _outcome(read, tmp_path / "fuzz.bin", data.draw(_near(valid_dataset, 20)))
-    assert out is None or isinstance(out, Dataset)
-
-
-@FUZZ
-@given(data=st.data())
-def test_version_1_dataset_reader_returns_dataset_or_value_error(tmp_path, valid_dataset, data):
-    out = _outcome(read, tmp_path / "fuzz.bin", data.draw(_near(as_version_1(valid_dataset), 20)))
     assert out is None or isinstance(out, Dataset)
 
 
