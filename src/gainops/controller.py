@@ -26,7 +26,7 @@ class GainVector:
         m = self.grid.n + 1
         if self.g1.shape != (m,) or self.g2.shape != (m,):
             raise ValueError("gain arrays must match their grid")
-        if not (np.all(np.isfinite(self.g1)) and np.all(np.isfinite(self.g2))):
+        if not (np.isfinite(self.g1).all() and np.isfinite(self.g2).all()):
             raise ValueError("gains must be finite")
 
     def resample(self, grid: IntervalGrid) -> "GainVector":

@@ -11,6 +11,7 @@ bit-reproducible from the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -71,7 +72,7 @@ class DeepONetModel:
     b2: float
     feat_mean: np.ndarray
     feat_scale: np.ndarray
-    # the last trunk output and copies of the points and trunk arrays it came from (see forward)
+    # the last trunk output and its key: dtype, shape and bytes of its points and trunk arrays (see forward)
     _trunk_memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -207,22 +208,22 @@ def forward(model: DeepONetModel, features: np.ndarray, points: np.ndarray) -> n
 
     The trunk output depends only on the points and the trunk weights and
     biases, not on the plant, so the model keeps the last one in a private
-    slot together with copies of the points and of every trunk array it was
-    computed from.  A call reuses it only if its points and all trunk arrays
-    have the dtypes of those copies and compare equal to them; otherwise it
-    recomputes the trunk and replaces the slot.  In-place edits and
-    reassigned arrays therefore both take effect on the next call, and the
+    slot, keyed by the exact bytes of the points and of every trunk array it
+    was computed from: each array's dtype, shape and ``tobytes()``.  A call
+    reuses it only if all of these match; otherwise it recomputes the trunk
+    and replaces the slot.  In-place edits and reassigned arrays therefore
+    both take effect on the next call, a sign-of-zero edit included, and the
     result is bit for bit that of a fresh trunk evaluation.  The slot holds
-    the trunk copies (51 KB at the default widths), the points and the
-    read-only (P, p) output: about 80 KB after infer_gains at
-    n = 100, and about 23 MB after a dense predict_fields at n = 400, until a
-    call with other points replaces it.
+    the key (51 KB of trunk bytes at the default widths, and the points) and
+    the read-only (P, p) output: about 80 KB after infer_gains at n = 100,
+    and about 23 MB after a dense predict_fields at n = 400, until a call
+    with other points replaces it.
     """
     features = np.asarray(features, dtype=float)
     if features.shape != (model.branch_dims[0],):
         raise ValueError("feature length does not match the model")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 2:
+    if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (P, 2) pairs (x, xi)")
     z = (features - model.feat_mean) / model.feat_scale
     bout = _mlp_forward(model.branch_w, model.branch_b, z[None, :])[0]
@@ -234,16 +235,14 @@ def forward(model: DeepONetModel, features: np.ndarray, points: np.ndarray) -> n
 
 
 def _trunk_basis(model: DeepONetModel, pts: np.ndarray) -> np.ndarray:
-    """The trunk output at pts, from the model's slot if nothing it came from changed."""
-    inputs = [pts, *model.trunk_w, *model.trunk_b]
+    """The trunk output at pts, from the model's slot if the exact bytes it came from are unchanged."""
+    key = [(a.dtype, a.shape, a.tobytes()) for a in (pts, *model.trunk_w, *model.trunk_b)]
     memo = model._trunk_memo
-    if memo is not None and len(memo[0]) == len(inputs) and all(
-        k.dtype == a.dtype and np.array_equal(k, a) for k, a in zip(memo[0], inputs)
-    ):
+    if memo is not None and memo[0] == key:
         return memo[1]
     tout = _mlp_forward(model.trunk_w, model.trunk_b, _trunk_inputs(pts))
     tout.flags.writeable = False
-    model._trunk_memo = ([a.copy() for a in inputs], tout)
+    model._trunk_memo = (key, tout)
     return tout
 
 
@@ -461,17 +460,25 @@ def _evaluate(model: DeepONetModel, feats, y1, y2, tout, w) -> EvalResult:
     return EvalResult(means[0], means[1], len(feats), skipped[0], skipped[1])
 
 
+@functools.lru_cache(maxsize=32)
+def _top_edge(n: int) -> np.ndarray:
+    """The (n+1, 2) points (1, xi_j) of the top edge x = 1, built once per n and read-only."""
+    pts = np.column_stack([np.ones(n + 1), IntervalGrid(n).points])
+    pts.flags.writeable = False
+    return pts
+
+
 def infer_gains(model: DeepONetModel, coeffs: CoefficientSet, xi_grid: IntervalGrid) -> GainVector:
     """Predicted feedback gains: the model evaluated along the top edge x = 1.
 
-    The top-edge points are the same for every plant on one grid, so after
-    the first call the trunk output comes from the model's slot (see
-    forward): only the branch net and two p-vector products run per plant.
-    The slot then retains about 80 KB at n = 100 with the default widths.
+    The top-edge points are one read-only array per n (see _top_edge), so
+    after the first call their bytes and the trunk's match the key of the
+    model's slot (see forward) and the trunk output comes from it: only the
+    branch net and two p-vector products run per plant.  The slot then
+    retains about 80 KB at n = 100 with the default widths.
     """
     features = encode_input(coeffs, model.m_enc)
-    pts = np.column_stack([np.ones(xi_grid.n + 1), xi_grid.points])
-    out = forward(model, features, pts)
+    out = forward(model, features, _top_edge(xi_grid.n))
     return GainVector(grid=xi_grid, g1=out[:, 0], g2=out[:, 1])
 
 

@@ -133,8 +133,15 @@ def compose(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 
     Entry (i, j) integrates over the nodes j..i; the diagonal is zero.
     """
-    ends = a * np.diagonal(b) + np.diagonal(a)[:, None] * b
-    return np.tril(h * (a @ b) - 0.5 * h * ends)
+    # tril(h * (a @ b) - 0.5 * h * ends) in place, step for step, so with its bits
+    ends = a * np.diagonal(b)
+    ends += np.diagonal(a)[:, None] * b
+    ends *= 0.5 * h
+    out = a @ b
+    out *= h
+    out -= ends
+    out[~lower_mask(len(out))] = 0.0
+    return out
 
 
 def tri_quad_weights(grid: TriangularGrid) -> np.ndarray:

@@ -104,6 +104,12 @@ class TestForward:
         with pytest.raises(ValueError):
             nn.forward(model, np.ones(7), np.array([[0.5, 0.2]]))
 
+    @pytest.mark.parametrize("shape", [(5, 2, 2), (1, 1, 2)])
+    def test_points_with_more_than_two_axes_rejected(self, shape):
+        model = nn.init_model(small_config())
+        with pytest.raises(ValueError, match=r"points must be \(P, 2\) pairs"):
+            nn.forward(model, np.zeros(model.branch_dims[0]), np.zeros(shape))
+
     @pytest.mark.parametrize("hidden", [3, 0])
     def test_model_whose_arrays_do_not_fit_its_dims_rejected(self, hidden):
         # trunk weights (2, 5), (5, p) next to trunk dims (2, 3, p) used to fail
@@ -278,6 +284,33 @@ class TestInferGains:
         assert np.abs(gains.g1 - k1[top]).max() <= 1e-15 * scale
         assert np.abs(gains.g2 - k2[top]).max() <= 1e-15 * scale
 
+    def test_each_call_goes_through_the_module_level_encoder_and_forward(self, monkeypatch, gamma1):
+        # the benchmark's tracer rebinds these module globals to time them
+        calls = {"encode_input": 0, "forward": 0}
+
+        def counted(name):
+            inner = getattr(nn, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nn, name, counted(name))
+        model = nn.init_model(small_config(seed=3))
+        for k in range(1, 4):
+            nn.infer_gains(model, gamma1, g.IntervalGrid(30))
+            assert calls == {"encode_input": k, "forward": k}
+
+    @pytest.mark.parametrize("n", [2, 30, 100])
+    def test_top_edge_is_read_only_and_bitwise_the_grid_edge(self, n):
+        pts = nn._top_edge(n)
+        assert not pts.flags.writeable
+        assert pts.tobytes() == np.column_stack([np.ones(n + 1), g.IntervalGrid(n).points]).tobytes()
+        assert nn._top_edge(n) is pts
+
 
 def fresh_forward(model, features, points):
     """forward's arithmetic with the trunk evaluated afresh, never from the model's slot."""
@@ -343,6 +376,19 @@ class TestTrunkSlot:
         changed()
         set_flat_params(model, 0.9 * nn.get_flat_params(model))
         changed()
+
+    def test_sign_of_a_zero_bias_is_part_of_the_key(self, gamma1):
+        # 0.0 and -0.0 compare equal, but a fresh trunk pass can tell them apart
+        model = nn.init_model(small_config(seed=7))
+        feats = nn.encode_input(gamma1, model.m_enc)
+        pts = top_edge(30)
+        model.trunk_b[-1][0] = 0.0
+        nn.forward(model, feats, pts)
+        filled = model._trunk_memo[1]
+        model.trunk_b[-1][0] = -0.0
+        got = nn.forward(model, feats, pts)
+        assert model._trunk_memo[1] is not filled
+        assert got.tobytes() == fresh_forward(model, feats, pts).tobytes()
 
     def test_edits_of_a_trained_model_take_effect(self, tiny_dataset, gamma1):
         # train leaves the model's arrays as views of one vector

@@ -87,6 +87,16 @@ class TestTriangleRule:
         assert np.all(np.diagonal(out) == 0.0)
         assert np.all(np.triu(out, 1) == 0.0)
 
+    @pytest.mark.parametrize("n", [16, 30, 100])
+    def test_compose_bitwise_equal_to_the_out_of_place_expression(self, n):
+        h = 1.0 / n
+        rng = np.random.default_rng(n)
+        a = np.tril(rng.normal(size=(n + 1, n + 1)))
+        b = np.tril(rng.normal(size=(n + 1, n + 1)))
+        a[1, 0] = -0.0
+        ends = a * np.diagonal(b) + np.diagonal(a)[:, None] * b
+        assert compose(a, b, h).tobytes() == np.tril(h * (a @ b) - 0.5 * h * ends).tobytes()
+
 
 class TestGridsAndFlattening:
     def test_interval_grid_spacing(self):
