@@ -16,18 +16,11 @@ from .kernel_solver import gain_slice, solve_kernels
 from .numerics import IntervalGrid, TriangularGrid
 
 
-def _write_kernel_csv(ks, path):
-    x, xi = ks.grid.node_coordinates()
-    with open(path, "w") as f:
-        f.write("x,xi,k1,k2\n")
-        for row in zip(x, xi, ks.k1.values, ks.k2.values):
-            f.write(",".join(f"{val:.17g}" for val in row) + "\n")
-
-
 def cmd_solve(args) -> int:
     coeffs = gamma_family(args.gamma)
     ks = solve_kernels(coeffs, TriangularGrid(args.n))
-    _write_kernel_csv(ks, args.out)
+    cols = (*ks.grid.node_coordinates(), ks.k1.values, ks.k2.values)
+    np.savetxt(args.out, np.column_stack(cols), fmt="%.17g", delimiter=",", header="x,xi,k1,k2", comments="")
     report = analysis.residual_operators(coeffs, ks.k1, ks.k2)
     report_path = os.path.splitext(args.out)[0] + "_residuals.json"
     with open(report_path, "w") as f:

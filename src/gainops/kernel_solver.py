@@ -13,11 +13,11 @@ and on the bottom edge for k2,
 
     mu(0) k2(x, 0) = q lam(0) k1(x, 0).
 
-The auxiliary fields kappa, c and the inverse kernels l1, l2 solve Volterra
-equations of the second kind driven by (k1, k2).  The turn
-(x, xi) -> (1 - xi, 1 - x) maps the triangle onto itself and kappa's
-equation onto the one l1 and l2 solve, so all four side kernels come from
-one blocked Volterra solve (c is then a product with kappa).
+The inverse kernels l1, l2 solve Volterra equations of the second kind
+driven by (k1, k2), in one blocked solve.  l2 is the resolvent kernel of k2,
+so the target-system couplings are products with them: kappa = omega(x) l2
+and c = omega(x) l1, exactly in the continuum and to O(h^2) under the
+trapezoid rule.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, resample
 from .controller import GainVector
-from .numerics import IntervalGrid, TriangularGrid, compose, flatten_lower, unflatten_lower
+from .numerics import IntervalGrid, TriangularGrid, flatten_lower, unflatten_lower
 
 PIVOT_TOL = 1e-12
 
@@ -323,13 +323,8 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     return [KernelSet(k1=KernelField(grid, v1), k2=KernelField(grid, v2)) for v1, v2 in zip(*values)]
 
 
-# Rows that the Volterra solve takes at a time: rows of l1, l2, columns of kappa.
+# Rows of l1 and l2 that the Volterra solve takes at a time.
 _VOLTERRA_BLOCK = 16
-
-
-def _turn(m: np.ndarray) -> np.ndarray:
-    """The view of ``m`` under the turn (x, xi) -> (1 - xi, 1 - x), which maps the triangle onto itself."""
-    return m.T[::-1, ::-1]
 
 
 def _volterra(k2m: np.ndarray, h: float, data: np.ndarray) -> np.ndarray:
@@ -366,30 +361,25 @@ def _volterra(k2m: np.ndarray, h: float, data: np.ndarray) -> np.ndarray:
 
 
 def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
-    """Fill kappa and c; kappa is the l-equation of :func:`_volterra` on the turned triangle.
+    """Fill kappa and c, and l1 and l2 by :func:`solve_inverse_kernels`: kappa = omega(x) l2, c = omega(x) l1.
 
-    Per row (fixed x) kappa satisfies
+    Per row (fixed x) kappa and c satisfy
 
-        kappa(x, xi) = omega(x) k2(x, xi) + int_xi^x kappa(x, s) k2(s, xi) ds.
+        kappa(x, xi) = omega(x) k2(x, xi) + int_xi^x kappa(x, s) k2(s, xi) ds,
+        c(x, xi) = omega(x) k1(x, xi) + int_xi^x kappa(x, s) k1(s, xi) ds.
 
-    The turn T(m)(x, xi) = m(1 - xi, 1 - x) maps the triangle onto itself
-    and this equation onto l = d + int_xi^x k2(x, s) l(s, xi) ds with kernel
-    T(k2) and data T(omega k2), so kappa = T(l), from the same blocked
-    solve as l1 and l2: all four side kernels come from one solver.  Under
-    the turn the pivot 1 - h/2*k2(j, j) of column xi_j, j < n, is that of
-    row n - j.  c = omega k1 + int kappa k1 on the triangle.
+    l2 is the resolvent kernel of k2: it solves this right resolvent
+    equation as well as the left one of :func:`solve_inverse_kernels`, so
+    kappa = omega(x) l2, and then c = omega(x) (k1 + int l2 k1) = omega(x) l1.
+    Under the trapezoid rule the left and right equations agree only to
+    O(h^2), so kappa and c differ from the solutions of their own
+    discretized equations by O(h^2): at most 1.10 h^2 sup|kappa|, sup|c| on
+    the plants the tests check.
     """
-    grid = ks.grid
-    n, h = grid.n, grid.h
-    omg = resample(coeffs, n)["omega"]
-    k1m, k2m = ks.k1.as_matrix(), ks.k2.as_matrix()
-    bad = np.flatnonzero(np.abs(1.0 - 0.5 * h * np.diagonal(k2m)[:n]) < PIVOT_TOL)
-    if bad.size:
-        raise ZeroDivisionError(f"singular Volterra pivot at row {bad[0] + 1}, xi index {bad[0]}")
-
-    kap = _turn(_volterra(_turn(k2m), h, _turn(omg[:, None] * k2m)[None])[0])
-    cm = omg[:, None] * k1m + compose(kap, k1m, h)
-    return replace(ks, kappa=KernelField.from_matrix(grid, kap), c=KernelField.from_matrix(grid, cm))
+    inv = solve_inverse_kernels(ks)
+    n = inv.grid.n
+    w = np.repeat(resample(coeffs, n)["omega"], np.arange(1, n + 2))  # omega(x) at every flat node
+    return replace(inv, kappa=KernelField(inv.grid, w * inv.l2.values), c=KernelField(inv.grid, w * inv.l1.values))
 
 
 def solve_inverse_kernels(ks: KernelSet) -> KernelSet:

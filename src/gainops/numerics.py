@@ -128,22 +128,6 @@ def row_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def compose(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid rule for int_xi^x a(x, s) b(s, xi) ds on lower-triangular a, b.
-
-    Entry (i, j) integrates over the nodes j..i; the diagonal is zero.
-    """
-    # tril(h * (a @ b) - 0.5 * h * ends) in place, step for step, so with its bits
-    ends = a * np.diagonal(b)
-    ends += np.diagonal(a)[:, None] * b
-    ends *= 0.5 * h
-    out = a @ b
-    out *= h
-    out -= ends
-    out[~lower_mask(len(out))] = 0.0
-    return out
-
-
 def tri_quad_weights(grid: TriangularGrid) -> np.ndarray:
     """Flat canonical weights realizing the double trapezoid integral over T.
 

@@ -178,11 +178,10 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
 
     Snapshots are taken at step 0, at every step that is a multiple of
     ``snapshot_stride`` and at the last step (none if the stride is not
-    positive).  A chunk finds its snapshot steps with one ``arange``, takes
-    their rows of the buffer as a strided view (an index array only when the
-    run's last step is off the stride), and completes them to (u, v) with
-    one ``_full`` call; each ``PlantState`` holds a row of that call's
-    arrays and the time ``init.t + m * dt`` of its step m.
+    positive).  The run lists those steps once; a chunk takes the rows of
+    its own from the buffer with one index array and completes them to
+    (u, v) with one ``_full`` call; each ``PlantState`` holds a row of that
+    call's arrays and the time ``init.t + m * dt`` of its step m.
     """
     grid = init.grid
     n_steps = step_count(coeffs, grid, T)
@@ -213,7 +212,7 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     def snapshots_at(Y, U, steps):
         """Snapshots of the states in the rows of Y at the given steps, from one ``_full`` call."""
         us, vs = _full(Y, q, U)
-        return [PlantState(grid, u, v, init.t + m * dt) for u, v, m in zip(us, vs, steps)]
+        return [PlantState(grid, u, v, init.t + m * dt) for u, v, m in zip(us, vs, steps.tolist())]
 
     # rows 0 .. block - 1 hold the last block states, up to state done in row
     # block - 1 (only state 0 before the first chunk); new state done + i
@@ -225,7 +224,8 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     chunks = [records(buf[block - 1 : block])]
     # a stride past the run snapshots what n_steps does: step 0 and the last
     stride = min(snapshot_stride, n_steps)
-    snapshots = snapshots_at(buf[block - 1 : block], chunks[0][3, :1], [0]) if stride > 0 else []
+    shots = np.append(np.arange(0, n_steps, stride), n_steps) if stride > 0 else np.zeros(0, int)
+    snapshots = snapshots_at(buf[block - 1 : block], chunks[0][3, :1], shots[:1])
     done = 0
     blew_up = False
     # past a blow-up the rest of its chunk may overflow; it is not recorded.
@@ -249,17 +249,9 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
                 m = int(bad[0]) + 1
                 rec = rec[:, :m]
             chunks.append(rec)
-            if stride > 0:
-                # new states i = first, first + stride, .. <= m are the chunk's
-                # steps done + i on the stride: a strided view of the buffer;
-                # the last step of the run joins them through an index array
-                first = stride - done % stride
-                i = np.arange(first, m + 1, stride)
-                take = slice(block - 1 + first, block + m, stride)
-                if done + m == n_steps and (m - first) % stride:
-                    i = np.append(i, m)
-                    take = block - 1 + i
-                snapshots += snapshots_at(buf[take], rec[3, i - 1], (done + i).tolist())
+            # the chunk's snapshot steps done + i, 0 < i <= m, are rows block - 1 + i
+            i = shots[np.searchsorted(shots, done, "right") : np.searchsorted(shots, done + m, "right")] - done
+            snapshots += snapshots_at(buf[block - 1 + i], rec[3, i - 1], done + i)
             done += m
             buf[:block] = buf[m : m + block]
 
@@ -352,7 +344,5 @@ def simulate_target(
 
 def trace_to_csv(trace: SimTrace, path) -> None:
     """Write the per-step history as CSV: t,phi,u0,v0,U with 17 digits."""
-    with open(path, "w") as f:
-        f.write("t,phi,u0,v0,U\n")
-        for row in zip(trace.times, trace.phi, trace.u_boundary, trace.v_boundary, trace.control):
-            f.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    cols = (trace.times, trace.phi, trace.u_boundary, trace.v_boundary, trace.control)
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", header="t,phi,u0,v0,U", comments="")

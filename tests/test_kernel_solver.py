@@ -242,8 +242,6 @@ class TestMarchGeometry:
 def dense_volterra_kappa(coeffs, ks):
     """Direct dense solve of the discretized kappa system, row by row."""
     n, h = ks.grid.n, ks.grid.h
-    from gainops.coefficients import resample
-
     omg = resample(coeffs, n)["omega"]
     k2m = ks.k2.as_matrix()
     kap = np.zeros((n + 1, n + 1))
@@ -320,23 +318,37 @@ class TestKappaC:
         k2 = KernelField(grid, np.zeros(grid.node_count))
         ks = solve_kappa_c(coeffs, KernelSet(k1=k1, k2=k2))
         assert ks.kappa.sup() == 0.0
-        from gainops.coefficients import resample
-
         omg = resample(coeffs, grid.n)["omega"]
         i, _ = grid.node_indices()
         assert np.allclose(ks.c.values, omg[i] * k1.values, atol=1e-14)
 
-    def test_matches_dense_direct_solve(self, kernels_g1_n100, gamma1):
-        dense = dense_volterra_kappa(gamma1, kernels_g1_n100)
-        assert np.abs(kernels_g1_n100.kappa.as_matrix() - dense).max() <= 1e-10
+    @pytest.mark.parametrize("n", [17, 100])
+    def test_omega_times_inverse_kernels_bitwise(self, gamma5, n):
+        ks = solve_kappa_c(gamma5, solve_kernels(gamma5, TriangularGrid(n)))
+        omg = resample(gamma5, n)["omega"][ks.grid.node_indices()[0]]
+        assert ks.kappa.values.tobytes() == (omg * ks.l2.values).tobytes()
+        assert ks.c.values.tobytes() == (omg * ks.l1.values).tobytes()
+
+    def test_matches_dense_direct_solve(self):
+        # kappa and c solve their own discretized equations only to O(h^2), the gap between
+        # the right and left resolvent equations under the trapezoid rule: measured at most
+        # 1.10 h^2 sup at Gamma = 5, 0.98 at random_smooth 3 and 0.26 at Gamma = 1
+        plants = [g.gamma_family(1.0), g.gamma_family(5.0), g.sample_random(g.CoefficientFamily("random_smooth"), 3)]
+        for coeffs in plants:
+            for n in (16, 17, 33, 50, 100):
+                ks = solve_kappa_c(coeffs, solve_kernels(coeffs, TriangularGrid(n)))
+                kap = dense_volterra_kappa(coeffs, ks)
+                cm = dense_c(coeffs, ks, kap)
+                bound = 2.0 * ks.grid.h**2
+                assert np.abs(ks.kappa.as_matrix() - kap).max() <= bound * np.abs(kap).max()
+                assert np.abs(ks.c.as_matrix() - cm).max() <= bound * np.abs(cm).max()
 
     @pytest.mark.parametrize(
         "singular, message",
         [
-            (None, "row 1, xi index 0"),
-            (4, "row 5, xi index 4"),
-            # the solve runs on the turned triangle, where xi index 9 comes first
-            pytest.param((4, 9), "row 5, xi index 4", id="4+9-row 5, xi index 4"),
+            (None, "x index 1"),
+            (4, "x index 4"),
+            pytest.param((4, 9), "x index 4", id="4+9-x index 4"),
         ],
     )
     def test_singular_pivot_detected(self, gamma1, singular, message):
@@ -346,17 +358,12 @@ class TestKappaC:
         k2 = np.full(grid.node_count, 0.3)
         k2[(i == j) & (True if singular is None else np.isin(i, singular))] = 2.0 * n  # pivot 1 - h/2*k2 = 0
         ks = KernelSet(k1=KernelField(grid, np.zeros(grid.node_count)), k2=KernelField(grid, k2))
-        with pytest.raises(ZeroDivisionError, match=message):
+        with pytest.raises(ZeroDivisionError, match=f"{message}$"):
             solve_kappa_c(gamma1, ks)
 
-    def test_kappa_satisfies_its_equation(self, kernels_g1_n100, gamma1):
-        # substitute back into the discretized equation
-        from gainops.coefficients import resample
-
-        omg = resample(gamma1, 100)["omega"]
-        kap = kernels_g1_n100.kappa.as_matrix()
-        k2m = kernels_g1_n100.k2.as_matrix()
-        assert worst_volterra_residual(kap, k2m, kap, k2m, 0.01, omg) <= 1e-10
+    def test_kappa_satisfies_its_equation(self, side_kernel_residuals):
+        for r in side_kernel_residuals.values():
+            assert np.all(r[:-1, 0] >= 3.5 * r[1:, 0])
 
 
 class TestBlockedVolterraSolves:
@@ -376,30 +383,44 @@ class TestBlockedVolterraSolves:
         coeffs = plant()
         ks = solve_kernels(coeffs, TriangularGrid(n))
         data = ks.k1.values.tobytes(), ks.k2.values.tobytes()
-        ks = solve_inverse_kernels(solve_kappa_c(coeffs, ks))
-        assert (ks.k1.values.tobytes(), ks.k2.values.tobytes()) == data  # no turned view written through
-        kap = dense_volterra_kappa(coeffs, ks)
+        ks = solve_inverse_kernels(ks)
+        assert (ks.k1.values.tobytes(), ks.k2.values.tobytes()) == data  # nothing written through to k1, k2
         l1, l2 = dense_volterra_inverse(ks)
-        for got, want in [(ks.kappa, kap), (ks.c, dense_c(coeffs, ks, kap)), (ks.l1, l1), (ks.l2, l2)]:
+        for got, want in [(ks.l1, l1), (ks.l2, l2)]:
             assert np.abs(got.as_matrix() - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.fixture(scope="module")
 def kernels_g5_n100(gamma5):
-    ks = solve_kernels(gamma5, TriangularGrid(100))
-    return solve_inverse_kernels(solve_kappa_c(gamma5, ks))
+    return solve_inverse_kernels(solve_kernels(gamma5, TriangularGrid(100)))
+
+
+@pytest.fixture(scope="module")
+def side_kernel_residuals():
+    """Gamma -> worst residuals of kappa's and c's discretized equations (columns)
+    at n = 50, 100, 200 (rows); they are O(h^2), measured 3.93-3.99x smaller per halving of h."""
+    out = {}
+    for gamma in (1.0, 5.0):
+        coeffs = g.gamma_family(gamma)
+        rows = []
+        for n in (50, 100, 200):
+            ks = solve_kappa_c(coeffs, solve_kernels(coeffs, TriangularGrid(n)))
+            omg = resample(coeffs, n)["omega"]
+            kap, k1m, k2m = ks.kappa.as_matrix(), ks.k1.as_matrix(), ks.k2.as_matrix()
+            rows.append([
+                worst_volterra_residual(kap, k2m, kap, k2m, ks.grid.h, omg),
+                worst_volterra_residual(ks.c.as_matrix(), k1m, kap, k1m, ks.grid.h, omg),
+            ])
+        out[gamma] = np.array(rows)
+    return out
 
 
 class TestSideKernelSubstitution:
-    """c, l1 and l2 at Gamma = 5 substituted back into their discretized equations."""
+    """c at Gamma = 1 and 5, l1 and l2 at Gamma = 5, substituted back into their discretized equations."""
 
-    def test_c_satisfies_its_equation(self, kernels_g5_n100, gamma5):
-        from gainops.coefficients import resample
-
-        ks = kernels_g5_n100
-        omg = resample(gamma5, 100)["omega"]
-        kap, k1m = ks.kappa.as_matrix(), ks.k1.as_matrix()
-        assert worst_volterra_residual(ks.c.as_matrix(), k1m, kap, k1m, 0.01, omg) <= 1e-10
+    def test_c_satisfies_its_equation(self, side_kernel_residuals):
+        for r in side_kernel_residuals.values():
+            assert np.all(r[:-1, 1] >= 3.5 * r[1:, 1])
 
     @pytest.mark.parametrize("name, data", [("l1", "k1"), ("l2", "k2")])
     def test_inverse_kernel_satisfies_its_equation(self, kernels_g5_n100, name, data):

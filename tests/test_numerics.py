@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gainops.numerics import (
     IntervalGrid,
     TriangularGrid,
-    compose,
     flatten_lower,
     lower_indices,
     lower_mask,
@@ -71,31 +70,6 @@ class TestTriangleRule:
         for i in range(1, n + 1):
             assert np.array_equal(w[i, : i + 1], trapezoid_weights(i + 1, h))
             assert np.all(w[i, i + 1 :] == 0.0)
-
-    def test_compose_matches_per_node_rule(self):
-        n = 30
-        h = 1.0 / n
-        rng = np.random.default_rng(7)
-        a = np.tril(rng.normal(size=(n + 1, n + 1)))
-        b = np.tril(rng.normal(size=(n + 1, n + 1)))
-        out = compose(a, b, h)
-        ref = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            for j in range(i):
-                ref[i, j] = trapezoid_weights(i - j + 1, h) @ (a[i, j : i + 1] * b[j : i + 1, j])
-        assert np.abs(out - ref).max() <= 1e-14
-        assert np.all(np.diagonal(out) == 0.0)
-        assert np.all(np.triu(out, 1) == 0.0)
-
-    @pytest.mark.parametrize("n", [16, 30, 100])
-    def test_compose_bitwise_equal_to_the_out_of_place_expression(self, n):
-        h = 1.0 / n
-        rng = np.random.default_rng(n)
-        a = np.tril(rng.normal(size=(n + 1, n + 1)))
-        b = np.tril(rng.normal(size=(n + 1, n + 1)))
-        a[1, 0] = -0.0
-        ends = a * np.diagonal(b) + np.diagonal(a)[:, None] * b
-        assert compose(a, b, h).tobytes() == np.tril(h * (a @ b) - 0.5 * h * ends).tobytes()
 
 
 class TestGridsAndFlattening:
