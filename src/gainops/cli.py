@@ -19,9 +19,10 @@ from .numerics import IntervalGrid, TriangularGrid
 def cmd_solve(args) -> int:
     coeffs = gamma_family(args.gamma)
     ks = solve_kernels(coeffs, TriangularGrid(args.n))
+    # the report first: it refuses grids the solver takes (n < 3), and a failed solve writes nothing
+    report = analysis.residual_operators(coeffs, ks.k1, ks.k2)
     cols = (*ks.grid.node_coordinates(), ks.k1.values, ks.k2.values)
     np.savetxt(args.out, np.column_stack(cols), fmt="%.17g", delimiter=",", header="x,xi,k1,k2", comments="")
-    report = analysis.residual_operators(coeffs, ks.k1, ks.k2)
     report_path = os.path.splitext(args.out)[0] + "_residuals.json"
     with open(report_path, "w") as f:
         f.write(report.to_json())

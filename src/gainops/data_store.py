@@ -54,7 +54,7 @@ class Dataset:
     def __post_init__(self):
         t = (self.n_grid + 1) * (self.n_grid + 2) // 2
         for k, r in enumerate(self.samples):
-            if r.lam.size != self.m_coeff or r.k1.size != t or r.k2.size != t:
+            if r.lam.size != self.m_coeff or r.k1.shape != (t,) or r.k2.shape != (t,):
                 raise ValueError(f"sample {k} does not match the dataset shapes")
 
 
@@ -96,15 +96,46 @@ def generate(
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
 
 
+def _check_header(n_samples: int, m_coeff: int, n_grid: int) -> None:
+    """Raise ValueError for a header that ``read`` refuses."""
+    if n_samples == 0 or m_coeff < 3 or n_grid < 2:
+        raise ValueError(f"degenerate header: {n_samples} samples, m_coeff {m_coeff}, n_grid {n_grid}")
+
+
+def _check_records(records: np.ndarray, m_coeff: int) -> None:
+    """Raise ValueError for the first row of ``records`` that ``read`` refuses.
+
+    A row is refused for a non-finite value or a transport speed lam or
+    mu <= 0; one vectorized pass checks all rows, and the message names the
+    row by index.
+    """
+    lam, mu = records[:, 1 : 1 + m_coeff], records[:, 1 + m_coeff : 1 + 2 * m_coeff]
+    nonfinite = ~np.isfinite(records).all(axis=1)
+    bad = np.flatnonzero(nonfinite | (lam <= 0).any(axis=1) | (mu <= 0).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        if nonfinite[i]:
+            raise ValueError(f"dataset record {i} holds non-finite values")
+        raise ValueError(f"dataset record {i} has a transport speed lam or mu <= 0")
+
+
 def write(dataset: Dataset, path, manifest: dict | None = None) -> None:
-    """Serialize to the binary format; optionally drop a JSON sidecar."""
+    """Serialize to the binary format; optionally drop a JSON sidecar.
+
+    The records are packed and checked as ``read`` checks them before the
+    file is opened, so a dataset that ``read`` would refuse raises ValueError
+    and leaves no file.
+    """
+    _check_header(len(dataset.samples), dataset.m_coeff, dataset.n_grid)
+    records = np.array(
+        [np.concatenate(([r.q], r.lam, r.mu, r.sigma, r.omega, r.theta, r.dlam, r.dmu, r.k1, r.k2)) for r in dataset.samples],
+        dtype="<f8",
+    )
+    _check_records(records, dataset.m_coeff)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IIII", VERSION, len(dataset.samples), dataset.m_coeff, dataset.n_grid))
-        for r in dataset.samples:
-            f.write(struct.pack("<d", r.q))
-            for arr in (r.lam, r.mu, r.sigma, r.omega, r.theta, r.dlam, r.dmu, r.k1, r.k2):
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        f.write(records)
     if manifest is not None:
         with open(str(path) + ".manifest.json", "w") as f:
             json.dump(manifest, f, indent=2)
@@ -123,8 +154,7 @@ def read(path) -> Dataset:
         version, n_samples, m_coeff, n_grid = struct.unpack("<IIII", read_exact(f, 16, "header", "dataset file"))
         if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        if n_samples == 0 or m_coeff < 3 or n_grid < 2:
-            raise ValueError(f"degenerate header: {n_samples} samples, m_coeff {m_coeff}, n_grid {n_grid}")
+        _check_header(n_samples, m_coeff, n_grid)
         t = (n_grid + 1) * (n_grid + 2) // 2
         # a record is q, the seven coefficient arrays, then k1 and k2
         edges = list(accumulate([0, 1] + [m_coeff] * 7 + [t, t]))
@@ -135,13 +165,7 @@ def read(path) -> Dataset:
         if f.readinto(records) != records.nbytes:
             raise ValueError("dataset file truncated while reading the records")
         q, lam, mu, sigma, omega, theta, dlam, dmu, k1, k2 = (records[:, a:b] for a, b in zip(edges, edges[1:]))
-        nonfinite = ~np.isfinite(records).all(axis=1)
-        bad = np.flatnonzero(nonfinite | (lam <= 0).any(axis=1) | (mu <= 0).any(axis=1))
-        if bad.size:
-            i = int(bad[0])
-            if nonfinite[i]:
-                raise ValueError(f"dataset record {i} holds non-finite values")
-            raise ValueError(f"dataset record {i} has a transport speed lam or mu <= 0")
+        _check_records(records, m_coeff)
         if len(records) < n_samples:
             raise ValueError(
                 f"dataset file truncated inside record {len(records)}: dataset file truncated while reading the record"

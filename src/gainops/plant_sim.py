@@ -7,9 +7,10 @@ u(0) = q v(0) and v(1) = U hold exactly.  The target system is the same
 scheme with theta = 0 and the c/kappa integral terms as a source in the u
 equation.
 
-Both runs are linear with a fixed dt.  A run therefore assembles its step
-once, as a dense 2n x 2n matrix S over the free unknowns y = (u[1:], v[:-1])
-(the update applied to the identity).  A long run also squares S up to
+Both runs are linear with a fixed dt.  ``_step_matrix`` assembles a run's
+step once, as a dense 2n x 2n matrix S over the free unknowns
+y = (u[1:], v[:-1]) (the update applied to the identity), with the closure
+row a of the actuated v(1).  ``_trace`` only runs S: a long run raises S to
 P = S^BLOCK and fills each block of BLOCK states with one matrix product
 from the block before it; a short run steps with S itself, one product per
 state.  States go into a buffer of at most CHUNK states; u(0), the actuated
@@ -32,7 +33,7 @@ from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_w
 BLOWUP_THRESHOLD = 1e12
 CFL_NUMBER = 0.9
 CHUNK = 1024  # states a run holds at a time; bounds memory only
-BLOCK = 64  # states filled by one product with S^BLOCK in a long run; a power of two
+BLOCK = 64  # states filled by one product with S^BLOCK in a long run
 # rows of the step matrix assembled at a time, for speed: a one-step simulate (Gamma 1, one BLAS
 # thread, Xeon) took 0.56 / 5.8 ms at n = 100 / 400 with 32 rows, 0.80 / 13.6 ms with all at once
 ASSEMBLY_ROWS = 32
@@ -153,19 +154,43 @@ def _block_length(n_steps: int, n: int) -> int:
     return BLOCK if n_steps >= 8 * n else 1
 
 
-def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: int, cf, actuate=None, source=None) -> SimTrace:
-    """Trace loop shared by both simulators, with dt at the CFL bound.
+def _step_matrix(coeffs: CoefficientSet, grid: IntervalGrid, T: float, cf, actuate=None, source=None):
+    """The step of a run to time T as a matrix: (S, a, dt, n_steps).
 
-    The step is ``_advance`` on the resampled coefficients ``cf``, with the
-    u-equation source ``source(u, v)`` (the values at nodes 1 .. n) when
-    given.  ``actuate(u, v)`` returns the actuated value v(1), 0 when
-    ``actuate`` is None.  Both act on the last axis and are linear.  The
-    step is applied once, to the identity: that assembles it as a dense
-    2n x 2n matrix S over the free unknowns y = (u[1:], v[:-1]),
-    y_next = y @ S, and the closure row a, v(1) = y @ a (v(1) is +0.0
-    without an actuator).
+    The step is ``_advance`` on the resampled coefficients ``cf`` with dt
+    at the CFL bound, with the u-equation source ``source(u, v)`` (the
+    values at nodes 1 .. n) when given.  ``actuate(u, v)`` returns the
+    actuated value v(1), 0 when ``actuate`` is None.  Both act on the last
+    axis and are linear.  The step is applied once, to the identity: that
+    assembles it as a dense 2n x 2n matrix S over the free unknowns
+    y = (u[1:], v[:-1]), y_next = y @ S, and the closure row a,
+    v(1) = y @ a (a is None without an actuator, and v(1) is +0.0).
+    """
+    n_steps = step_count(coeffs, grid, T)
+    n, h, q = grid.n, grid.h, coeffs.q
+    dt = T / n_steps
 
-    A run of b = ``_block_length`` states per product squares S up to
+    # row k of S (of a) is the next state (the control) of unknown k alone,
+    # assembled ASSEMBLY_ROWS rows at a time, which keeps the temporaries small and fast
+    S = np.empty((2 * n, 2 * n))
+    a = np.empty(2 * n) if actuate else None
+    for k in range(0, 2 * n, ASSEMBLY_ROWS):
+        u, v = _full(np.eye(min(ASSEMBLY_ROWS, 2 * n - k), 2 * n, k), q, 0.0)
+        if actuate:
+            a[k : k + len(u)] = v[:, -1] = actuate(u, v)
+        src = source(u, v) if source else -0.0
+        S[k : k + len(u)] = _free(*_advance(u, v, dt, cf, q, h, src))
+    return S, a, dt, n_steps
+
+
+def _trace(init: PlantState, q: float, S, a, dt: float, n_steps: int, snapshot_stride: int) -> SimTrace:
+    """Run ``n_steps`` steps y_next = y @ S from ``init`` and record them.
+
+    ``q`` closes u(0) = q v(0), and the closure row ``a`` (None for the
+    zero control) gives v(1) = y @ a; both come with S from
+    ``_step_matrix``.
+
+    A run of b = ``_block_length`` states per product raises S to
     P = S^b.  States 1 .. b-1 are stepped with S, one product each; after
     that each block of b states is one product with P of the b states
     before it, the last block possibly short.  With b = 1, P is S and every
@@ -184,20 +209,7 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     call's arrays and the time ``init.t + m * dt`` of its step m.
     """
     grid = init.grid
-    n_steps = step_count(coeffs, grid, T)
-    n, h, q = grid.n, grid.h, coeffs.q
-    dt = T / n_steps
-
-    # row k of S (of a) is the next state (the control) of unknown k alone,
-    # assembled ASSEMBLY_ROWS rows at a time, which keeps the temporaries small and fast
-    S = np.empty((2 * n, 2 * n))
-    a = np.empty(2 * n) if actuate else None
-    for k in range(0, 2 * n, ASSEMBLY_ROWS):
-        u, v = _full(np.eye(min(ASSEMBLY_ROWS, 2 * n - k), 2 * n, k), q, 0.0)
-        if actuate:
-            a[k : k + len(u)] = v[:, -1] = actuate(u, v)
-        src = source(u, v) if source else -0.0
-        S[k : k + len(u)] = _free(*_advance(u, v, dt, cf, q, h, src))
+    n, h = grid.n, grid.h
 
     w = trapezoid_weights(n + 1, h)
     wy = np.concatenate((w[1:], w[:-1]))
@@ -206,7 +218,7 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
         """phi, u(0), v(0) and v(1) of the states in the rows of Y."""
         v0 = Y[:, n].copy()
         u0 = q * v0
-        U = Y @ a if actuate else np.zeros(len(Y))
+        U = Y @ a if a is not None else np.zeros(len(Y))
         return np.stack((np.einsum("ij,ij,j->i", Y, Y, wy) + w[0] * u0 * u0 + w[-1] * U * U, u0, v0, U))
 
     def snapshots_at(Y, U, steps):
@@ -232,9 +244,7 @@ def _trace(coeffs: CoefficientSet, init: PlantState, T: float, snapshot_stride: 
     # P overflows only if states can grow by 1e308 in BLOCK steps: such a run
     # blows up in its first BLOCK - 1 states or at its first non-finite block.
     with np.errstate(over="ignore", invalid="ignore"):
-        P = S
-        for _ in range(block.bit_length() - 1):
-            P = P @ P
+        P = np.linalg.matrix_power(S, block)
         while done < n_steps and not blew_up:
             # states 1 .. block - 1 form a chunk of their own, stepped with S
             lag, M = (1, S) if done < block - 1 else (block, P)
@@ -285,8 +295,8 @@ def simulate(
     recorded control and v(1) agree at every recorded time, including t = 0;
     the transformed state then vanishes at x = 1 identically.  The upwind
     step and this closure are assembled once into the step matrix that the
-    run iterates (see ``_trace``).  The run stops early with ``blew_up`` set
-    once phi exceeds 1e12 or turns non-finite.
+    run iterates (see ``_step_matrix``).  The run stops early with
+    ``blew_up`` set once phi exceeds 1e12 or turns non-finite.
     """
     grid = init.grid
     n, h = grid.n, grid.h
@@ -302,7 +312,7 @@ def simulate(
         def actuate(u, v):
             return ((g1 * u) @ w + (g2[:-1] * v[..., :-1]) @ w[:-1]) / closure
 
-    return _trace(coeffs, init, T, snapshot_stride, resample(coeffs, n), actuate)
+    return _trace(init, coeffs.q, *_step_matrix(coeffs, grid, T, resample(coeffs, n), actuate), snapshot_stride)
 
 
 def simulate_target(
@@ -318,9 +328,9 @@ def simulate_target(
     transport with zero inflow, and with the integral couplings through c
     and kappa under the row-wise trapezoid rule as a source in the u
     equation.  The step, integral rows included, is assembled once into the
-    dense step matrix that the run iterates (see ``_trace``).  ``init.v`` is
-    taken as the initial beta, and the recorded control is the zero inflow
-    beta(1).
+    dense step matrix that the run iterates (see ``_step_matrix``).
+    ``init.v`` is taken as the initial beta, and the recorded control is the
+    zero inflow beta(1).
     """
     if kernels.kappa is None or kernels.c is None:
         raise ValueError("target simulation needs kappa and c; run solve_kappa_c")
@@ -339,7 +349,7 @@ def simulate_target(
     def source(u, beta):
         return (u @ c_wt + beta @ kap_wt)[..., 1:]
 
-    return _trace(coeffs, init, T, snapshot_stride, cf, source=source)
+    return _trace(init, coeffs.q, *_step_matrix(coeffs, grid, T, cf, source=source), snapshot_stride)
 
 
 def trace_to_csv(trace: SimTrace, path) -> None:

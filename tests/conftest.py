@@ -25,9 +25,8 @@ def gamma5():
 
 @pytest.fixture(scope="session")
 def kernels_g1_n100(gamma1):
-    ks = g.solve_kernels(gamma1, g.TriangularGrid(100))
-    ks = g.solve_kappa_c(gamma1, ks)
-    return g.solve_inverse_kernels(ks)
+    # solve_kappa_c fills l1 and l2 as well
+    return g.solve_kappa_c(gamma1, g.solve_kernels(gamma1, g.TriangularGrid(100)))
 
 
 @pytest.fixture(scope="session")

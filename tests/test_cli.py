@@ -51,6 +51,12 @@ class TestSolve:
         assert list(report) == ["sup_bc_diag", "sup_bc_bottom", "sup_pde1", "sup_pde2", "epsilon_estimate"]
         assert report["sup_pde1"] > 0
 
+    def test_too_coarse_grid_rejected_before_writing(self, tmp_path, capsys):
+        # the solver takes n = 2, the residual report does not: no kernels.csv is left behind
+        assert main(["solve", "--gamma", "1", "--n", "2", "--out", str(tmp_path / "kernels.csv")]) == 1
+        assert "n >= 3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_nonpositive_gamma(self, workdir):
         assert main(["solve", "--gamma", "0", "--out", str(workdir / "x.csv")]) == 1
 

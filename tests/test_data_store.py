@@ -181,6 +181,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=what):
             read(path)
 
+    @pytest.mark.parametrize("case", ["no_samples", "one_cell_grid", "nan_kernel", "column_kernel"])
+    def test_write_refuses_what_read_refuses(self, small_dataset, tmp_path, case):
+        r = small_dataset.samples[0]
+        nan_k1 = r.k1.copy()
+        nan_k1[5] = np.nan
+        what, make = {
+            "no_samples": ("0 samples", lambda: Dataset(41, 16, [])),
+            "one_cell_grid": ("n_grid 1", lambda: Dataset(41, 1, [replace(r, k1=np.zeros(3), k2=np.zeros(3))])),
+            "nan_kernel": ("record 1 holds non-finite", lambda: Dataset(41, 16, [r, replace(r, k1=nan_k1)])),
+            "column_kernel": ("dataset shapes", lambda: Dataset(41, 16, [replace(r, k1=r.k1[:, None])])),
+        }[case]
+        with pytest.raises(ValueError, match=what):
+            write(make(), tmp_path / "ds.bin", manifest={"case": case})
+        # neither the dataset file nor its sidecar
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("header", [(1, 101, 2**22), (1, 2**31, 50), (1, 101, 2**32 - 1)])
     def test_header_larger_than_file_rejected(self, tmp_path, header):
         path = tmp_path / "ds.bin"

@@ -371,6 +371,44 @@ def test_target_run_is_the_separate_target_stencil_bitwise(monkeypatch, gamma1, 
         assert (a.u.tobytes(), a.v.tobytes(), a.t) == (b.u.tobytes(), b.v.tobytes(), b.t)
 
 
+@pytest.mark.parametrize(
+    "gamma, exact, rel",
+    [(1.0, True, 0.02), (5.0, True, 0.005), (1.0, False, None), (5.0, False, None)],
+    ids=["gamma1_exact", "gamma5_exact", "gamma1_open", "gamma5_open"],
+)
+def test_spectral_rate_of_the_step_matrix_matches_the_fitted_decay(monkeypatch, gamma, exact, rel):
+    # -2 ln rho(S) / dt is the decay rate of phi that S itself implies, read
+    # with no run.  It holds at n = 100 only: the closed-loop rate of this
+    # scheme depends on the grid (Gamma 1 gives 10.6 / 12.0 / 13.4 at
+    # n = 50 / 100 / 200), so the test fixes n.  The S read here is the one
+    # that ``simulate`` runs, taken from its ``_trace`` call.
+    n = 100
+    coeffs = g.gamma_family(gamma)
+    grid = g.IntervalGrid(n)
+    seen = []
+
+    def trace(init, q, S, a, dt, n_steps, snapshot_stride):
+        seen.append((S, dt))
+        return run(init, q, S, a, dt, n_steps, snapshot_stride)
+
+    run = plant_sim._trace
+    monkeypatch.setattr(plant_sim, "_trace", trace)
+    if exact:
+        ctrl = g.ControllerSpec.feedback(g.gain_slice(g.solve_kernels(coeffs, g.TriangularGrid(n))))
+    else:
+        ctrl = g.ControllerSpec.open_loop()
+    tr = g.simulate(coeffs, g.reference_initial_state(grid), ctrl, 10.0)
+    [(S, dt)] = seen
+    assert dt == tr.dt
+    rate = -2 * np.log(np.abs(np.linalg.eigvals(S)).max()) / dt
+    if exact:
+        # Gamma 1: 12.03 against 11.90; Gamma 5: 17.98 against 17.97
+        assert rate == pytest.approx(g.fit_decay(tr, t_start=2.0).c1_hat, rel=rel)
+    else:
+        # the open loop grows: -5.16 at Gamma 1, -19.71 at Gamma 5
+        assert rate < 0 and tr.blew_up
+
+
 class TestSimulateTarget:
     def test_zero_init_zero_trace(self, gamma1, kernels_g1_n100):
         grid = g.IntervalGrid(100)
