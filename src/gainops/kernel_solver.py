@@ -97,8 +97,8 @@ class PlantError(ValueError):
 # diagonal crossing rows 0:5 and the k2 foot rows 5:7.
 _TABLE = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
 # Node-plant pairs of march geometry computed at a time; bounds memory only.  A
-# pair is a k1 node and the k2 node to its right: 8 gather indices, 8 weights and
-# 6 update coefficients (176 bytes) outlive _geometry, plus compact crossing data.
+# pair is a k1 node and the k2 node to its right: 8 gather indices and 8 folded
+# weights (128 bytes) outlive _geometry, plus compact crossing data.
 GEOMETRY_NODES = 2048
 
 
@@ -133,21 +133,22 @@ def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int, ratio:
     k2 node j + 1 of level i, o being the sum of the levels before it in the
     run, and every returned array is (..., pairs, B).
 
-    Each node is updated as V + T*(P*V + Q*Z), V and Z being lerps
-    e_l*w_l + e_r*w_r of two cells.  A regular node lerps the previous level
-    at its foot: V is its own kernel there, Z the other one, T = h/mu(x_i)
-    and P, Q its sources at the foot.  A k1 node whose characteristic
-    crossed the diagonal reads V = bc exactly, weights (1, 0) on its own
-    cell, into which bc is prefilled here; Z is k2 at (i-1, i-1), read
-    exactly too, P = lam' + sigma and Q = theta at the crossing, and T the
-    remaining arc.  Only crossing nodes compute the crossing lerps.
+    Each node's update V + T*(P*V + Q*Z), V and Z being lerps
+    e_l*w_l + e_r*w_r of two cells, is folded into the weights: a V cell
+    weighs w*(1 + T*P) and a Z cell w*(T*Q), so the node is the sum of its
+    four weighted cells.  A regular node lerps the previous level at its
+    foot: V is its own kernel there, Z the other one, T = h/mu(x_i) and P,
+    Q its sources at the foot.  A k1 node whose characteristic crossed the
+    diagonal reads V = bc exactly, w = (1, 0) on its own cell, into which bc
+    is prefilled here; Z is k2 at (i-1, i-1), read exactly too,
+    P = lam' + sigma and Q = theta at the crossing, and T the remaining arc.
+    Only crossing nodes compute the crossing lerps.
 
-    Returns ``at``, the cells (left/right, V/Z, k1/k2, pairs, B),
-    ``weight`` of the same shape, ``src``, (P/Q/T, k1/k2, pairs, B), and a
-    map from each level where k2 characteristics leave through the bottom
-    edge to its fix-up: the k1 cells at (i-1, 0) and (i, 0), the k2 cells to
-    overwrite, and (keep, frac, arc, q lam(0)/mu(0), -mu'(0), omega(0)) for
-    each of them.
+    Returns ``at``, the cells (left/right, V/Z, k1/k2, pairs, B), the folded
+    ``weight`` of the same shape, and a map from each level where k2
+    characteristics leave through the bottom edge to its fix-up: the k1
+    cells at (i-1, 0) and (i, 0), the k2 cells to overwrite, and (keep,
+    frac, arc, q lam(0)/mu(0), -mu'(0), omega(0)) for each of them.
     """
     _, m, plants = table.shape
     n = m - 1
@@ -218,10 +219,15 @@ def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int, ratio:
         at[:, :, 1, 0] = col + plants + k2_of, col + plants
         weight[:, :, 1, 0] = ((1.0,),), ((0.0,),)
 
+    # --- the update folded in: V cells weigh w*(1 + T*P), Z cells w*(T*Q) ---
+    src[:2] *= src[2]
+    src[0] += 1.0
+    weight *= src[:2]
+
     # --- k2 nodes whose characteristic crossed the bottom edge ---
     kk, pp = np.nonzero(bottom)
     if not kk.size:
-        return at, weight, src, {}
+        return at, weight, {}
     jc, xc_i, mu_c = j[kk] + 1, x_i[kk], mu_i[kk, pp]
     xc = xc_i - x[jc] * mu_c / mu[jc, pp]
     frac = np.minimum(np.maximum((xc - x_prev[kk, 0]) / h, 0.0), 1.0)
@@ -233,24 +239,26 @@ def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int, ratio:
         int(level[kk[s]]): (cells[:, s:e], dst[s:e], data[:, s:e])
         for s, e in zip(starts, [*starts[1:], kk.size])
     }
-    return at, weight, src, fixes
+    return at, weight, fixes
 
 
-def _march(values: np.ndarray, ratio: np.ndarray, a: int, b: int, at, weight, src, fixes) -> None:
-    """Levels a..b-1 of the march, in place in ``values``, from their :func:`_geometry`."""
+def _march(values: np.ndarray, ratio: np.ndarray, a: int, b: int, at, weight, fixes) -> None:
+    """Levels a..b-1 of the march, in place in ``values``, from their :func:`_geometry`.
+
+    A level is one gather of its cells, one product with their folded
+    weights and one sum of the four terms of each node, in the fixed order
+    (l, V), (l, Z), (r, V), (r, Z).  The sum starts from -0.0, not from
+    add's identity +0.0, so that a first term of -0.0 stays -0.0.
+    """
     cells = values.reshape(-1)
     o = 0
     for i in range(a, b):
         s = slice(o, o + i)
         o += i
         r = i * (i + 1) // 2 + 1  # slot of k1 at (i, 0) and of k2 at (i, 1)
-        ends = cells.take(at[:, :, :, s])
-        ends *= weight[:, :, :, s]
-        vz = ends[0] + ends[1]
-        new = vz * src[:2, :, s]
-        new = new[0] + new[1]
-        new *= src[2, :, s]
-        np.add(new, vz[0], out=values[:, r : r + i])
+        terms = cells.take(at[:, :, :, s])
+        terms *= weight[:, :, :, s]
+        np.add.reduce(terms.reshape(4, *terms.shape[2:]), out=values[:, r : r + i], initial=-0.0)
         np.multiply(ratio, values[0, r], out=values[1, r - 1])
         if i in fixes:  # k2 from the bottom data, lerped between k1 at (i-1, 0) and (i, 0)
             at_b, dst, (keep, frac, arc, ratio_b, ndmu0, omg0) = fixes[i]
@@ -285,17 +293,18 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     nodes j = 1..i of level i share the slots of one slice.  The k1
     diagonal is prefilled.  :func:`_geometry` computes what depends only on
     the coefficients for a run of levels at once (at most GEOMETRY_NODES
-    node-plant pairs, or one level that alone has more), so that
-    :func:`_march` updates every node of a level in one fused
-    V + T*(P*V + Q*Z): one gather of the lerp cells of V and Z from the
-    previous level, the arithmetic, and one write of both rows; then k2 at
-    node 0.  The k2 nodes whose characteristics cross the bottom edge need
-    this level's k1 at node 0, so they are recomputed after it, only at
-    levels that have them.  Every operation is elementwise, so each plant's
-    kernels are bit-identical however the batch is composed.  A plant with
-    lam + mu <= 0 somewhere or non-finite kernels raises
-    :class:`PlantError` naming its index; an overflow inside the march is
-    left to that check.
+    node-plant pairs, or one level that alone has more), with the update
+    V + T*(P*V + Q*Z) folded into the weights of the lerp cells of V and
+    Z.  So :func:`_march` updates every node of a level with one gather of
+    those cells from the previous level, one product with their weights
+    and one sum written to both rows; then k2 at node 0.  The k2 nodes
+    whose characteristics cross the bottom edge need this level's k1 at
+    node 0, so they are recomputed after it, only at levels that have
+    them.  Every operation is elementwise, and the sum of a node's four
+    terms runs in one fixed order, so each plant's kernels are
+    bit-identical however the batch is composed.  A plant with lam + mu
+    <= 0 somewhere or non-finite kernels raises :class:`PlantError` naming
+    its index; an overflow inside the march is left to that check.
     """
     n, h = grid.n, grid.h
     plants = len(coeffs)

@@ -100,10 +100,12 @@ def crossing_plants():
     return [replace(c, mu=c.mu[::-1].copy(), dmu=-c.dmu[::-1]), replace(c, lam=4.0 * c.lam, dlam=4.0 * c.dlam)]
 
 
-def per_level_march(coeffs, grid):
+def per_level_march(coeffs, grid, fold=True):
     """The batched march with every coefficient-only quantity recomputed at each
     level, plant-major; kernels (2, B, nodes) that solve_kernels_batch must
-    reproduce bit for bit."""
+    reproduce bit for bit.  A node with lerp ends (vl, vr) of V and (zl, zr) of
+    Z is the four-term sum of the folded weights w*(1 + T*P) and w*(T*Q), or,
+    with ``fold=False``, the unfolded update V + T*(P*V + Q*Z)."""
     n, h = grid.n, grid.h
     names = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
     fields = [resample(c, n) for c in coeffs]
@@ -114,6 +116,17 @@ def per_level_march(coeffs, grid):
 
     def lerp(rows, idx, frac):
         return rows.take(idx, axis=1) * (1.0 - frac) + rows.take(idx + 1, axis=1) * frac
+
+    def ends(idx):
+        return prev_flat.take(idx + off, axis=1), prev_flat.take(idx + 1 + off, axis=1)
+
+    def node(vl, vr, zl, zr, frac, tau, p, q):
+        wl, wr = 1.0 - frac, frac
+        if fold:
+            wv, wz = 1.0 + tau * p, tau * q
+            return vl * (wl * wv) + zl * (wl * wz) + vr * (wr * wv) + zr * (wr * wz)
+        v, z = vl * wl + vr * wr, zl * wl + zr * wr
+        return v + tau * (p * v + q * z)
 
     x = grid.points
     bc_ratio = np.array([c.q for c in coeffs])[:, None] * lam[:, :1] / mu[:, :1]
@@ -136,9 +149,9 @@ def per_level_march(coeffs, grid):
             t = np.minimum(np.maximum(foot, 0.0), x_prev) / h
             ic = np.minimum(t.astype(int), n - 1)
             ik = np.minimum(ic, i - 2)
-            k1f, k2f = lerp(prev_flat, ik + off, t - ik)
+            (k1l, k2l), (k1r, k2r) = ends(ik)
             dlam_f, sig_f, tht_f = lerp(flat[2:5], ic + off, t - ic)
-            regular = k1f + tau * ((dlam_f + sig_f) * k1f + tht_f * k2f)
+            regular = node(k1l, k1r, k2l, k2r, t - ik, tau, dlam_f + sig_f, tht_f)
         else:
             regular = 0.0
         slope = lam[:, :i] / mu_i
@@ -147,8 +160,8 @@ def per_level_march(coeffs, grid):
         ic = np.minimum(t.astype(int), n - 1)
         lam_c, mu_c, dlam_c, sig_c, tht_c = lerp(flat[:5], ic + off, t - ic)
         bc = -tht_c / (lam_c + mu_c)
-        src_c = (dlam_c + sig_c) * bc + tht_c * prev[1, :, i - 1 : i]
-        from_bc = bc + ((x[i] - xc) / mu_i) * src_c
+        k2d = prev[1, :, i - 1 : i]
+        from_bc = node(bc, bc, k2d, k2d, 0.0, (x[i] - xc) / mu_i, dlam_c + sig_c, tht_c)
         k1[:, :i] = np.where(crossed, from_bc, regular)
         k1[:, i] = diag_bc[:, i]
         foot = x[1 : i + 1] - h_mu[:, 1 : i + 1] / mu_i
@@ -157,11 +170,13 @@ def per_level_march(coeffs, grid):
         ic = np.minimum(t.astype(int), n - 1)
         if i >= 2:
             ik = np.minimum(ic, i - 2)
-            k1f, k2f = lerp(prev_flat, ik + off, t - ik)
+            (k1l, k2l), (k1r, k2r) = ends(ik)
+            frac = t - ik
         else:
-            k1f, k2f = prev[:, :, :1]
+            (k1l, k2l), frac = prev[:, :, :1], 0.0
+            k1r, k2r = k1l, k2l
         dmu_f, omg_f = lerp(flat[5:7], ic + off, t - ic)
-        regular = k2f + tau * (-dmu_f * k2f + omg_f * k1f)
+        regular = node(k2l, k2r, k1l, k1r, frac, tau, -dmu_f, omg_f)
         xc = x[i] - x[1 : i + 1] * mu_i / mu[:, 1 : i + 1]
         frac = np.minimum(np.maximum((xc - x_prev) / h, 0.0), 1.0)
         k1b = prev[0, :, :1] * (1.0 - frac) + k1[:, :1] * frac
@@ -190,6 +205,14 @@ class TestMarchGeometry:
             for b, ks in enumerate(solve_kernels_batch(batch, grid)):
                 assert ks.k1.values.tobytes() == expected[0, b].tobytes()
                 assert ks.k2.values.tobytes() == expected[1, b].tobytes()
+
+    @pytest.mark.parametrize("n", [3, 50, 137])
+    def test_fold_changes_rounding_only(self, n):
+        # measured at most 3.3e-15 relative up to n = 400
+        plants = mixed_plants(36) + crossing_plants()
+        folded, unfolded = (per_level_march(plants, TriangularGrid(n), fold) for fold in (True, False))
+        sup = np.abs(unfolded).max(axis=2, keepdims=True)
+        assert np.all(np.abs(folded - unfolded) <= 1e-13 * sup)
 
     def test_crossing_plants_reach_both_crossing_branches(self):
         # mixed_plants has no bottom crossing and one diagonal crossing per level and plant
@@ -237,6 +260,52 @@ class TestMarchGeometry:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= MARCH_PEAK_MB[plants] * 1e6
+
+
+def symmetry_plants():
+    return [g.gamma_family(1.0), g.gamma_family(5.0)] + [
+        g.sample_random(g.CoefficientFamily("random_smooth"), seed) for seed in range(4)
+    ]
+
+
+class TestSymmetries:
+    """Two exact symmetries of the kernel equations: multiplying every speed and
+    rate by s leaves (k1, k2) as they are, and the gauge u -> a*u, which maps
+    (omega, theta, q) to (a*omega, theta/a, a*q), maps them to (k1/a, k2).  A
+    factor of 2 is exact in floating point, so the march keeps both laws bit for
+    bit there; at other factors only to rounding (measured at most 1.8e-15
+    relative)."""
+
+    @staticmethod
+    def rescaled(c, s):
+        return replace(c, **{f: s * getattr(c, f) for f in ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta")})
+
+    @staticmethod
+    def gauged(c, a):
+        return replace(c, omega=a * c.omega, theta=c.theta / a, q=a * c.q)
+
+    @staticmethod
+    def assert_close(field, expected, exact):
+        if exact:
+            assert field.values.tobytes() == expected.tobytes()
+        else:
+            assert np.abs(field.values - expected).max() <= 2e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("s", [2.0, 0.3, 3.7])
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_time_rescaling_keeps_kernels(self, n, s):
+        plants, grid = symmetry_plants(), TriangularGrid(n)
+        for ks, ref in zip(solve_kernels_batch([self.rescaled(c, s) for c in plants], grid), solve_kernels_batch(plants, grid)):
+            self.assert_close(ks.k1, ref.k1.values, s == 2.0)
+            self.assert_close(ks.k2, ref.k2.values, s == 2.0)
+
+    @pytest.mark.parametrize("a", [2.0, 0.37])
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_gauge_divides_k1(self, n, a):
+        plants, grid = symmetry_plants(), TriangularGrid(n)
+        for ks, ref in zip(solve_kernels_batch([self.gauged(c, a) for c in plants], grid), solve_kernels_batch(plants, grid)):
+            self.assert_close(ks.k1, ref.k1.values / a, a == 2.0)
+            self.assert_close(ks.k2, ref.k2.values, a == 2.0)
 
 
 def dense_volterra_kappa(coeffs, ks):
