@@ -28,6 +28,7 @@ from .kernel_solver import (
     solve_kappa_c,
     solve_kernels,
     solve_kernels_batch,
+    target_couplings,
 )
 from .neural_op import (
     DeepONetModel,

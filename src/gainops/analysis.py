@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, resample
-from .kernel_solver import KernelField, KernelSet, solve_kappa_c
+from .kernel_solver import KernelField, KernelSet, target_couplings
 from .numerics import lower_mask, trapezoid_integral
 from .plant_sim import PlantState, SimTrace
 
@@ -111,7 +111,7 @@ def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField)
     if n < 3:
         raise ValueError("residual stencils need n >= 3")
     cf = resample(coeffs, n)
-    diag, bottom, r1, r2 = _residual_terms(cf, coeffs.q, k1.as_matrix(), k2.as_matrix(), n, h)
+    diag, bottom, r1, r2 = _residual_terms(cf, coeffs.q, k1.matrix, k2.matrix, n, h)
     a_diag, a_bottom, a1, a2 = np.abs(diag + cf["theta"]), np.abs(bottom), np.abs(r1), np.abs(r2)
     summed = a_diag[:, None] + a_bottom[:, None] + a1 + a2
     return ResidualReport(
@@ -146,22 +146,17 @@ def epsilon_estimate(
     Sums |k1err| + |k2err| + |cerr| + |kappaerr| plus the two boundary
     perturbations (linear in the error) and the two interior perturbations
     (the interior residual operators applied to the difference fields), node
-    by node, and takes the maximum.  kappa and c are solved for both kernel
-    sets if not already present.
+    by node, and takes the maximum.  kappa and c are :func:`target_couplings`
+    of each set.
     """
     n, h = exact.grid.n, exact.grid.h
     if approx.grid.n != n:
         raise ValueError("kernel sets must share one grid")
-    if exact.kappa is None or exact.c is None:
-        exact = solve_kappa_c(coeffs, exact)
-    if approx.kappa is None or approx.c is None:
-        approx = solve_kappa_c(coeffs, approx)
     cf = resample(coeffs, n)
 
-    e1 = exact.k1.as_matrix() - approx.k1.as_matrix()
-    e2 = exact.k2.as_matrix() - approx.k2.as_matrix()
-    ec = exact.c.as_matrix() - approx.c.as_matrix()
-    ekap = exact.kappa.as_matrix() - approx.kappa.as_matrix()
+    e1 = exact.k1.matrix - approx.k1.matrix
+    e2 = exact.k2.matrix - approx.k2.matrix
+    ec, ekap = np.subtract(target_couplings(cf["omega"], exact), target_couplings(cf["omega"], approx))
 
     d1, d2, d3, d4 = _residual_terms(cf, coeffs.q, e1, e2, n, h)
     mask = lower_mask(n + 1)
@@ -239,14 +234,12 @@ def p2_lower_bound(coeffs: CoefficientSet, kernels: KernelSet, p1: float) -> flo
 
     The larger of p1 (omega + kappa) / lam and (2 sigma + omega + 2 c + kappa)
     / lam, where omega and sigma are their largest nodal values, lam its
-    smallest, and kappa and c the sup norms of the computed fields.
+    smallest, and kappa and c the sup norms of the :func:`target_couplings`.
     """
-    if kernels.kappa is None or kernels.c is None:
-        raise ValueError("p2_lower_bound needs kappa and c; run solve_kappa_c")
     omega_max, sigma_max = float(coeffs.omega.max()), float(coeffs.sigma.max())
     lam_min = float(coeffs.lam.min())
-    kap_sup = kernels.kappa.sup()
-    c_sup = kernels.c.sup()
+    omega = resample(coeffs, kernels.grid.n)["omega"]
+    c_sup, kap_sup = (float(np.abs(f).max()) for f in target_couplings(omega, kernels))
     return max(
         p1 * (omega_max + kap_sup) / lam_min,
         (2 * sigma_max + omega_max + 2 * c_sup + kap_sup) / lam_min,
@@ -259,8 +252,6 @@ def norm_equivalence_constants(kernels: KernelSet) -> tuple[float, float]:
     S1 = 4 + 3 sup(k1)^2 + 3 sup(k2)^2 and S2 = 4 + 3 sup(l1)^2 + 3 sup(l2)^2,
     with sup norms read off the computed fields.
     """
-    if kernels.l1 is None or kernels.l2 is None:
-        raise ValueError("norm equivalence needs l1, l2; run solve_inverse_kernels")
     s1 = 4.0 + 3.0 * kernels.k1.sup() ** 2 + 3.0 * kernels.k2.sup() ** 2
     s2 = 4.0 + 3.0 * kernels.l1.sup() ** 2 + 3.0 * kernels.l2.sup() ** 2
     return s1, s2

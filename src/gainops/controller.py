@@ -42,15 +42,13 @@ def forward_transform(state: "PlantState", kernels: "KernelSet") -> np.ndarray:
     if state.grid.n != n:
         raise ValueError("state and kernels must share one grid resolution")
     w = row_weights(n, state.grid.h)
-    return state.v - (kernels.k1.as_matrix() * w) @ state.u - (kernels.k2.as_matrix() * w) @ state.v
+    return state.v - (kernels.k1.matrix * w) @ state.u - (kernels.k2.matrix * w) @ state.v
 
 
 def inverse_transform(u: np.ndarray, beta: np.ndarray, kernels: "KernelSet") -> np.ndarray:
     """Recover v(x) = beta(x) + int_0^x (l1 u + l2 beta) dxi per node."""
-    if kernels.l1 is None or kernels.l2 is None:
-        raise ValueError("kernels lack l1/l2; run solve_inverse_kernels first")
     n = kernels.grid.n
     if u.shape != (n + 1,) or beta.shape != (n + 1,):
         raise ValueError("state arrays must match the kernel grid")
     w = row_weights(n, kernels.grid.h)
-    return beta + (kernels.l1.as_matrix() * w) @ u + (kernels.l2.as_matrix() * w) @ beta
+    return beta + (kernels.l1.matrix * w) @ u + (kernels.l2.matrix * w) @ beta

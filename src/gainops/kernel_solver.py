@@ -14,16 +14,18 @@ and on the bottom edge for k2,
     mu(0) k2(x, 0) = q lam(0) k1(x, 0).
 
 The inverse kernels l1, l2 solve Volterra equations of the second kind
-driven by (k1, k2), in one blocked solve.  l2 is the resolvent kernel of k2,
-so the target-system couplings are products with them: kappa = omega(x) l2
-and c = omega(x) l1, exactly in the continuum and to O(h^2) under the
-trapezoid rule.
+driven by (k1, k2).  A :class:`KernelSet` holds k1 and k2 only and solves
+l1, l2 in one blocked solve on their first read.  l2 is the resolvent
+kernel of k2, so the target-system couplings kappa = omega(x) l2 and
+c = omega(x) l1 (exact in the continuum, to O(h^2) under the trapezoid
+rule) are products that :func:`target_couplings` forms where read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,16 +49,16 @@ class KernelField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("kernel field contains non-finite values")
 
-    @classmethod
-    def from_matrix(cls, grid: TriangularGrid, dense: np.ndarray) -> "KernelField":
-        return cls(grid, flatten_lower(dense))
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (n+1, n+1) lower triangle, zero above it; built on first read, read-only."""
+        dense = unflatten_lower(self.values, self.grid.n)
+        dense.flags.writeable = False
+        return dense
 
     def as_matrix(self) -> np.ndarray:
-        return unflatten_lower(self.values, self.grid.n)
-
-    def row(self, i: int) -> np.ndarray:
-        start = i * (i + 1) // 2
-        return self.values[start : start + i + 1]
+        """:attr:`matrix`, under the name the benchmark traces."""
+        return self.matrix
 
     def sup(self) -> float:
         return float(np.abs(self.values).max())
@@ -64,25 +66,44 @@ class KernelField:
 
 @dataclass(frozen=True, eq=False)
 class KernelSet:
-    """Solved kernels on one grid; kappa, c, l1, l2 are filled on demand."""
+    """One solved plant on one grid: k1 and k2, and l1 and l2 solved from them on first read."""
 
     k1: KernelField
     k2: KernelField
-    kappa: KernelField | None = None
-    c: KernelField | None = None
-    l1: KernelField | None = None
-    l2: KernelField | None = None
 
     def __post_init__(self):
-        for f in (self.kappa, self.c, self.l1, self.l2):
-            if f is not None and f.grid.n != self.grid.n:
-                raise ValueError("all kernel fields must share one grid")
         if self.k1.grid.n != self.k2.grid.n:
             raise ValueError("k1 and k2 must share one grid")
 
     @property
     def grid(self) -> TriangularGrid:
         return self.k1.grid
+
+    @cached_property
+    def _inverse(self) -> tuple[KernelField, KernelField]:
+        """The inverse-transformation kernels (l1, l2) by one blocked Volterra solve.
+
+        For each fixed xi the pair satisfies
+
+            l_i(x, xi) = k_i(x, xi) + int_xi^x k2(x, s) l_i(s, xi) ds,
+
+        the equation :func:`_volterra` solves, here with data (k1, k2); a
+        pivot below PIVOT_TOL raises ZeroDivisionError, on every read.
+        """
+        grid = self.grid
+        k = np.stack([self.k1.matrix, self.k2.matrix])
+        bad = np.flatnonzero(np.abs(1.0 - 0.5 * grid.h * np.diagonal(k[1])[1:]) < PIVOT_TOL)
+        if bad.size:
+            raise ZeroDivisionError(f"singular inverse-kernel pivot at x index {bad[0] + 1}")
+        return tuple(KernelField(grid, flatten_lower(l)) for l in _volterra(k[1], grid.h, k))
+
+    @property
+    def l1(self) -> KernelField:
+        return self._inverse[0]
+
+    @property
+    def l2(self) -> KernelField:
+        return self._inverse[1]
 
 
 class PlantError(ValueError):
@@ -369,8 +390,8 @@ def _volterra(k2m: np.ndarray, h: float, data: np.ndarray) -> np.ndarray:
     return l
 
 
-def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
-    """Fill kappa and c, and l1 and l2 by :func:`solve_inverse_kernels`: kappa = omega(x) l2, c = omega(x) l1.
+def target_couplings(omega: np.ndarray, ks: KernelSet) -> tuple[np.ndarray, np.ndarray]:
+    """The target system's couplings (c, kappa) = omega(x) (l1, l2), dense, from omega on the grid's x nodes.
 
     Per row (fixed x) kappa and c satisfy
 
@@ -378,43 +399,33 @@ def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
         c(x, xi) = omega(x) k1(x, xi) + int_xi^x kappa(x, s) k1(s, xi) ds.
 
     l2 is the resolvent kernel of k2: it solves this right resolvent
-    equation as well as the left one of :func:`solve_inverse_kernels`, so
+    equation as well as the left one of ``KernelSet._inverse``, so
     kappa = omega(x) l2, and then c = omega(x) (k1 + int l2 k1) = omega(x) l1.
     Under the trapezoid rule the left and right equations agree only to
     O(h^2), so kappa and c differ from the solutions of their own
     discretized equations by O(h^2): at most 1.10 h^2 sup|kappa|, sup|c| on
     the plants the tests check.
     """
-    inv = solve_inverse_kernels(ks)
-    n = inv.grid.n
-    w = np.repeat(resample(coeffs, n)["omega"], np.arange(1, n + 2))  # omega(x) at every flat node
-    return replace(inv, kappa=KernelField(inv.grid, w * inv.l2.values), c=KernelField(inv.grid, w * inv.l1.values))
+    return omega[:, None] * ks.l1.matrix, omega[:, None] * ks.l2.matrix
+
+
+def solve_kappa_c(coeffs: CoefficientSet, ks: KernelSet) -> KernelSet:
+    """``ks``, its l1 and l2 solved: kappa and c are :func:`target_couplings`, formed where read."""
+    ks.l1  # the first read solves l1 and l2
+    return ks
 
 
 def solve_inverse_kernels(ks: KernelSet) -> KernelSet:
-    """Fill the inverse-transformation kernels l1, l2 by one blocked Volterra solve.
-
-    For each fixed xi the pair satisfies
-
-        l_i(x, xi) = k_i(x, xi) + int_xi^x k2(x, s) l_i(s, xi) ds,
-
-    the equation :func:`_volterra` solves, here with data (k1, k2).
-    """
-    grid = ks.grid
-    k = np.stack([ks.k1.as_matrix(), ks.k2.as_matrix()])
-    bad = np.flatnonzero(np.abs(1.0 - 0.5 * grid.h * np.diagonal(k[1])[1:]) < PIVOT_TOL)
-    if bad.size:
-        raise ZeroDivisionError(f"singular inverse-kernel pivot at x index {bad[0] + 1}")
-
-    l1, l2 = _volterra(k[1], grid.h, k)
-    return replace(ks, l1=KernelField.from_matrix(grid, l1), l2=KernelField.from_matrix(grid, l2))
+    """``ks``, its l1 and l2 solved (see ``KernelSet._inverse``)."""
+    ks.l1  # the first read solves l1 and l2
+    return ks
 
 
 def gain_slice(ks: KernelSet) -> GainVector:
-    """Feedback gains: the top row x = 1 of both kernels over xi in [0, 1]."""
+    """Feedback gains: the top row x = 1 of both kernels over xi in [0, 1], the last n + 1 flat values."""
     n = ks.grid.n
     return GainVector(
         grid=IntervalGrid(n),
-        g1=ks.k1.row(n).copy(),
-        g2=ks.k2.row(n).copy(),
+        g1=ks.k1.values[-(n + 1) :].copy(),
+        g2=ks.k2.values[-(n + 1) :].copy(),
     )

@@ -28,6 +28,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, resample
 from .controller import GainVector
+from .kernel_solver import KernelSet, target_couplings
 from .numerics import IntervalGrid, row_weights, trapezoid_integral, trapezoid_weights  # noqa: F401  (bench/test_bench.py reads it from here)
 
 BLOWUP_THRESHOLD = 1e12
@@ -317,7 +318,7 @@ def simulate(
 
 def simulate_target(
     coeffs: CoefficientSet,
-    kernels,
+    kernels: KernelSet,
     init: PlantState,
     T: float,
     snapshot_stride: int = 0,
@@ -332,8 +333,6 @@ def simulate_target(
     ``init.v`` is taken as the initial beta, and the recorded control is the
     zero inflow beta(1).
     """
-    if kernels.kappa is None or kernels.c is None:
-        raise ValueError("target simulation needs kappa and c; run solve_kappa_c")
     grid = init.grid
     n, h = grid.n, grid.h
     if kernels.grid.n != n:
@@ -343,8 +342,7 @@ def simulate_target(
 
     # fold the row-wise trapezoid weights into the kernel matrices once
     wtri = row_weights(n, h)
-    c_wt = (kernels.c.as_matrix() * wtri).T
-    kap_wt = (kernels.kappa.as_matrix() * wtri).T
+    c_wt, kap_wt = ((f * wtri).T for f in target_couplings(cf["omega"], kernels))
 
     def source(u, beta):
         return (u @ c_wt + beta @ kap_wt)[..., 1:]

@@ -25,13 +25,7 @@ def gamma5():
 
 @pytest.fixture(scope="session")
 def kernels_g1_n100(gamma1):
-    # solve_kappa_c fills l1 and l2 as well
-    return g.solve_kappa_c(gamma1, g.solve_kernels(gamma1, g.TriangularGrid(100)))
-
-
-@pytest.fixture(scope="session")
-def kernels_g1_n50(gamma1):
-    return g.solve_kernels(gamma1, g.TriangularGrid(50))
+    return g.solve_kernels(gamma1, g.TriangularGrid(100))
 
 
 def make_coeffs(m=101, lam=None, mu=None, sigma=None, omega=None, theta=None, q=0.5):

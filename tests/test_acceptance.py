@@ -31,8 +31,6 @@ from gainops.kernel_solver import (
     KernelField,
     KernelSet,
     gain_slice,
-    solve_inverse_kernels,
-    solve_kappa_c,
     solve_kernels,
 )
 from gainops.numerics import TriangularGrid, trapezoid_integral

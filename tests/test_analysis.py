@@ -19,7 +19,7 @@ from gainops.analysis import (
 )
 from gainops.coefficients import resample
 from gainops.controller import forward_transform
-from gainops.kernel_solver import KernelField, KernelSet, solve_kappa_c, solve_kernels
+from gainops.kernel_solver import KernelField, KernelSet, solve_kappa_c, solve_kernels, target_couplings
 from gainops.numerics import TriangularGrid, trapezoid_integral
 from gainops.plant_sim import SimTrace
 
@@ -124,8 +124,9 @@ def separate_epsilon_terms(coeffs, exact, approx):
     sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
     e1 = exact.k1.as_matrix() - approx.k1.as_matrix()
     e2 = exact.k2.as_matrix() - approx.k2.as_matrix()
-    ec = exact.c.as_matrix() - approx.c.as_matrix()
-    ekap = exact.kappa.as_matrix() - approx.kappa.as_matrix()
+    (c_x, kap_x), (c_a, kap_a) = target_couplings(omg, exact), target_couplings(omg, approx)
+    ec = c_x - c_a
+    ekap = kap_x - kap_a
     d1 = (lam + mu) * np.diagonal(e1)
     d2 = lam[0] * coeffs.q * e1[:, 0] - mu[0] * e2[:, 0]
     dx1, dxi1 = _directional_derivatives(e1, n, h)
@@ -203,8 +204,9 @@ class TestEpsilonEstimate:
         h = grid.h
         e1 = exact.k1.as_matrix() - approx.k1.as_matrix()
         e2 = exact.k2.as_matrix() - approx.k2.as_matrix()
-        ec = exact.c.as_matrix() - approx.c.as_matrix()
-        ek = exact.kappa.as_matrix() - approx.kappa.as_matrix()
+        (c_x, kap_x), (c_a, kap_a) = target_couplings(omg, exact), target_couplings(omg, approx)
+        ec = c_x - c_a
+        ek = kap_x - kap_a
 
         def d_dx(f, i, j):
             if i == j:
@@ -382,7 +384,8 @@ class TestP2LowerBound:
     def test_zero_sigma_omega_gives_zero(self):
         c = make_coeffs(m=101, lam=lambda x: 1 + x, mu=lambda x: 2.0, theta=lambda x: 1.0, q=0.3)
         ks = solve_kappa_c(c, solve_kernels(c, TriangularGrid(40)))
-        assert ks.kappa.sup() == 0.0 and ks.c.sup() == 0.0
+        cm, kap = target_couplings(resample(c, 40)["omega"], ks)
+        assert np.abs(kap).max() == 0.0 and np.abs(cm).max() == 0.0
         assert p2_lower_bound(c, ks, 1.0) == 0.0
 
     def test_monotone_in_p1(self, gamma1, kernels_g1_n100):
@@ -394,9 +397,55 @@ class TestP2LowerBound:
         b = p2_lower_bound(gamma1, kernels_g1_n100, default_p1(gamma1))
         assert np.isfinite(b) and b > 0
 
-    def test_requires_kappa_c(self, gamma1, kernels_g1_n50):
-        with pytest.raises(ValueError):
-            p2_lower_bound(gamma1, kernels_g1_n50, 1.0)
+
+def constant_kernels(n, a):
+    """k1 = a and k2 = 0 on the triangle: then l1 = k1 and l2 = 0 exactly, kappa = 0 and c = omega a."""
+    grid = TriangularGrid(n)
+    return KernelSet(k1=KernelField(grid, np.full(grid.node_count, a)), k2=KernelField(grid, np.zeros(grid.node_count)))
+
+
+class TestCertificateFormulas:
+    """p1, both terms of p2, S1 and S2 equal their formulas, on sups that are checkable by hand."""
+
+    A = -0.5  # k1; with omega = 4, c = -2 and kappa = 0
+
+    @staticmethod
+    def plant(q=0.5):
+        return make_coeffs(lam=lambda x: 2.0, sigma=lambda x: 1.0, omega=lambda x: 4.0, q=q)
+
+    def test_constant_kernels_give_hand_couplings(self):
+        ks = constant_kernels(20, self.A)
+        assert np.array_equal(ks.l1.values, ks.k1.values) and ks.l2.sup() == 0.0
+        c, kappa = target_couplings(resample(self.plant(), 20)["omega"], ks)
+        assert np.abs(kappa).max() == 0.0
+        assert np.array_equal(c, np.tril(np.full((21, 21), -2.0)))
+
+    def test_norm_equivalence_constants(self):
+        # S1 = S2 = 4 + 3 a^2 + 3 * 0^2
+        assert norm_equivalence_constants(constant_kernels(20, self.A)) == (4.75, 4.75)
+
+    @pytest.mark.parametrize("p1, p2", [(0.5, 5.0), (4.0, 8.0)])
+    def test_p2_terms(self, p1, p2):
+        # p1 (omega + kappa) / lam = 2 p1 against (2 sigma + omega + 2 c + kappa) / lam = (2 + 4 + 4 + 0) / 2 = 5
+        assert p2_lower_bound(self.plant(), constant_kernels(20, self.A), p1) == p2
+
+    @pytest.mark.parametrize("q, p1", [(0.0, 0.5), (0.5, 0.5), (2.0, 0.125)])
+    def test_default_p1(self, q, p1):
+        # min(1, 1/q^2) / 2, and 1/2 at q = 0
+        assert default_p1(self.plant(q)) == p1
+
+    def test_every_term_counts_on_a_solved_plant(self, gamma1, kernels_g1_n100):
+        # at Gamma = 1 k2, l2 and kappa are nonzero, and the first term of p2 wins at p1 = 2, the second at p1 = 1
+        ks = kernels_g1_n100
+        k1, k2, l1, l2 = (f.sup() for f in (ks.k1, ks.k2, ks.l1, ks.l2))
+        assert min(k2, l2) > 1.0
+        assert norm_equivalence_constants(ks) == (4.0 + 3.0 * k1**2 + 3.0 * k2**2, 4.0 + 3.0 * l1**2 + 3.0 * l2**2)
+        c, kappa = target_couplings(resample(gamma1, 100)["omega"], ks)
+        c_sup, kap_sup = float(np.abs(c).max()), float(np.abs(kappa).max())
+        omega, sigma, lam = float(gamma1.omega.max()), float(gamma1.sigma.max()), float(gamma1.lam.min())
+        assert kap_sup > 10.0
+        assert p2_lower_bound(gamma1, ks, 2.0) == 2.0 * (omega + kap_sup) / lam
+        assert p2_lower_bound(gamma1, ks, 1.0) == (2 * sigma + omega + 2 * c_sup + kap_sup) / lam
 
 
 def synthetic_trace(times, phis):

@@ -19,8 +19,6 @@ def zero_kernels(n):
     return KernelSet(
         k1=KernelField(grid, z.copy()),
         k2=KernelField(grid, z.copy()),
-        l1=KernelField(grid, z.copy()),
-        l2=KernelField(grid, z.copy()),
     )
 
 
@@ -116,11 +114,6 @@ class TestInverseTransform:
     def test_zero_inputs(self, kernels_g1_n100):
         z = np.zeros(101)
         assert np.all(inverse_transform(z, z, kernels_g1_n100) == 0)
-
-    def test_missing_inverse_kernels_errors(self, kernels_g1_n50):
-        z = np.zeros(51)
-        with pytest.raises(ValueError, match="solve_inverse_kernels"):
-            inverse_transform(z, z, kernels_g1_n50)
 
     def test_composition_recovers_state(self, kernels_g1_n100):
         grid = g.IntervalGrid(100)

@@ -16,8 +16,9 @@ from gainops.kernel_solver import (
     solve_kappa_c,
     solve_kernels,
     solve_kernels_batch,
+    target_couplings,
 )
-from gainops.numerics import TriangularGrid, trapezoid_weights
+from gainops.numerics import TriangularGrid, flatten_lower, trapezoid_weights, unflatten_lower
 
 from conftest import check_boundary_conditions, mixed_plants
 from picard_oracle import picard_kernels
@@ -375,8 +376,9 @@ class TestKappaC:
             theta=gamma1.theta, q=gamma1.q,
         )
         ks = solve_kappa_c(c, solve_kernels(c, TriangularGrid(50)))
-        assert ks.kappa.sup() == 0.0
-        assert ks.c.sup() == 0.0
+        cm, kap = target_couplings(resample(c, 50)["omega"], ks)
+        assert np.abs(kap).max() == 0.0
+        assert np.abs(cm).max() == 0.0
 
     def test_zero_k2_reduces_to_direct_product(self):
         # with k2 == 0 the kappa equation is homogeneous and c = omega * k1
@@ -386,17 +388,19 @@ class TestKappaC:
         k1 = KernelField(grid, x - xi)
         k2 = KernelField(grid, np.zeros(grid.node_count))
         ks = solve_kappa_c(coeffs, KernelSet(k1=k1, k2=k2))
-        assert ks.kappa.sup() == 0.0
         omg = resample(coeffs, grid.n)["omega"]
+        cm, kap = target_couplings(omg, ks)
+        assert np.abs(kap).max() == 0.0
         i, _ = grid.node_indices()
-        assert np.allclose(ks.c.values, omg[i] * k1.values, atol=1e-14)
+        assert np.allclose(flatten_lower(cm), omg[i] * k1.values, atol=1e-14)
 
     @pytest.mark.parametrize("n", [17, 100])
     def test_omega_times_inverse_kernels_bitwise(self, gamma5, n):
         ks = solve_kappa_c(gamma5, solve_kernels(gamma5, TriangularGrid(n)))
+        cm, kap = target_couplings(resample(gamma5, n)["omega"], ks)
         omg = resample(gamma5, n)["omega"][ks.grid.node_indices()[0]]
-        assert ks.kappa.values.tobytes() == (omg * ks.l2.values).tobytes()
-        assert ks.c.values.tobytes() == (omg * ks.l1.values).tobytes()
+        assert flatten_lower(kap).tobytes() == (omg * ks.l2.values).tobytes()
+        assert flatten_lower(cm).tobytes() == (omg * ks.l1.values).tobytes()
 
     def test_matches_dense_direct_solve(self):
         # kappa and c solve their own discretized equations only to O(h^2), the gap between
@@ -408,9 +412,10 @@ class TestKappaC:
                 ks = solve_kappa_c(coeffs, solve_kernels(coeffs, TriangularGrid(n)))
                 kap = dense_volterra_kappa(coeffs, ks)
                 cm = dense_c(coeffs, ks, kap)
+                got_c, got_kap = target_couplings(resample(coeffs, n)["omega"], ks)
                 bound = 2.0 * ks.grid.h**2
-                assert np.abs(ks.kappa.as_matrix() - kap).max() <= bound * np.abs(kap).max()
-                assert np.abs(ks.c.as_matrix() - cm).max() <= bound * np.abs(cm).max()
+                assert np.abs(got_kap - kap).max() <= bound * np.abs(kap).max()
+                assert np.abs(got_c - cm).max() <= bound * np.abs(cm).max()
 
     @pytest.mark.parametrize(
         "singular, message",
@@ -475,10 +480,10 @@ def side_kernel_residuals():
         for n in (50, 100, 200):
             ks = solve_kappa_c(coeffs, solve_kernels(coeffs, TriangularGrid(n)))
             omg = resample(coeffs, n)["omega"]
-            kap, k1m, k2m = ks.kappa.as_matrix(), ks.k1.as_matrix(), ks.k2.as_matrix()
+            (cm, kap), k1m, k2m = target_couplings(omg, ks), ks.k1.as_matrix(), ks.k2.as_matrix()
             rows.append([
                 worst_volterra_residual(kap, k2m, kap, k2m, ks.grid.h, omg),
-                worst_volterra_residual(ks.c.as_matrix(), k1m, kap, k1m, ks.grid.h, omg),
+                worst_volterra_residual(cm, k1m, kap, k1m, ks.grid.h, omg),
             ])
         out[gamma] = np.array(rows)
     return out
@@ -534,9 +539,57 @@ class TestInverseKernels:
         )
         with pytest.raises(ZeroDivisionError, match="x index 1$"):
             solve_inverse_kernels(ks)
+        with pytest.raises(ZeroDivisionError, match="x index 1$"):
+            ks.l2  # a failed solve is not kept: every read raises
+
+
+class TestSolvedPlant:
+    """A KernelSet densifies each field once and solves l1, l2 once, whoever reads them."""
+
+    def test_matrix_is_built_once_and_read_only(self, gamma1):
+        ks = solve_kernels(gamma1, TriangularGrid(10))
+        m = ks.k1.matrix
+        assert ks.k1.matrix is m and ks.k1.as_matrix() is m
+        assert m.tobytes() == unflatten_lower(ks.k1.values, 10).tobytes()
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[1, 0] = 1.0
+
+    def test_one_volterra_solve_and_four_dense_fields_per_plant(self, monkeypatch, gamma1):
+        counts = {"_volterra": 0, "unflatten_lower": 0}
+        for name in counts:
+            fn = getattr(kernel_solver, name)
+
+            def counted(*args, fn=fn, name=name):
+                counts[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(kernel_solver, name, counted)
+        n = 30
+        grid = g.IntervalGrid(n)
+        state = g.reference_initial_state(grid)
+        ks = solve_kernels(gamma1, TriangularGrid(n))
+        gain_slice(ks)
+        assert counts == {"_volterra": 0, "unflatten_lower": 0}  # gains read the flat top row
+        ks.l1, ks.l2
+        assert solve_kappa_c(gamma1, ks) is ks and solve_inverse_kernels(ks) is ks  # the benchmark's order
+        target_couplings(resample(gamma1, n)["omega"], ks)
+        g.residual_operators(gamma1, ks.k1, ks.k2)
+        g.p2_lower_bound(gamma1, ks, 1.0)
+        g.norm_equivalence_constants(ks)
+        beta = g.forward_transform(state, ks)
+        g.inverse_transform(state.u, beta, ks)
+        g.simulate_target(gamma1, ks, g.PlantState(grid, state.u, beta), 0.05)
+        g.epsilon_estimate(gamma1, ks, ks)
+        assert counts == {"_volterra": 1, "unflatten_lower": 4}  # k1, k2, l1, l2
 
 
 class TestGainSlice:
+    def test_top_row_of_both_kernels(self, kernels_g1_n100):
+        gains = gain_slice(kernels_g1_n100)
+        assert gains.g1.tobytes() == kernels_g1_n100.k1.matrix[100].tobytes()
+        assert gains.g2.tobytes() == kernels_g1_n100.k2.matrix[100].tobytes()
+
     def test_zero_theta_zero_gains(self):
         gains = gain_slice(solve_kernels(zero_theta_coeffs(), TriangularGrid(60)))
         assert np.all(gains.g1 == 0) and np.all(gains.g2 == 0)

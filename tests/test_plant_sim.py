@@ -336,8 +336,8 @@ def separate_target_stencil(coeffs, kernels, grid):
     cf = resample(coeffs, n)
     lam, mu, sig, omg = cf["lam"], cf["mu"], cf["sigma"], cf["omega"]
     wtri = row_weights(n, h)
-    c_wt = (kernels.c.as_matrix() * wtri).T
-    kap_wt = (kernels.kappa.as_matrix() * wtri).T
+    c_wt = (omg[:, None] * kernels.l1.as_matrix() * wtri).T
+    kap_wt = (omg[:, None] * kernels.l2.as_matrix() * wtri).T
 
     def advance(u, beta, dt, *_):
         integral = u @ c_wt + beta @ kap_wt
@@ -415,12 +415,6 @@ class TestSimulateTarget:
         init = g.PlantState(grid, np.zeros(101), np.zeros(101))
         tr = g.simulate_target(gamma1, kernels_g1_n100, init, 0.5)
         assert np.all(tr.phi == 0)
-
-    def test_requires_kappa_c(self, gamma1, kernels_g1_n50):
-        grid = g.IntervalGrid(50)
-        init = g.PlantState(grid, np.zeros(51), np.zeros(51))
-        with pytest.raises(ValueError):
-            g.simulate_target(gamma1, kernels_g1_n50, init, 0.1)
 
     def test_records_zero_control_and_boundary_identity(self, gamma1, kernels_g1_n100):
         grid = g.IntervalGrid(100)
