@@ -7,6 +7,12 @@ between one half of the branch output and the trunk output plus a scalar
 bias.  Training is plain minibatch MSE over all triangular-grid nodes with an
 adaptive-moment optimizer; everything is hand-rolled numpy so runs are
 bit-reproducible from the seed.
+
+Precision: every adaptive-moment step of ``train`` runs in float32 (the
+forward and backward passes, the loss, the parameters, the gradient and the
+moments); the normalization, the readout solve, the final held-out
+evaluation and the returned model are float64, and so are ``forward``,
+``evaluate``, ``infer_gains`` and the model file.
 """
 
 from __future__ import annotations
@@ -184,22 +190,22 @@ def _mlp_backward(ws, acts, delta, dws, dbs, work=None):
         np.matmul(acts[l].T, delta, out=dws[l])
         np.sum(delta, axis=0, out=dbs[l])
         if l > 0:
-            back = np.matmul(delta, ws[l].T, out=_scratch(work, "back", acts[l].shape))
+            back = np.matmul(delta, ws[l].T, out=_scratch(work, "back", acts[l].shape, acts[l].dtype))
             # tanh' = 1 - a^2, formed in the activation, which is not read again
             delta = np.square(acts[l], out=acts[l])
             np.subtract(1.0, delta, out=delta)
             delta *= back
 
 
-def _scratch(work, key, shape):
-    """An uninitialized array of shape: a new one if work is None, else the
-    leading rows of the array kept in the dict work under key, which is
-    replaced only when it is too short or its other axes differ."""
+def _scratch(work, key, shape, dtype):
+    """An uninitialized array of shape and dtype: a new one if work is None,
+    else the leading rows of the array kept in the dict work under key, which
+    is replaced only when it is too short or its dtype or other axes differ."""
     if work is None:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     a = work.get(key)
-    if a is None or a.shape[1:] != shape[1:] or len(a) < shape[0]:
-        a = work[key] = np.empty(shape)
+    if a is None or a.dtype != dtype or a.shape[1:] != shape[1:] or len(a) < shape[0]:
+        a = work[key] = np.empty(shape, dtype)
     return a[: shape[0]]
 
 
@@ -278,9 +284,12 @@ def splitmix_for_split(seed: int) -> int:
 
 def _dataset_tensors(dataset: Dataset, m_enc: int):
     feats = np.stack([encode_input(r, m_enc) for r in dataset.samples])
-    y1 = np.stack([r.k1 for r in dataset.samples])
-    y2 = np.stack([r.k2 for r in dataset.samples])
-    return feats, y1, y2
+    return (feats, *_targets(dataset.samples, np.float64))
+
+
+def _targets(samples, dtype):
+    """The true k1 and k2 of the samples, each stacked into one array of dtype."""
+    return np.array([r.k1 for r in samples], dtype=dtype), np.array([r.k2 for r in samples], dtype=dtype)
 
 
 def relative_l2(pred: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
@@ -299,34 +308,43 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     squared error of both kernel values over all triangular-grid nodes of the
     batch; the recorded test metric is the trapezoid-weighted relative L2
     error per kernel.  A non-finite loss aborts with a diagnostic.
-    The trunk output at the grid nodes is computed before the first step and
-    after each weight update (steps + 1 passes); every reader shares it.
+
+    Every adaptive-moment step runs in float32: the initial weights, the
+    normalized features, the targets and the trunk inputs are rounded to
+    float32 once, the parameters, gradient and moments stay float32, and the
+    held-out errors of all but the last epoch come from float32 predictions.
+    The normalization is computed in float64; after the last step the weights
+    are widened to float64, exactly, and the readout solve, the last epoch's
+    held-out errors and the returned model are float64.
+    The trunk output at the grid nodes is computed before each step and once
+    after the last (steps + 1 passes); every reader shares it.
     """
     if len(dataset.samples) == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     model = init_model(config, rng)
 
-    feats, y1, y2 = _dataset_tensors(dataset, config.m_enc)
+    feats = np.stack([encode_input(r, config.m_enc) for r in dataset.samples])
     tr_idx, te_idx = split_indices(len(dataset.samples), config.train_fraction, config.seed)
-    f_tr, f_te = feats[tr_idx], feats[te_idx]
-    y1_tr, y2_tr = y1[tr_idx], y2[tr_idx]
-    y1_te, y2_te = y1[te_idx], y2[te_idx]
-    del feats, y1, y2  # the split copies are all the fit reads
-
-    mean = f_tr.mean(axis=0)
-    std = f_tr.std(axis=0)
-    model.feat_mean = mean
+    tr, te = ([dataset.samples[i] for i in idx] for idx in (tr_idx, te_idx))
+    std = feats[tr_idx].std(axis=0)
+    model.feat_mean = feats[tr_idx].mean(axis=0)
     model.feat_scale = np.where(std > 1e-12, std, 1.0)
-    z_tr = (f_tr - model.feat_mean) / model.feat_scale
+    z_tr, z_te = ((feats[idx] - model.feat_mean) / model.feat_scale for idx in (tr_idx, te_idx))
 
     grid = TriangularGrid(dataset.n_grid)
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
     w_tri = tri_quad_weights(grid)
 
+    # the float32 copies the steps read; the float64 targets are stacked only after the last step
+    f32 = np.float32
+    z32, z_te32, pts32 = z_tr.astype(f32), z_te.astype(f32), pts.astype(f32)
+    y1_32, y2_32 = _targets(tr, f32)
+    y1_te32, y2_te32 = _targets(te, f32)
+
     # every parameter, then b1 and b2, in one vector (get_flat_params order);
     # the model's arrays are views of it, so an Adam step is whole-vector ops
-    flat = get_flat_params(model)
+    flat = get_flat_params(model).astype(f32)
     model.branch_w, model.branch_b, model.trunk_w, model.trunk_b = _views(model, flat)
     grad = np.empty_like(flat)
     adam_m = np.zeros_like(flat)
@@ -334,7 +352,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     step = np.empty_like(flat)
     denom = np.empty_like(flat)
     t_step = 0
-    n_train = z_tr.shape[0]
+    n_train = len(tr)
 
     hist_loss = np.zeros(config.epochs)
     hist_te1 = np.full(config.epochs, np.nan)
@@ -342,19 +360,22 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
 
     # the large arrays of a step, which every step writes into (see _scratch)
     work = {}
-    # the trunk's (output, activations) at the grid nodes for the current weights
-    trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
+    # the trunk's (output, activations) at the grid nodes for the current weights, once computed
+    trunk = None
     for epoch in range(config.epochs):
         # cosine decay to 0.2% of the base rate; late-epoch step noise
-        # otherwise keeps the minibatch loss from settling
+        # otherwise keeps the minibatch loss from settling.  A float64 rate
+        # would make every step *= lr a float64 loop.
         frac = epoch / max(config.epochs - 1, 1)
-        lr = config.learning_rate * (0.002 + 0.998 * 0.5 * (1 + np.cos(np.pi * frac)))
+        lr = f32(config.learning_rate * (0.002 + 0.998 * 0.5 * (1 + np.cos(np.pi * frac))))
         order = rng.permutation(n_train)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n_train, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss = _loss_and_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], trunk, grad, work)
+            if trunk is None:
+                trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts32, keep=True)
+            loss = _loss_and_grads(model, z32[batch], y1_32[batch], y2_32[batch], trunk, grad, work)
             trunk = None  # spent: its arrays are freed before the next pass allocates new ones
             if not np.isfinite(loss):
                 raise RuntimeError(
@@ -381,17 +402,22 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
             step /= denom
             flat -= step
             model.b1, model.b2 = float(flat[-2]), float(flat[-1])
-            trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts, keep=True)
 
         hist_loss[epoch] = epoch_loss / max(n_batches, 1)
-        if len(te_idx) > 0:
-            res = _evaluate(model, f_te, y1_te, y2_te, trunk[0], w_tri)
+        # the last epoch's errors are those of the final model, below
+        if te and epoch < config.epochs - 1:
+            trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts32, keep=True)
+            res = _evaluate(model, z_te32, y1_te32, y2_te32, trunk[0], w_tri)
             hist_te1[epoch], hist_te2[epoch] = res.rel_l2_k1, res.rel_l2_k2
 
+    # widening is exact: the float64 model holds the float32 fit's weights
+    flat = flat.astype(np.float64)
+    model.branch_w, model.branch_b, model.trunk_w, model.trunk_b = _views(model, flat)
+    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     # the readout solve leaves the trunk as it is
-    _polish_readout(model, z_tr, y1_tr, y2_tr, trunk[0])
-    if len(te_idx) > 0:
-        res = _evaluate(model, f_te, y1_te, y2_te, trunk[0], w_tri)
+    _polish_readout(model, z_tr, *_targets(tr, np.float64), tout)
+    if te:
+        res = _evaluate(model, z_te, *_targets(te, np.float64), tout, w_tri)
         hist_te1[-1], hist_te2[-1] = res.rel_l2_k1, res.rel_l2_k2
 
     history = TrainHistory(train_loss=hist_loss, test_rel_l2_k1=hist_te1, test_rel_l2_k2=hist_te2)
@@ -442,13 +468,13 @@ def evaluate(model: DeepONetModel, dataset: Dataset) -> EvalResult:
     grid = TriangularGrid(dataset.n_grid)
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
     feats, y1, y2 = _dataset_tensors(dataset, model.m_enc)
-    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
-    return _evaluate(model, feats, y1, y2, tout, tri_quad_weights(grid))
-
-
-def _evaluate(model: DeepONetModel, feats, y1, y2, tout, w) -> EvalResult:
-    """evaluate's result from encoded features, true kernels, the trunk output at the nodes and their weights."""
     z = (feats - model.feat_mean) / model.feat_scale
+    tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
+    return _evaluate(model, z, y1, y2, tout, tri_quad_weights(grid))
+
+
+def _evaluate(model: DeepONetModel, z, y1, y2, tout, w) -> EvalResult:
+    """evaluate's result from normalized features, true kernels, the trunk output at the nodes and their weights."""
     bout = _mlp_forward(model.branch_w, model.branch_b, z)
     p = model.p
     means, skipped = [], []
@@ -457,7 +483,7 @@ def _evaluate(model: DeepONetModel, feats, y1, y2, tout, w) -> EvalResult:
         finite = [e for e in errs if np.isfinite(e)]
         means.append(float(np.mean(finite)) if finite else float("nan"))
         skipped.append(len(errs) - len(finite))
-    return EvalResult(means[0], means[1], len(feats), skipped[0], skipped[1])
+    return EvalResult(means[0], means[1], len(z), skipped[0], skipped[1])
 
 
 @functools.lru_cache(maxsize=32)
@@ -489,13 +515,13 @@ def _loss_and_grads(model: DeepONetModel, z, y1, y2, trunk, grad, work=None):
     on the trunk inputs, for the current trunk weights; its hidden activations
     are overwritten.  grad is a flat vector in get_flat_params order.  The
     residuals and the trunk's backward pass go into arrays from ``work`` (see
-    _scratch).
+    _scratch), in the trunk output's dtype: a float32 step stays float32.
     """
     p = model.p
     bout, bacts = _mlp_forward(model.branch_w, model.branch_b, z, keep=True)
     tout, tacts = trunk
-    shape = (len(z), len(tout))
-    d1, d2 = _scratch(work, "d1", shape), _scratch(work, "d2", shape)
+    shape, dt = (len(z), len(tout)), tout.dtype
+    d1, d2 = _scratch(work, "d1", shape, dt), _scratch(work, "d2", shape, dt)
     np.matmul(bout[:, :p], tout.T, out=d1)
     d1 += model.b1
     d1 -= y1
@@ -503,15 +529,15 @@ def _loss_and_grads(model: DeepONetModel, z, y1, y2, trunk, grad, work=None):
     d2 += model.b2
     d2 -= y2
     n_terms = d1.size + d2.size
-    sq = np.multiply(d1, d1, out=_scratch(work, "sq", shape))
+    sq = np.multiply(d1, d1, out=_scratch(work, "sq", shape, dt))
     loss = np.sum(sq)
     loss += np.sum(np.multiply(d2, d2, out=sq))
     loss /= n_terms
     d1 *= 2.0 / n_terms
     d2 *= 2.0 / n_terms
     d_bout = np.concatenate([d1 @ tout, d2 @ tout], axis=1)
-    d_tout = np.matmul(d1.T, bout[:, :p], out=_scratch(work, "d_tout", tout.shape))
-    d_tout += np.matmul(d2.T, bout[:, p:], out=_scratch(work, "d_tout2", tout.shape))
+    d_tout = np.matmul(d1.T, bout[:, :p], out=_scratch(work, "d_tout", tout.shape, dt))
+    d_tout += np.matmul(d2.T, bout[:, p:], out=_scratch(work, "d_tout2", tout.shape, dt))
     dbw, dbb, dtw, dtb = _views(model, grad)
     _mlp_backward(model.branch_w, bacts, d_bout, dbw, dbb)
     _mlp_backward(model.trunk_w, tacts, d_tout, dtw, dtb, work)

@@ -593,13 +593,15 @@ def per_array_grads(model, z, y1, y2, pts):
 
     dbw, dbb = backward(model.branch_w, bacts, np.concatenate([g1 @ tout, g2 @ tout], axis=1))
     dtw, dtb = backward(model.trunk_w, tacts, g1.T @ bout[:, :p] + g2.T @ bout[:, p:])
-    return loss, [*dbw, *dbb, *dtw, *dtb, float(g1.sum()), float(g2.sum())]
+    return loss, [*dbw, *dbb, *dtw, *dtb, g1.sum(), g2.sum()]
 
 
 def per_array_train(dataset, config):
     """train with one Adam update per parameter array, the output biases as
-    Python floats and a fresh trunk pass wherever one is read; returns the
-    model and the history."""
+    float32 scalars and a fresh trunk pass wherever one is read; returns the
+    model and the history.  The steps and the per-epoch held-out errors are
+    float32; the readout solve and the final held-out errors are float64."""
+    f32 = np.float32
     rng = np.random.default_rng(config.seed)
     model = nn.init_model(config, rng)
     feats, y1, y2 = nn._dataset_tensors(dataset, config.m_enc)
@@ -607,26 +609,29 @@ def per_array_train(dataset, config):
     std = feats[tr].std(axis=0)
     model.feat_mean = feats[tr].mean(axis=0)
     model.feat_scale = np.where(std > 1e-12, std, 1.0)
-    z_tr = (feats[tr] - model.feat_mean) / model.feat_scale
-    y1_tr, y2_tr = y1[tr], y2[tr]
+    z = (feats - model.feat_mean) / model.feat_scale
     grid = TriangularGrid(dataset.n_grid)
     pts = nn._trunk_inputs(np.column_stack(grid.node_coordinates()))
     w_tri = tri_quad_weights(grid)
+    z32, y1_32, y2_32, pts32 = (a.astype(f32) for a in (z, y1, y2, pts))
     b1, b2, eps = nn._ADAM_BETA1, nn._ADAM_BETA2, nn._ADAM_EPS
 
+    for name in ("branch_w", "branch_b", "trunk_w", "trunk_b"):
+        setattr(model, name, [a.astype(f32) for a in getattr(model, name)])
+    model.b1 = model.b2 = f32(0.0)
     params = model.parameters()
-    adam_m = [np.zeros_like(a) for a in params] + [0.0, 0.0]
-    adam_v = [np.zeros_like(a) for a in params] + [0.0, 0.0]
+    adam_m = [np.zeros_like(a) for a in params] + [f32(0.0), f32(0.0)]
+    adam_v = [np.zeros_like(a) for a in params] + [f32(0.0), f32(0.0)]
     hist = nn.TrainHistory(np.zeros(config.epochs), np.full(config.epochs, np.nan), np.full(config.epochs, np.nan))
     t_step = 0
     for epoch in range(config.epochs):
         frac = epoch / max(config.epochs - 1, 1)
-        lr = config.learning_rate * (0.002 + 0.998 * 0.5 * (1 + np.cos(np.pi * frac)))
-        order = rng.permutation(len(tr))
+        lr = f32(config.learning_rate * (0.002 + 0.998 * 0.5 * (1 + np.cos(np.pi * frac))))
+        order = tr[rng.permutation(len(tr))]
         losses = []
         for start in range(0, len(tr), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = per_array_grads(model, z_tr[batch], y1_tr[batch], y2_tr[batch], pts)
+            loss, grads = per_array_grads(model, z32[batch], y1_32[batch], y2_32[batch], pts32)
             losses.append(loss)
             t_step += 1
             bc1, bc2 = 1.0 - b1**t_step, 1.0 - b2**t_step
@@ -642,14 +647,17 @@ def per_array_train(dataset, config):
                     model.b2 -= step
         hist.train_loss[epoch] = sum(losses) / len(losses)
         if len(te):
-            tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts)
-            res = nn._evaluate(model, feats[te], y1[te], y2[te], tout, w_tri)
+            tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts32)
+            res = nn._evaluate(model, z32[te], y1_32[te], y2_32[te], tout, w_tri)
             hist.test_rel_l2_k1[epoch], hist.test_rel_l2_k2[epoch] = res.rel_l2_k1, res.rel_l2_k2
+    for name in ("branch_w", "branch_b", "trunk_w", "trunk_b"):
+        setattr(model, name, [a.astype(float) for a in getattr(model, name)])
+    model.b1, model.b2 = float(model.b1), float(model.b2)
     tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts)
-    nn._polish_readout(model, z_tr, y1_tr, y2_tr, tout)
+    nn._polish_readout(model, z[tr], y1[tr], y2[tr], tout)
     if len(te):
         tout = nn._mlp_forward(model.trunk_w, model.trunk_b, pts)
-        res = nn._evaluate(model, feats[te], y1[te], y2[te], tout, w_tri)
+        res = nn._evaluate(model, z[te], y1[te], y2[te], tout, w_tri)
         hist.test_rel_l2_k1[-1], hist.test_rel_l2_k2[-1] = res.rel_l2_k1, res.rel_l2_k2
     return model, hist
 
@@ -712,3 +720,112 @@ class TestTrunkPasses:
     def test_one_sample(self, monkeypatch, tiny_dataset):
         one = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, tiny_dataset.samples[:1])
         assert self.count_passes(monkeypatch, one, nn.TrainConfig(epochs=3, seed=6)) == 3 + 1
+
+
+class TestPrecision:
+    """train takes every step in float32 and hands out a float64 model."""
+
+    def test_returned_model_is_float64(self, tiny_dataset):
+        # its file round-trips bit for bit: TestModelFile.test_roundtrip_bit_identical
+        model, _ = nn.train(tiny_dataset, nn.TrainConfig(epochs=2, batch_size=5, seed=4))
+        assert all(a.dtype == np.float64 for a in (*model.parameters(), model.feat_mean, model.feat_scale))
+        assert type(model.b1) is float and type(model.b2) is float
+
+    def test_every_step_reads_and_writes_float32(self, monkeypatch, tiny_dataset):
+        # an upcast anywhere in a step would quietly turn it back into float64 work
+        inner, seen = nn._loss_and_grads, []
+
+        def spy(model, z, y1, y2, trunk, grad, work=None):
+            arrays = [z, y1, y2, trunk[0], *trunk[1], grad, *model.parameters()]
+            loss = inner(model, z, y1, y2, trunk, grad, work)
+            seen.append({a.dtype for a in arrays} | {np.asarray(loss).dtype})
+            return loss
+
+        monkeypatch.setattr(nn, "_loss_and_grads", spy)
+        # 22 training samples in minibatches of 5 over 3 epochs: 15 steps
+        nn.train(tiny_dataset, nn.TrainConfig(epochs=3, batch_size=5, seed=4))
+        assert seen == [{np.dtype(np.float32)}] * 15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_step_agrees_with_float64_at_the_default_widths(self, gamma_fit_data, seed):
+        # 64 plants at n_grid 50, freshly initialized: over seeds 0-9 the loss
+        # differed by at most 1.1e-7 relative and the gradient by 2.7e-7 to
+        # 3.8e-7 in relative 2-norm; the bound 1e-5 leaves a 25-fold margin
+        data = Dataset(gamma_fit_data[0].m_coeff, 50, gamma_fit_data[0].samples[:64])
+        feats, y1, y2 = nn._dataset_tensors(data, 21)
+        std = feats.std(axis=0)
+        z = (feats - feats.mean(axis=0)) / np.where(std > 1e-12, std, 1.0)
+        pts = nn._trunk_inputs(np.column_stack(TriangularGrid(50).node_coordinates()))
+        flat64 = nn.get_flat_params(nn.init_model(nn.TrainConfig(seed=seed)))
+
+        def loss_and_grad(dtype):
+            model = nn.init_model(nn.TrainConfig(seed=seed))
+            flat = flat64.astype(dtype)
+            model.branch_w, model.branch_b, model.trunk_w, model.trunk_b = nn._views(model, flat)
+            model.b1, model.b2 = float(flat[-2]), float(flat[-1])
+            trunk = nn._mlp_forward(model.trunk_w, model.trunk_b, pts.astype(dtype), keep=True)
+            grad = np.empty_like(flat)
+            loss = nn._loss_and_grads(model, z.astype(dtype), y1.astype(dtype), y2.astype(dtype), trunk, grad)
+            return loss, grad
+
+        loss64, grad64 = loss_and_grad(np.float64)
+        loss32, grad32 = loss_and_grad(np.float32)
+        assert grad32.dtype == np.float32
+        assert abs(loss32 - loss64) <= 1e-5 * loss64
+        assert np.linalg.norm(grad32 - grad64) <= 1e-5 * np.linalg.norm(grad64)
+
+
+class TestHeldOutEvaluation:
+    """train evaluates the held-out split once per epoch, the last time on the returned model."""
+
+    def test_float32_in_the_loop_and_float64_once_after_the_readout(self, monkeypatch, tiny_dataset):
+        inner, touts = nn._evaluate, []
+
+        def spy(model, z, y1, y2, tout, w):
+            touts.append(tout.dtype)
+            return inner(model, z, y1, y2, tout, w)
+
+        monkeypatch.setattr(nn, "_evaluate", spy)
+        nn.train(tiny_dataset, nn.TrainConfig(epochs=4, batch_size=5, seed=4))
+        assert touts == [np.float32] * 3 + [np.float64]
+
+    def test_last_entry_is_the_returned_models_error(self, tiny_dataset):
+        config = nn.TrainConfig(epochs=3, batch_size=5, seed=4)
+        model, hist = nn.train(tiny_dataset, config)
+        _, te = nn.split_indices(len(tiny_dataset.samples), config.train_fraction, config.seed)
+        held_out = Dataset(tiny_dataset.m_coeff, tiny_dataset.n_grid, [tiny_dataset.samples[i] for i in te])
+        res = nn.evaluate(model, held_out)
+        assert np.float64(res.rel_l2_k1).tobytes() == hist.test_rel_l2_k1[-1].tobytes()
+        assert np.float64(res.rel_l2_k2).tobytes() == hist.test_rel_l2_k2[-1].tobytes()
+
+
+class TestTrainConfigBounds:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", 0.0, "learning_rate"),
+            ("learning_rate", -0.0, "learning_rate"),
+            ("train_fraction", 0.0, "train_fraction"),
+            ("train_fraction", 1.0, "train_fraction"),
+            ("epochs", 0, "epochs, batch_size and p"),
+            ("batch_size", 0, "epochs, batch_size and p"),
+            ("p", 0, "epochs, batch_size and p"),
+        ],
+    )
+    def test_boundary_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            nn.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", 5e-324),
+            ("train_fraction", np.nextafter(0.0, 1.0)),
+            ("train_fraction", np.nextafter(1.0, 0.0)),
+            ("epochs", 1),
+            ("batch_size", 1),
+            ("p", 1),
+        ],
+    )
+    def test_just_inside_accepted(self, field, value):
+        assert getattr(nn.TrainConfig(**{field: value}), field) == value
