@@ -10,8 +10,7 @@ norm-equivalence constants between original and transformed states.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +37,6 @@ class ResidualReport:
     sup_pde2: float
     epsilon_estimate: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 @dataclass
 class StabilityReport:
@@ -49,9 +45,6 @@ class StabilityReport:
     c1_hat: float
     fit_quality: float
     c2_hat: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _directional_derivatives(dense: np.ndarray, n: int, h: float):
@@ -97,6 +90,27 @@ def _residual_terms(cf, q, k1m, k2m, n, h):
     return diag, bottom, r1, r2
 
 
+def _stencil_grid(a, b, what: str) -> tuple[int, float]:
+    """(n, h) of the grid that ``a`` and ``b`` share; ValueError on two grids or n < 3."""
+    if a.grid.n != b.grid.n:
+        raise ValueError(f"{what} must share one grid")
+    if a.grid.n < 3:
+        raise ValueError("residual stencils need n >= 3")
+    return a.grid.n, a.grid.h
+
+
+def _sup_terms(terms, n: int) -> tuple[list[float], float]:
+    """Each term's sup of |.| and the max over the triangle of their node-wise sum.
+
+    A 1-d term is a function of x and counts at every node of its row.  The
+    sum runs in the order of ``terms``.  The sups are over whole arrays:
+    every 2-d term is zero above the diagonal.
+    """
+    a = [np.abs(t).reshape(n + 1, -1) for t in terms]
+    summed = functools.reduce(np.add, a)
+    return [float(t.max()) for t in a], float(summed[lower_mask(n + 1)].max())
+
+
 def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField) -> ResidualReport:
     """Evaluate the boundary and interior residual operators on a field pair.
 
@@ -105,22 +119,11 @@ def residual_operators(coeffs: CoefficientSet, k1: KernelField, k2: KernelField)
     to a difference field (exact minus approximate) the interior residuals
     are exactly the interior perturbation terms of the accuracy estimate.
     """
-    if k1.grid.n != k2.grid.n:
-        raise ValueError("fields must share one grid")
-    n, h = k1.grid.n, k1.grid.h
-    if n < 3:
-        raise ValueError("residual stencils need n >= 3")
+    n, h = _stencil_grid(k1, k2, "fields")
     cf = resample(coeffs, n)
     diag, bottom, r1, r2 = _residual_terms(cf, coeffs.q, k1.matrix, k2.matrix, n, h)
-    a_diag, a_bottom, a1, a2 = np.abs(diag + cf["theta"]), np.abs(bottom), np.abs(r1), np.abs(r2)
-    summed = a_diag[:, None] + a_bottom[:, None] + a1 + a2
-    return ResidualReport(
-        sup_bc_diag=float(a_diag.max()),
-        sup_bc_bottom=float(a_bottom.max()),
-        sup_pde1=float(a1.max()),
-        sup_pde2=float(a2.max()),
-        epsilon_estimate=float(summed[lower_mask(n + 1)].max()),
-    )
+    sups, summed = _sup_terms((diag + cf["theta"], bottom, r1, r2), n)
+    return ResidualReport(*sups, epsilon_estimate=summed)
 
 
 @dataclass
@@ -147,40 +150,16 @@ def epsilon_estimate(
     perturbations (linear in the error) and the two interior perturbations
     (the interior residual operators applied to the difference fields), node
     by node, and takes the maximum.  kappa and c are :func:`target_couplings`
-    of each set.
+    of each set.  Like :func:`residual_operators`, it refuses sets on two
+    grids or with n < 3.
     """
-    n, h = exact.grid.n, exact.grid.h
-    if approx.grid.n != n:
-        raise ValueError("kernel sets must share one grid")
+    n, h = _stencil_grid(exact, approx, "kernel sets")
     cf = resample(coeffs, n)
-
     e1 = exact.k1.matrix - approx.k1.matrix
     e2 = exact.k2.matrix - approx.k2.matrix
     ec, ekap = np.subtract(target_couplings(cf["omega"], exact), target_couplings(cf["omega"], approx))
-
-    d1, d2, d3, d4 = _residual_terms(cf, coeffs.q, e1, e2, n, h)
-    mask = lower_mask(n + 1)
-    summed = (
-        np.abs(e1)
-        + np.abs(e2)
-        + np.abs(ec)
-        + np.abs(ekap)
-        + np.abs(d1)[:, None]
-        + np.abs(d2)[:, None]
-        + np.abs(d3)
-        + np.abs(d4)
-    )
-    return EpsilonReport(
-        epsilon=float(summed[mask].max()),
-        sup_k1_err=float(np.abs(e1[mask]).max()),
-        sup_k2_err=float(np.abs(e2[mask]).max()),
-        sup_c_err=float(np.abs(ec[mask]).max()),
-        sup_kappa_err=float(np.abs(ekap[mask]).max()),
-        sup_d1=float(np.abs(d1).max()),
-        sup_d2=float(np.abs(d2).max()),
-        sup_d3=float(np.abs(d3).max()),
-        sup_d4=float(np.abs(d4).max()),
-    )
+    sups, summed = _sup_terms((e1, e2, ec, ekap, *_residual_terms(cf, coeffs.q, e1, e2, n, h)), n)
+    return EpsilonReport(summed, *sups)
 
 
 def phi(state: PlantState) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,6 +17,14 @@ from .kernel_solver import gain_slice, solve_kernels
 from .numerics import IntervalGrid, TriangularGrid
 
 
+def _write_json(path, data, indent=2) -> None:
+    """Write a dataclass (through ``asdict``) or plain data to ``path`` as JSON."""
+    if dataclasses.is_dataclass(data):
+        data = dataclasses.asdict(data)
+    with open(path, "w") as f:
+        json.dump(data, f, indent=indent)
+
+
 def cmd_solve(args) -> int:
     coeffs = gamma_family(args.gamma)
     ks = solve_kernels(coeffs, TriangularGrid(args.n))
@@ -24,8 +33,7 @@ def cmd_solve(args) -> int:
     cols = (*ks.grid.node_coordinates(), ks.k1.values, ks.k2.values)
     np.savetxt(args.out, np.column_stack(cols), fmt="%.17g", delimiter=",", header="x,xi,k1,k2", comments="")
     report_path = os.path.splitext(args.out)[0] + "_residuals.json"
-    with open(report_path, "w") as f:
-        f.write(report.to_json())
+    _write_json(report_path, report)
     print(f"kernels -> {args.out}")
     print(f"residuals -> {report_path} (sup pde1 {report.sup_pde1:.3e}, sup pde2 {report.sup_pde2:.3e})")
     return 0
@@ -56,7 +64,8 @@ def cmd_dataset(args) -> int:
         "n_grid": args.n_grid,
         "seed": args.seed,
     }
-    data_store.write(ds, args.out, manifest=manifest)
+    data_store.write(ds, args.out)
+    _write_json(args.out + ".manifest.json", manifest)
     print(f"dataset ({args.n_samples} samples) -> {args.out}")
     return 0
 
@@ -76,8 +85,7 @@ def cmd_train(args) -> int:
     # strict JSON has no NaN: an epoch without a held-out error (no held-out split) is null
     names = ("train_loss", "test_rel_l2_k1", "test_rel_l2_k2")
     curves = {k: [v if np.isfinite(v) else None for v in getattr(history, k).tolist()] for k in names}
-    with open(hist_path, "w") as f:
-        json.dump(curves, f)
+    _write_json(hist_path, curves, indent=None)
     print(f"model -> {args.out}")
     print(f"final train loss {history.train_loss[-1]:.3e}")
     return 0
@@ -99,8 +107,7 @@ def cmd_eval(args) -> int:
         out[name] = {"rel_l2_k1": res.rel_l2_k1, "rel_l2_k2": res.rel_l2_k2}
         print(f"{name}: rel L2 k1 {res.rel_l2_k1:.3e}, k2 {res.rel_l2_k2:.3e}")
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(out, f, indent=2)
+        _write_json(args.out, out)
     return 0
 
 
@@ -136,13 +143,11 @@ def cmd_simulate(args) -> int:
     plant_sim.trace_to_csv(trace, args.out)
     report_path = os.path.splitext(args.out)[0] + "_stability.json"
     if trace.blew_up:
-        with open(report_path, "w") as f:
-            json.dump({"blew_up": True, "t_end": float(trace.times[-1])}, f, indent=2)
+        _write_json(report_path, {"blew_up": True, "t_end": float(trace.times[-1])})
         print(f"trace -> {args.out} (blew up at t={trace.times[-1]:.4g})")
         return 0
     report = analysis.fit_decay(trace, t_start=args.fit_start)
-    with open(report_path, "w") as f:
-        f.write(report.to_json())
+    _write_json(report_path, report)
     print(f"trace -> {args.out}")
     print(f"decay rate {report.c1_hat:.4g} (fit quality {report.fit_quality:.4f})")
     return 0
@@ -184,8 +189,7 @@ def cmd_bench(args) -> int:
         "ratio": t_solve / t_gains,
         "ratio_dense": t_solve / t_dense,
     }
-    with open(args.out, "w") as f:
-        json.dump(out, f, indent=2)
+    _write_json(args.out, out)
     print(f"solve {t_solve*1e3:.2f} ms, gains {t_gains*1e3:.3f} ms (first call {t_cold*1e3:.3f} ms), ratio {out['ratio']:.1f}")
     return 0
 

@@ -10,7 +10,6 @@ own kernels.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass
@@ -119,8 +118,8 @@ def _check_records(records: np.ndarray, m_coeff: int) -> None:
         raise ValueError(f"dataset record {i} has a transport speed lam or mu <= 0")
 
 
-def write(dataset: Dataset, path, manifest: dict | None = None) -> None:
-    """Serialize to the binary format; optionally drop a JSON sidecar.
+def write(dataset: Dataset, path) -> None:
+    """Serialize to the binary format.
 
     The records are packed and checked as ``read`` checks them before the
     file is opened, so a dataset that ``read`` would refuse raises ValueError
@@ -136,9 +135,6 @@ def write(dataset: Dataset, path, manifest: dict | None = None) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<IIII", VERSION, len(dataset.samples), dataset.m_coeff, dataset.n_grid))
         f.write(records)
-    if manifest is not None:
-        with open(str(path) + ".manifest.json", "w") as f:
-            json.dump(manifest, f, indent=2)
 
 
 def read(path) -> Dataset:

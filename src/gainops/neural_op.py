@@ -56,8 +56,15 @@ class TrainConfig:
             raise ValueError("m_enc must be at least 2")
         if not (0 < self.train_fraction < 1):
             raise ValueError("train_fraction must lie in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # train rounds every epoch's rate to float32: the schedule's last rate,
+        # learning_rate * 0.002, must not round to 0, nor its first overflow
+        f32 = np.finfo(np.float32)
+        lo, hi = float(f32.smallest_subnormal) / 2, float(f32.max)
+        if not (self.learning_rate * 0.002 > lo and self.learning_rate <= hi):
+            raise ValueError(
+                f"learning_rate must lie in ({lo / 0.002:.4g}, {hi:.4g}], where its float32 steps"
+                f" neither vanish nor overflow; got {self.learning_rate!r}"
+            )
         if min((*self.branch_hidden, *self.trunk_hidden), default=1) < 1:
             raise ValueError("hidden layer widths must be positive")
 

@@ -77,6 +77,11 @@ class TestResidualOperators:
         with pytest.raises(ValueError):
             residual_operators(gamma1, KernelField(grid, z.copy()), KernelField(grid, z.copy()))
 
+    def test_fields_on_two_grids_rejected(self, gamma1):
+        a, b = TriangularGrid(10), TriangularGrid(11)
+        with pytest.raises(ValueError, match="fields must share one grid"):
+            residual_operators(gamma1, KernelField(a, np.zeros(a.node_count)), KernelField(b, np.zeros(b.node_count)))
+
 
 def loop_directional_derivatives(dense, n, h):
     """Reference: one-sided and centred differences column by column and row by row."""
@@ -166,6 +171,17 @@ class TestEpsilonEstimate:
     def test_exact_vs_itself_is_zero(self, gamma1, kernels_g1_n100):
         rep = epsilon_estimate(gamma1, kernels_g1_n100, kernels_g1_n100)
         assert rep.epsilon == 0.0
+
+    def test_small_grid_rejected(self, gamma1):
+        # the residual stencils of residual_operators: n = 2 is refused, not scored 0.0
+        ks = solve_kernels(gamma1, TriangularGrid(2))
+        with pytest.raises(ValueError, match="n >= 3"):
+            epsilon_estimate(gamma1, ks, ks)
+
+    def test_kernel_sets_on_two_grids_rejected(self, gamma1):
+        a, b = (solve_kernels(gamma1, TriangularGrid(n)) for n in (10, 11))
+        with pytest.raises(ValueError, match="kernel sets must share one grid"):
+            epsilon_estimate(gamma1, a, b)
 
     def test_epsilon_dominates_each_term(self, gamma1, kernels_g1_n100):
         approx = self.perturbed(kernels_g1_n100)
@@ -485,11 +501,11 @@ class TestFitDecay:
         rep = fit_decay(tr, t_start=1.0)
         assert rep.c1_hat > 0
 
-    def test_report_export_formats(self, gamma1, kernels_g1_n100):
-        import json
-
+    def test_overshoot_undefined_without_positive_initial_phi(self):
+        # phi(0) = 0: the rate is still fitted over the positive samples, the overshoot ratio is nan
         t = np.linspace(0, 5, 60)
-        rep = fit_decay(synthetic_trace(t, np.exp(-t)))
-        assert json.loads(rep.to_json())["c1_hat"] == pytest.approx(1.0, abs=1e-9)
-        rr = residual_operators(gamma1, kernels_g1_n100.k1, kernels_g1_n100.k2)
-        assert json.loads(rr.to_json())["sup_pde1"] == rr.sup_pde1
+        p = np.exp(-t)
+        p[0] = 0.0
+        rep = fit_decay(synthetic_trace(t, p))
+        assert rep.c1_hat == pytest.approx(1.0, abs=1e-9)
+        assert np.isnan(rep.c2_hat)

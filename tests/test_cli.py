@@ -1,12 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gainops import plant_sim
+from gainops import data_store, plant_sim
 from gainops.cli import main
-from gainops.coefficients import gamma_family
+from gainops.coefficients import CoefficientFamily, gamma_family
 from gainops.numerics import IntervalGrid
 
 from conftest import expected_file_size
@@ -68,9 +69,26 @@ class TestSolve:
 class TestDatasetTrainEval:
     def test_dataset_file_length(self, dataset_path):
         assert dataset_path.stat().st_size == expected_file_size(12, 41, 16)
-        with open(str(dataset_path) + ".manifest.json") as f:
-            manifest = json.load(f)
-        assert manifest["n_samples"] == 12
+
+    def test_manifest_sidecar(self, dataset_path):
+        sidecar = dataset_path.parent / (dataset_path.name + ".manifest.json")
+        assert json.loads(sidecar.read_text()) == {
+            "n_samples": 12, "family": "gamma", "gamma_range": [0.5, 5.0], "amplitude": 0.5,
+            "m_coeff": 41, "n_grid": 16, "seed": 3,
+        }
+        assert sidecar.read_text().startswith('{\n  "n_samples": 12,\n')
+
+    def test_refused_dataset_leaves_no_files(self, tmp_path, capsys, monkeypatch):
+        # a dataset that data_store.write refuses: no dataset file and no manifest
+        good = data_store.generate(CoefficientFamily("gamma"), 2, m_coeff=11, n_grid=8, seed=1)
+        k1 = good.samples[1].k1.copy()
+        k1[3] = np.nan
+        bad = data_store.Dataset(11, 8, [good.samples[0], replace(good.samples[1], k1=k1)])
+        monkeypatch.setattr(data_store, "generate", lambda *args, **kwargs: bad)
+        rc = main(["dataset", "--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--out", str(tmp_path / "ds.bin")])
+        assert rc == 1
+        assert "record 1 holds non-finite values" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_twice_same_seed_identical_files(self, workdir, dataset_path):
         a = workdir / "m1.bin"
@@ -90,6 +108,14 @@ class TestDatasetTrainEval:
         metrics = json.loads(out.read_text())
         assert "train" in metrics and "test" in metrics
         assert np.isfinite(metrics["test"]["rel_l2_k1"])
+
+    def test_eval_skips_an_empty_split(self, tmp_path, model_path, capsys):
+        # one sample: all of it is the train split, and the test split is left out
+        data, out = tmp_path / "one.bin", tmp_path / "metrics.json"
+        assert main(["dataset", "--n-samples", "1", "--m-coeff", "41", "--n-grid", "16", "--out", str(data)]) == 0
+        assert main(["eval", "--dataset", str(data), "--model", str(model_path), "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())) == ["train"]
+        assert "test:" not in capsys.readouterr().out
 
     def test_history_is_strict_json_without_held_out_split(self, tmp_path):
         # 2 samples at the default --train-fraction 0.9 leave nothing held out

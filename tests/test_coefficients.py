@@ -95,6 +95,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             CoefficientFamily("gamma", (-1.0, 2.0))
 
+    def test_negative_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="amplitude must be nonnegative"):
+            CoefficientFamily("random_smooth", amplitude=-1e-9)
+        assert CoefficientFamily("random_smooth", amplitude=0.0).amplitude == 0.0
+
     @pytest.mark.parametrize("m", [2, 0, -1])
     def test_fewer_than_three_nodes_rejected(self, m):
         with pytest.raises(ValueError, match="at least 3 coefficient nodes"):
@@ -181,6 +186,8 @@ class TestValidation:
             ({"dmu": np.ones(6), "theta": np.full(5, np.nan)}, "must all live on the shared grid"),
             ({"q": np.nan}, "q must be finite"),
             ({"mu": np.array([1.0, 1.0, -1.0, 1.0, 1.0])}, "transport speeds lam, mu must be positive"),
+            ({"lam": np.array([1.0, 1.0, 1.0, 0.0, 1.0])}, "transport speeds lam, mu must be positive"),
+            ({"mu": np.array([1.0, 0.0, 1.0, 1.0, 1.0])}, "transport speeds lam, mu must be positive"),
         ],
     )
     def test_messages(self, change, message):

@@ -80,6 +80,20 @@ class TestControlValue:
         )
 
 
+class TestGainVector:
+    @pytest.mark.parametrize("g1, g2", [(np.zeros(10), np.zeros(11)), (np.zeros((11, 1)), np.zeros(11))])
+    def test_shape_mismatch_rejected(self, g1, g2):
+        with pytest.raises(ValueError, match="gain arrays must match their grid"):
+            GainVector(g.IntervalGrid(10), g1, g2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gains_rejected(self, bad):
+        g2 = np.zeros(11)
+        g2[4] = bad
+        with pytest.raises(ValueError, match="gains must be finite"):
+            GainVector(g.IntervalGrid(10), np.zeros(11), g2)
+
+
 class TestForwardTransform:
     def test_zero_kernels_identity(self):
         grid = g.IntervalGrid(30)
@@ -103,6 +117,12 @@ class TestForwardTransform:
         assert beta[-1] == pytest.approx(state.v[-1] - control_value(gains, state), abs=1e-13)
 
 
+    def test_state_on_another_grid_rejected(self):
+        state = g.PlantState(g.IntervalGrid(9), np.ones(10), np.ones(10))
+        with pytest.raises(ValueError, match="state and kernels must share one grid"):
+            forward_transform(state, zero_kernels(10))
+
+
 class TestInverseTransform:
     def test_zero_kernels_identity(self):
         grid = g.IntervalGrid(30)
@@ -110,6 +130,11 @@ class TestInverseTransform:
         state = random_smooth_state(grid, rng)
         v = inverse_transform(state.u, state.v, zero_kernels(30))
         assert np.array_equal(v, state.v)
+
+    @pytest.mark.parametrize("u_size, beta_size", [(10, 11), (11, 12)])
+    def test_arrays_off_the_kernel_grid_rejected(self, u_size, beta_size):
+        with pytest.raises(ValueError, match="state arrays must match the kernel grid"):
+            inverse_transform(np.ones(u_size), np.ones(beta_size), zero_kernels(10))
 
     def test_zero_inputs(self, kernels_g1_n100):
         z = np.zeros(101)

@@ -121,13 +121,6 @@ class TestRoundTrip:
         write(small_dataset, path)
         assert path.stat().st_size == expected_file_size(10, 41, 16)
 
-    def test_manifest_sidecar(self, small_dataset, tmp_path):
-        path = tmp_path / "ds.bin"
-        write(small_dataset, path, manifest={"n_samples": 10})
-        sidecar = tmp_path / "ds.bin.manifest.json"
-        assert sidecar.exists()
-        assert '"n_samples": 10' in sidecar.read_text()
-
     def test_corrupted_magic_rejected(self, small_dataset, tmp_path):
         path = tmp_path / "ds.bin"
         write(small_dataset, path)
@@ -193,8 +186,7 @@ class TestRoundTrip:
             "column_kernel": ("dataset shapes", lambda: Dataset(41, 16, [replace(r, k1=r.k1[:, None])])),
         }[case]
         with pytest.raises(ValueError, match=what):
-            write(make(), tmp_path / "ds.bin", manifest={"case": case})
-        # neither the dataset file nor its sidecar
+            write(make(), tmp_path / "ds.bin")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("header", [(1, 101, 2**22), (1, 2**31, 50), (1, 101, 2**32 - 1)])
@@ -214,7 +206,7 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="record 3 holds non-finite"):
             read(path)
 
-    @pytest.mark.parametrize("block, value", [(0, 0.0), (1, -1.0)], ids=["lam_zero", "mu_negative"])
+    @pytest.mark.parametrize("block, value", [(0, 0.0), (1, -1.0), (1, 0.0)], ids=["lam_zero", "mu_negative", "mu_zero"])
     def test_nonpositive_speed_rejected(self, small_dataset, tmp_path, block, value):
         path = tmp_path / "ds.bin"
         write(small_dataset, path)

@@ -543,6 +543,25 @@ class TestInverseKernels:
             ks.l2  # a failed solve is not kept: every read raises
 
 
+class TestFieldValidation:
+    @pytest.mark.parametrize("values", [np.zeros(65), np.zeros(67), np.zeros((66, 1))], ids=["short", "long", "column"])
+    def test_length_off_the_grid_rejected(self, values):
+        with pytest.raises(ValueError, match="field length does not match the grid"):
+            KernelField(TriangularGrid(10), values)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.zeros(66)
+        values[17] = bad
+        with pytest.raises(ValueError, match="kernel field contains non-finite values"):
+            KernelField(TriangularGrid(10), values)
+
+    def test_fields_on_two_grids_rejected(self):
+        a, b = TriangularGrid(10), TriangularGrid(11)
+        with pytest.raises(ValueError, match="k1 and k2 must share one grid"):
+            KernelSet(k1=KernelField(a, np.zeros(a.node_count)), k2=KernelField(b, np.zeros(b.node_count)))
+
+
 class TestSolvedPlant:
     """A KernelSet densifies each field once and solves l1, l2 once, whoever reads them."""
 

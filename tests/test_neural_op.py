@@ -219,7 +219,7 @@ class TestTraining:
     def test_divergence_aborts_with_diagnostic(self, tiny_dataset):
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match="non-finite loss"):
-                nn.train(tiny_dataset, small_config(epochs=4, learning_rate=1e160))
+                nn.train(tiny_dataset, small_config(epochs=4, learning_rate=1e30))
 
 
 class TestEvaluate:
@@ -545,6 +545,14 @@ class TestModelFile:
         with pytest.raises(ValueError, match="finite"):
             replace(model, **{name: value})
 
+    @pytest.mark.parametrize("scale", [0.0, -2.0])
+    def test_nonpositive_feature_scale_rejected(self, scale):
+        model = nn.init_model(small_config())
+        feat_scale = model.feat_scale.copy()
+        feat_scale[3] = scale
+        with pytest.raises(ValueError, match="normalization scale must be positive"):
+            replace(model, feat_scale=feat_scale)
+
     def test_dims_larger_than_file_rejected(self, tmp_path):
         # 2**31 x 2**31 weights asked for more bytes than an index can hold
         path = tmp_path / "model.bin"
@@ -805,6 +813,14 @@ class TestTrainConfigBounds:
         [
             ("learning_rate", 0.0, "learning_rate"),
             ("learning_rate", -0.0, "learning_rate"),
+            # every float32 step would be 0: the last epoch's rate, learning_rate * 0.002, rounds to 0 ...
+            ("learning_rate", 5e-324, "learning_rate"),
+            ("learning_rate", 1e-46, "learning_rate"),
+            ("learning_rate", 3.5032461608120427e-43, "learning_rate"),
+            # ... or the rate overflows float32
+            ("learning_rate", 1e39, "learning_rate"),
+            ("learning_rate", 3.402823466385289e38, "learning_rate"),
+            ("learning_rate", np.nan, "learning_rate"),
             ("train_fraction", 0.0, "train_fraction"),
             ("train_fraction", 1.0, "train_fraction"),
             ("epochs", 0, "epochs, batch_size and p"),
@@ -819,7 +835,9 @@ class TestTrainConfigBounds:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("learning_rate", 5e-324),
+            ("learning_rate", 3.503246160812043e-43),
+            ("learning_rate", 3e-3),
+            ("learning_rate", 3.4028234663852886e38),
             ("train_fraction", np.nextafter(0.0, 1.0)),
             ("train_fraction", np.nextafter(1.0, 0.0)),
             ("epochs", 1),

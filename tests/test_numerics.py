@@ -38,6 +38,17 @@ class TestTrapezoid:
         with pytest.raises(ValueError):
             trapezoid_integral(np.array([]), 0.1)
 
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="expects a 1-d array"):
+            trapezoid_integral(np.ones((3, 1)), 0.1)
+
+    def test_weights_of_empty_and_single_node_segments(self):
+        with pytest.raises(ValueError, match="empty segment"):
+            trapezoid_weights(0, 0.1)
+        w = trapezoid_weights(1, 0.1)
+        assert w.tobytes() == np.zeros(1).tobytes()
+        assert w @ np.array([7.0]) == trapezoid_integral(np.array([7.0]), 0.1) == 0.0
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(-10, 10), min_size=2, max_size=30),
@@ -107,6 +118,11 @@ class TestGridsAndFlattening:
         flat = flatten_lower(dense)
         assert np.array_equal(unflatten_lower(flat, n), dense)
         assert flat.size == (n + 1) * (n + 2) // 2
+
+    @pytest.mark.parametrize("size", [65, 67])
+    def test_unflatten_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match="flattened length does not match grid size"):
+            unflatten_lower(np.zeros(size), 10)
 
     @pytest.mark.parametrize("n", [2, 7, 100])
     def test_lower_indices_built_once_and_read_only(self, n):

@@ -120,6 +120,24 @@ class TestSimulate:
         # the stop is the first crossing
         assert np.all(tr.phi[:-1] <= 1e12)
 
+    def test_blowup_is_read_off_phi_not_u0(self):
+        # q = 0 pins u(0) = q v(0) to 0, while sigma drives u, and phi, past 1e12
+        c = make_coeffs(m=101, sigma=lambda x: 1e3, q=0.0)
+        grid = g.IntervalGrid(20)
+        tr = g.simulate(c, g.reference_initial_state(grid), g.ControllerSpec.open_loop(), 1.0)
+        assert tr.blew_up and tr.times[-1] < 1.0
+        assert tr.u_boundary.tobytes() == bytes(8 * len(tr.times))
+        assert tr.phi[-1] > 1e12 and np.all(tr.phi[:-1] <= 1e12)
+
+    def test_singular_feedback_closure_rejected(self, gamma1):
+        # v(1) = ... + w_n g2(1) v(1) with w_n = h/2: g2(1) = 2/h leaves nothing to solve for
+        grid = g.IntervalGrid(10)
+        g2 = np.zeros(11)
+        g2[-1] = 2 / grid.h
+        ctrl = g.ControllerSpec.feedback(g.GainVector(grid, np.zeros(11), g2))
+        with pytest.raises(ZeroDivisionError, match="feedback closure is singular"):
+            g.simulate(gamma1, g.reference_initial_state(grid), ctrl, 1.0)
+
     def test_closed_loop_decay(self, gamma1, kernels_g1_n100):
         grid = g.IntervalGrid(100)
         gains = g.gain_slice(kernels_g1_n100)
@@ -409,7 +427,27 @@ def test_spectral_rate_of_the_step_matrix_matches_the_fitted_decay(monkeypatch, 
         assert rate < 0 and tr.blew_up
 
 
+class TestStateAndController:
+    @pytest.mark.parametrize("u_size, v_size", [(11, 12), (12, 11), (10, 10)])
+    def test_state_off_its_grid_rejected(self, u_size, v_size):
+        with pytest.raises(ValueError, match="state arrays must match the grid"):
+            g.PlantState(g.IntervalGrid(10), np.zeros(u_size), np.zeros(v_size))
+
+    def test_unknown_controller_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown controller kind 'closed'"):
+            g.ControllerSpec("closed")
+
+    def test_feedback_without_gains_rejected(self):
+        with pytest.raises(ValueError, match="feedback controller needs gains"):
+            g.ControllerSpec("feedback")
+
+
 class TestSimulateTarget:
+    def test_kernels_on_another_grid_rejected(self, gamma1, kernels_g1_n100):
+        init = g.reference_initial_state(g.IntervalGrid(50))
+        with pytest.raises(ValueError, match="kernel grid must match the simulation grid"):
+            g.simulate_target(gamma1, kernels_g1_n100, init, 0.5)
+
     def test_zero_init_zero_trace(self, gamma1, kernels_g1_n100):
         grid = g.IntervalGrid(100)
         init = g.PlantState(grid, np.zeros(101), np.zeros(101))
