@@ -169,13 +169,13 @@ def phi(state: PlantState) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _lyapunov_weights(n: int, p1: float, p2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x_i = i/n, p1 e^(-p2 x) and e^(p2 x), built once per (n, p1, p2) and read-only."""
+def _lyapunov_weights(n: int, p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
+    """p1 e^(-p2 x) and e^(p2 x) at the nodes x_i = i/n, built once per (n, p1, p2) and read-only."""
     x = np.arange(n + 1) / n
     eu = p1 * np.exp(-p2 * x)
     eb = np.exp(p2 * x)
-    x.flags.writeable = eu.flags.writeable = eb.flags.writeable = False
-    return x, eu, eb
+    eu.flags.writeable = eb.flags.writeable = False
+    return eu, eb
 
 
 def lyapunov_v1(u: np.ndarray, beta: np.ndarray, coeffs: CoefficientSet, p1: float, p2: float) -> float:
@@ -183,22 +183,19 @@ def lyapunov_v1(u: np.ndarray, beta: np.ndarray, coeffs: CoefficientSet, p1: flo
 
     lam and mu are what :func:`resample` gives on the n = u.size - 1 grid:
     the coefficient arrays themselves on their own grid, else interpolated.
-    The nodes and the exponential factors depend on (n, p1, p2) only and are
-    built once per triple; lam and mu are read, and the divisions and both
+    The exponential factors depend on (n, p1, p2) only and are built once
+    per triple; lam and mu are read, and the divisions and both
     integrals done, on every call, so an edit of the plant's arrays shows.
     """
     if p1 <= 0:
         raise ValueError("p1 must be positive")
     n = u.size - 1
-    x, eu, eb = _lyapunov_weights(n, p1, p2)
+    eu, eb = _lyapunov_weights(n, p1, p2)
     h = 1.0 / n
-    if n == coeffs.grid.n:
-        lam, mu = coeffs.lam, coeffs.mu
-    else:  # resample's np.interp call, for the two arrays read here only
-        lam = np.interp(x, coeffs.grid.points, coeffs.lam)
-        mu = np.interp(x, coeffs.grid.points, coeffs.mu)
-    wu = eu / lam
-    wb = eb / mu
+    # on the plant's own grid resample would only copy lam and mu, so they are read in place
+    cf = {"lam": coeffs.lam, "mu": coeffs.mu} if n == coeffs.grid.n else resample(coeffs, n)
+    wu = eu / cf["lam"]
+    wb = eb / cf["mu"]
     return trapezoid_integral(wu * u * u, h) + trapezoid_integral(wb * beta * beta, h)
 
 

@@ -216,8 +216,7 @@ def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int, ratio:
     src[2] = h / mu_i
 
     # --- k1 nodes whose characteristic crossed the diagonal ---
-    if a == 1:  # level 1 has no lerp; an uncrossed node there reads a prefilled 0
-        zero = ~crossed[0]
+    if a == 1:  # a level-1 characteristic starts on node (0, 0), also where its foot underflows to 0
         crossed[0] = True
     kk, pp = np.nonzero(crossed)
     jc, xc_i, mu_c = j[kk], x_i[kk], mu_i[kk, pp]
@@ -228,8 +227,6 @@ def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int, ratio:
     lam_c, mu_cc, dlam_c, sig_c, tht_c = _lerp(flat[:5], ic * plants + pp, t - ic, plants)
     bc = -tht_c / (lam_c + mu_cc)
     arc = (xc_i - xc) / mu_c
-    if a == 1:
-        bc[:plants][zero] = arc[:plants][zero] = 0.0
     own = here0[kk, pp] + jc * plants
     values.reshape(-1)[own] = bc
     at[:, 0, 0, kk, pp] = own

@@ -93,9 +93,8 @@ class DeepONetModel:
             raise ValueError("m_enc must be at least 2")
         bd, td = self.branch_dims, self.trunk_dims
         _check_dims(self.p, bd, td)
-        # the shapes of parameters() and of the normalization, layer by layer
-        layout = [*zip(bd, bd[1:]), *zip(bd[1:]), *zip(td, td[1:]), *zip(td[1:]), (bd[0],), (bd[0],)]
-        if bd[0] != 5 * self.m_enc + 1 or [np.shape(a) for a in (*self.parameters(), self.feat_mean, self.feat_scale)] != layout:
+        shapes = [np.shape(a) for a in (*self.parameters(), self.feat_mean, self.feat_scale)]
+        if bd[0] != 5 * self.m_enc + 1 or shapes != [*_layout(bd, td), (bd[0],), (bd[0],)]:
             raise ValueError(f"inconsistent model: dims branch {bd}, trunk {td} and m_enc {self.m_enc} do not fit its arrays")
         values = [*self.parameters(), self.feat_mean, self.feat_scale, [self.b1, self.b2]]
         if not all(np.all(np.isfinite(v)) for v in values):
@@ -104,7 +103,14 @@ class DeepONetModel:
             raise ValueError("normalization scale must be positive")
 
     def parameters(self):
-        return [*self.branch_w, *self.branch_b, *self.trunk_w, *self.trunk_b]
+        """The weight and bias arrays in _layout order."""
+        return [*self.branch_w, *self.trunk_w, *self.branch_b, *self.trunk_b]
+
+
+def _layout(branch_dims, trunk_dims) -> list[tuple[int, ...]]:
+    """Shapes of the weight and bias arrays in model-file order: branch w, trunk w, branch b, trunk b."""
+    bd, td = branch_dims, trunk_dims
+    return [*zip(bd, bd[1:]), *zip(td, td[1:]), *zip(bd[1:]), *zip(td[1:])]
 
 
 def _check_dims(p: int, branch_dims, trunk_dims) -> None:
@@ -278,25 +284,28 @@ class TrainHistory:
 
 def split_indices(n_samples: int, train_fraction: float, seed: int):
     """Seeded shuffle split shared by training and evaluation tooling."""
-    rng = np.random.default_rng(splitmix_for_split(seed))
+    # a stream distinct from weight init, still a pure function of the seed
+    rng = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) % (1 << 64))
     perm = rng.permutation(n_samples)
     n_train = max(1, int(round(train_fraction * n_samples)))
     return perm[:n_train], perm[n_train:]
 
 
-def splitmix_for_split(seed: int) -> int:
-    # distinct stream from weight init, still a pure function of the seed
-    return (seed * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) % (1 << 64)
+def _targets(samples, idx, dtype):
+    """The true k1 and k2 of samples[i] for i in idx, each stacked into one array of dtype.
 
-
-def _dataset_tensors(dataset: Dataset, m_enc: int):
-    feats = np.stack([encode_input(r, m_enc) for r in dataset.samples])
-    return (feats, *_targets(dataset.samples, np.float64))
-
-
-def _targets(samples, dtype):
-    """The true k1 and k2 of the samples, each stacked into one array of dtype."""
-    return np.array([r.k1 for r in samples], dtype=dtype), np.array([r.k2 for r in samples], dtype=dtype)
+    A value that is not finite or exceeds dtype's largest is refused with its sample's index;
+    the check compares with that bound rather than casting, whose overflow only warns.
+    """
+    out = []
+    for name in ("k1", "k2"):
+        y = np.array([getattr(samples[i], name) for i in idx])
+        fits = np.abs(y) <= np.finfo(dtype).max
+        if not fits.all():
+            i = idx[np.argmin(fits.all(axis=-1))]
+            raise ValueError(f"dataset sample {i}: {name} holds a value that is not finite or exceeds {np.dtype(dtype)}")
+        out.append(y.astype(dtype, copy=False))
+    return out
 
 
 def relative_l2(pred: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
@@ -333,7 +342,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
 
     feats = np.stack([encode_input(r, config.m_enc) for r in dataset.samples])
     tr_idx, te_idx = split_indices(len(dataset.samples), config.train_fraction, config.seed)
-    tr, te = ([dataset.samples[i] for i in idx] for idx in (tr_idx, te_idx))
     std = feats[tr_idx].std(axis=0)
     model.feat_mean = feats[tr_idx].mean(axis=0)
     model.feat_scale = np.where(std > 1e-12, std, 1.0)
@@ -346,20 +354,20 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     # the float32 copies the steps read; the float64 targets are stacked only after the last step
     f32 = np.float32
     z32, z_te32, pts32 = z_tr.astype(f32), z_te.astype(f32), pts.astype(f32)
-    y1_32, y2_32 = _targets(tr, f32)
-    y1_te32, y2_te32 = _targets(te, f32)
+    y1_32, y2_32 = _targets(dataset.samples, tr_idx, f32)
+    y1_te32, y2_te32 = _targets(dataset.samples, te_idx, f32)
 
     # every parameter, then b1 and b2, in one vector (get_flat_params order);
     # the model's arrays are views of it, so an Adam step is whole-vector ops
     flat = get_flat_params(model).astype(f32)
-    model.branch_w, model.branch_b, model.trunk_w, model.trunk_b = _views(model, flat)
+    model.branch_w, model.trunk_w, model.branch_b, model.trunk_b = _views(flat, model.branch_dims, model.trunk_dims)
     grad = np.empty_like(flat)
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
     step = np.empty_like(flat)
     denom = np.empty_like(flat)
     t_step = 0
-    n_train = len(tr)
+    n_train = len(tr_idx)
 
     hist_loss = np.zeros(config.epochs)
     hist_te1 = np.full(config.epochs, np.nan)
@@ -412,19 +420,19 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
 
         hist_loss[epoch] = epoch_loss / max(n_batches, 1)
         # the last epoch's errors are those of the final model, below
-        if te and epoch < config.epochs - 1:
+        if len(te_idx) and epoch < config.epochs - 1:
             trunk = _mlp_forward(model.trunk_w, model.trunk_b, pts32, keep=True)
             res = _evaluate(model, z_te32, y1_te32, y2_te32, trunk[0], w_tri)
             hist_te1[epoch], hist_te2[epoch] = res.rel_l2_k1, res.rel_l2_k2
 
     # widening is exact: the float64 model holds the float32 fit's weights
     flat = flat.astype(np.float64)
-    model.branch_w, model.branch_b, model.trunk_w, model.trunk_b = _views(model, flat)
+    model.branch_w, model.trunk_w, model.branch_b, model.trunk_b = _views(flat, model.branch_dims, model.trunk_dims)
     tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     # the readout solve leaves the trunk as it is
-    _polish_readout(model, z_tr, *_targets(tr, np.float64), tout)
-    if te:
-        res = _evaluate(model, z_te, *_targets(te, np.float64), tout, w_tri)
+    _polish_readout(model, z_tr, *_targets(dataset.samples, tr_idx, np.float64), tout)
+    if len(te_idx):
+        res = _evaluate(model, z_te, *_targets(dataset.samples, te_idx, np.float64), tout, w_tri)
         hist_te1[-1], hist_te2[-1] = res.rel_l2_k1, res.rel_l2_k2
 
     history = TrainHistory(train_loss=hist_loss, test_rel_l2_k1=hist_te1, test_rel_l2_k2=hist_te2)
@@ -462,7 +470,6 @@ def _polish_readout(model: DeepONetModel, z_tr, y1_tr, y2_tr, tout) -> None:
 class EvalResult:
     rel_l2_k1: float
     rel_l2_k2: float
-    n_samples: int
     n_skipped_k1: int
     n_skipped_k2: int
 
@@ -470,11 +477,13 @@ class EvalResult:
 def evaluate(model: DeepONetModel, dataset: Dataset) -> EvalResult:
     """Mean trapezoid-weighted relative L2 error per kernel over a dataset.
 
-    Samples whose true kernel has zero norm are skipped and counted.
+    Samples whose true kernel has zero norm are skipped and counted; a
+    kernel value that is not finite is refused (see _targets).
     """
     grid = TriangularGrid(dataset.n_grid)
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
-    feats, y1, y2 = _dataset_tensors(dataset, model.m_enc)
+    feats = np.stack([encode_input(r, model.m_enc) for r in dataset.samples])
+    y1, y2 = _targets(dataset.samples, range(len(feats)), np.float64)
     z = (feats - model.feat_mean) / model.feat_scale
     tout = _mlp_forward(model.trunk_w, model.trunk_b, pts)
     return _evaluate(model, z, y1, y2, tout, tri_quad_weights(grid))
@@ -490,7 +499,7 @@ def _evaluate(model: DeepONetModel, z, y1, y2, tout, w) -> EvalResult:
         finite = [e for e in errs if np.isfinite(e)]
         means.append(float(np.mean(finite)) if finite else float("nan"))
         skipped.append(len(errs) - len(finite))
-    return EvalResult(means[0], means[1], len(z), skipped[0], skipped[1])
+    return EvalResult(means[0], means[1], skipped[0], skipped[1])
 
 
 @functools.lru_cache(maxsize=32)
@@ -545,7 +554,7 @@ def _loss_and_grads(model: DeepONetModel, z, y1, y2, trunk, grad, work=None):
     d_bout = np.concatenate([d1 @ tout, d2 @ tout], axis=1)
     d_tout = np.matmul(d1.T, bout[:, :p], out=_scratch(work, "d_tout", tout.shape, dt))
     d_tout += np.matmul(d2.T, bout[:, p:], out=_scratch(work, "d_tout2", tout.shape, dt))
-    dbw, dbb, dtw, dtb = _views(model, grad)
+    dbw, dtw, dbb, dtb = _views(grad, model.branch_dims, model.trunk_dims)
     _mlp_backward(model.branch_w, bacts, d_bout, dbw, dbb)
     _mlp_backward(model.trunk_w, tacts, d_tout, dtw, dtb, work)
     grad[-2] = d1.sum()
@@ -553,16 +562,14 @@ def _loss_and_grads(model: DeepONetModel, z, y1, y2, trunk, grad, work=None):
     return loss
 
 
-def _views(model: DeepONetModel, flat: np.ndarray):
-    """(branch_w, branch_b, trunk_w, trunk_b) shaped like the model's, as views of flat in get_flat_params order."""
-    groups, pos = [], 0
-    for arrays in (model.branch_w, model.branch_b, model.trunk_w, model.trunk_b):
-        views = []
-        for a in arrays:
-            views.append(flat[pos : pos + a.size].reshape(a.shape))
-            pos += a.size
-        groups.append(views)
-    return groups
+def _views(flat: np.ndarray, branch_dims, trunk_dims):
+    """(branch_w, trunk_w, branch_b, trunk_b) as views of the leading values of flat, which hold them in _layout order."""
+    arrays, pos = [], 0
+    for shape in _layout(branch_dims, trunk_dims):
+        arrays.append(flat[pos : pos + math.prod(shape)].reshape(shape))
+        pos += arrays[-1].size
+    nb, nt = len(branch_dims) - 1, len(trunk_dims) - 1
+    return arrays[:nb], arrays[nb : nb + nt], arrays[nb + nt : 2 * nb + nt], arrays[2 * nb + nt :]
 
 
 def get_flat_params(model: DeepONetModel) -> np.ndarray:
@@ -571,20 +578,17 @@ def get_flat_params(model: DeepONetModel) -> np.ndarray:
 
 
 def save_model(model: DeepONetModel, path) -> None:
-    """Binary little-endian model file; see load_model for the layout."""
+    """Little-endian: magic "NOM1", u32 version, m_enc, p, branch dim count and dims, trunk dim
+    count and dims, then in one float64 block the weights and biases in _layout order, the
+    normalization mean and scale, and b1 and b2."""
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<IIII", MODEL_VERSION, model.m_enc, model.p, len(model.branch_dims)))
         f.write(struct.pack(f"<{len(model.branch_dims)}I", *model.branch_dims))
         f.write(struct.pack("<I", len(model.trunk_dims)))
         f.write(struct.pack(f"<{len(model.trunk_dims)}I", *model.trunk_dims))
-        for w in [*model.branch_w, *model.trunk_w]:
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        for b in [*model.branch_b, *model.trunk_b]:
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.feat_mean, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.feat_scale, dtype="<f8").tobytes())
-        f.write(struct.pack("<dd", model.b1, model.b2))
+        values = [*model.parameters(), model.feat_mean, model.feat_scale, [model.b1, model.b2]]
+        f.write(np.concatenate([np.ravel(v) for v in values]).astype("<f8").tobytes())
 
 
 def load_model(path) -> DeepONetModel:
@@ -599,22 +603,13 @@ def load_model(path) -> DeepONetModel:
         (nt,) = struct.unpack("<I", read_exact(f, 4, "trunk layer count", "model file"))
         trunk_dims = struct.unpack(f"<{nt}I", read_exact(f, 4 * nt, "trunk dims", "model file"))
         _check_dims(p, branch_dims, trunk_dims)
-
-        def read_array(shape, what):
-            count = math.prod(shape)
-            buf = read_exact(f, 8 * count, what, "model file")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-        bw = [read_array((a, b), "branch weights") for a, b in zip(branch_dims[:-1], branch_dims[1:])]
-        tw = [read_array((a, b), "trunk weights") for a, b in zip(trunk_dims[:-1], trunk_dims[1:])]
-        bb = [read_array((b,), "branch biases") for b in branch_dims[1:]]
-        tb = [read_array((b,), "trunk biases") for b in trunk_dims[1:]]
-        mean = read_array((branch_dims[0],), "normalization mean")
-        scale = read_array((branch_dims[0],), "normalization scale")
-        b1, b2 = struct.unpack("<dd", read_exact(f, 16, "output biases", "model file"))
-        extra = f.read(1)
-        if extra:
+        d = branch_dims[0]
+        count = sum(map(math.prod, _layout(branch_dims, trunk_dims))) + 2 * d + 2
+        values = np.frombuffer(read_exact(f, 8 * count, "arrays", "model file"), dtype="<f8").copy()
+        if f.read(1):
             raise ValueError("model file has trailing bytes")
+    bw, tw, bb, tb = _views(values, branch_dims, trunk_dims)
+    mean, scale = values[-2 - 2 * d : -2].reshape(2, d)
     return DeepONetModel(
         m_enc=m_enc,
         p=p,
@@ -624,8 +619,8 @@ def load_model(path) -> DeepONetModel:
         branch_b=bb,
         trunk_w=tw,
         trunk_b=tb,
-        b1=b1,
-        b2=b2,
+        b1=float(values[-2]),
+        b2=float(values[-1]),
         feat_mean=mean,
         feat_scale=scale,
     )

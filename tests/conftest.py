@@ -152,8 +152,8 @@ def loss_and_gradients(model: DeepONetModel, feats: np.ndarray, y1: np.ndarray, 
 
 
 def set_flat_params(model: DeepONetModel, flat: np.ndarray) -> None:
-    for arrays, views in zip((model.branch_w, model.branch_b, model.trunk_w, model.trunk_b), _views(model, flat)):
-        for a, v in zip(arrays, views):
-            a[...] = v
+    bw, tw, bb, tb = _views(flat, model.branch_dims, model.trunk_dims)
+    for a, v in zip(model.parameters(), [*bw, *tw, *bb, *tb], strict=True):
+        a[...] = v
     model.b1 = float(flat[-2])
     model.b2 = float(flat[-1])

@@ -77,6 +77,13 @@ class TestResidualOperators:
         with pytest.raises(ValueError):
             residual_operators(gamma1, KernelField(grid, z.copy()), KernelField(grid, z.copy()))
 
+    def test_smallest_grid_accepted(self, gamma1):
+        # n = 3 is the first grid with an interior stencil node: its residuals are scored, not refused
+        ks = solve_kernels(gamma1, TriangularGrid(3))
+        rep = residual_operators(gamma1, ks.k1, ks.k2)
+        assert rep.sup_bc_diag <= 1e-12 and rep.sup_bc_bottom <= 1e-12
+        assert rep.sup_pde1 > 0 and rep.sup_pde2 > 0 and np.isfinite(rep.epsilon_estimate)
+
     def test_fields_on_two_grids_rejected(self, gamma1):
         a, b = TriangularGrid(10), TriangularGrid(11)
         with pytest.raises(ValueError, match="fields must share one grid"):
@@ -177,6 +184,11 @@ class TestEpsilonEstimate:
         ks = solve_kernels(gamma1, TriangularGrid(2))
         with pytest.raises(ValueError, match="n >= 3"):
             epsilon_estimate(gamma1, ks, ks)
+
+    def test_smallest_grid_accepted(self, gamma1):
+        ks = solve_kernels(gamma1, TriangularGrid(3))
+        assert epsilon_estimate(gamma1, ks, ks).epsilon == 0.0
+        assert epsilon_estimate(gamma1, ks, self.perturbed(ks)).epsilon > 0.0
 
     def test_kernel_sets_on_two_grids_rejected(self, gamma1):
         a, b = (solve_kernels(gamma1, TriangularGrid(n)) for n in (10, 11))
@@ -477,6 +489,16 @@ class TestFitDecay:
         assert rep.fit_quality == pytest.approx(1.0, abs=1e-12)
         assert rep.c2_hat == pytest.approx(1.0, abs=1e-9)
 
+    def test_overshoot_when_phi0_lies_below_the_decay_curve(self):
+        # phi = e^(-2t) for t > 0 but phi(0) = 0.5: fitted from t_start = 0.5, the
+        # rate is 2 and the largest ratio phi(t) e^(2t) / phi(0) is 1 / 0.5 = 2
+        t = np.linspace(0, 5, 200)
+        p = np.exp(-2 * t)
+        p[0] = 0.5
+        rep = fit_decay(synthetic_trace(t, p), t_start=0.5)
+        assert rep.c1_hat == pytest.approx(2.0, abs=1e-9)
+        assert rep.c2_hat == pytest.approx(2.0, abs=1e-9)
+
     def test_constant_phi(self):
         t = np.linspace(0, 5, 50)
         rep = fit_decay(synthetic_trace(t, np.ones_like(t)))
@@ -493,6 +515,21 @@ class TestFitDecay:
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
             fit_decay(synthetic_trace(t, np.exp(-t)))
+
+    def test_fits_from_exactly_ten_samples(self):
+        t = np.linspace(0, 1, 12)
+        assert fit_decay(synthetic_trace(t, np.exp(-t)), t_start=t[2]).c1_hat == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ValueError, match="at least 10 positive samples"):
+            fit_decay(synthetic_trace(t, np.exp(-t)), t_start=t[3])
+
+    def test_fit_quality_is_the_coefficient_of_determination(self):
+        # for a least-squares line, 1 - SS_res / SS_tot is the squared correlation of t and ln phi
+        t = np.linspace(0, 5, 100)
+        p = np.exp(-1.3 * t + 0.3 * np.sin(7 * t))
+        rep = fit_decay(synthetic_trace(t, p))
+        r = np.corrcoef(t, np.log(p))[0, 1]
+        assert 0.5 < rep.fit_quality < 1.0
+        assert rep.fit_quality == pytest.approx(r * r, rel=1e-12)
 
     def test_closed_loop_has_positive_rate(self, gamma1, kernels_g1_n100):
         grid = g.IntervalGrid(100)

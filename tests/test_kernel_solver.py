@@ -153,8 +153,8 @@ def per_level_march(coeffs, grid, fold=True):
             (k1l, k2l), (k1r, k2r) = ends(ik)
             dlam_f, sig_f, tht_f = lerp(flat[2:5], ic + off, t - ic)
             regular = node(k1l, k1r, k2l, k2r, t - ik, tau, dlam_f + sig_f, tht_f)
-        else:
-            regular = 0.0
+        else:  # a level-1 characteristic starts on node (0, 0), also where its foot underflows to 0
+            crossed, regular = True, 0.0
         slope = lam[:, :i] / mu_i
         xc = (x[:i] + slope * x[i]) / (1.0 + slope)
         t = xc / h
@@ -241,6 +241,19 @@ class TestMarchGeometry:
         # both signs of zero occur, so a flipped sign would show
         zeros = np.signbit(expected[expected == 0.0])
         assert zeros.any() and not zeros.all()
+
+    @pytest.mark.parametrize("lam0", [5e-324, 1e-320, 1e-300])
+    def test_level_one_continuous_in_lam0(self, lam0):
+        # at lam(0) = 5e-324 the level-1 foot h lam(0) / mu(x_1) underflows to 0; the
+        # march used to take that node as uncrossed and set k1(1, 0) = 0 instead of -0.5099
+        c, grid = g.gamma_family(1.0), TriangularGrid(50)
+        near, tiny = (replace(c, lam=np.r_[v, c.lam[1:]]) for v in (1e-12, lam0))
+        (ks_near, ks_tiny), expected = solve_kernels_batch([near, tiny], grid), per_level_march([tiny], grid)
+        assert ks_tiny.k1.values.tobytes() == expected[0, 0].tobytes()
+        assert ks_tiny.k2.values.tobytes() == expected[1, 0].tobytes()
+        assert ks_tiny.k1.matrix[1, 0] == pytest.approx(-0.5099, abs=1e-4)
+        for a, b in ((ks_tiny.k1, ks_near.k1), (ks_tiny.k2, ks_near.k2)):
+            assert np.abs(a.values - b.values).max() <= 1e-11
 
     def test_rejects_nonpositive_speed_sum_by_index(self):
         # CoefficientSet itself rejects lam <= 0, so a plain namespace stands in

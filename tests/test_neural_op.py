@@ -262,6 +262,39 @@ class TestEvaluate:
         assert res.n_skipped_k1 == 1 and res.n_skipped_k2 == 1
 
 
+def with_kernel_value(dataset, index, name, value):
+    """The dataset with one value of sample index's kernel name replaced."""
+    samples = list(dataset.samples)
+    k = getattr(samples[index], name).copy()
+    k[5] = value
+    samples[index] = replace(samples[index], **{name: k})
+    return Dataset(dataset.m_coeff, dataset.n_grid, samples)
+
+
+class TestUnreadableKernels:
+    """train and evaluate refuse a kernel value that the fit cannot read, naming its sample."""
+
+    def test_nan_refused_by_train(self, tiny_dataset):
+        bad = with_kernel_value(tiny_dataset, 3, "k1", np.nan)
+        with pytest.raises(ValueError, match="dataset sample 3: k1 holds a value that is not finite"):
+            nn.train(bad, small_config(epochs=1))
+
+    def test_float32_overflow_refused_by_train(self, tiny_dataset):
+        # finite in float64 but not in the float32 steps, where the fit used to diverge at step 0
+        bad = with_kernel_value(tiny_dataset, 3, "k2", 1e39)
+        with pytest.raises(ValueError, match="dataset sample 3: k2 holds a value that .* exceeds float32"):
+            nn.train(bad, small_config(epochs=1))
+
+    def test_nan_refused_by_evaluate(self, tiny_dataset):
+        # the sample used to be skipped and counted, as if its kernel had zero norm
+        model = nn.init_model(small_config())
+        with pytest.raises(ValueError, match="dataset sample 3: k1 holds a value that is not finite"):
+            nn.evaluate(model, with_kernel_value(tiny_dataset, 3, "k1", np.nan))
+        # evaluate is float64 throughout, so a finite 1e39 is read
+        res = nn.evaluate(model, with_kernel_value(tiny_dataset, 3, "k2", 1e39))
+        assert np.isfinite(res.rel_l2_k2) and res.n_skipped_k2 == 0
+
+
 class TestInferGains:
     def test_zero_model_zero_gains(self, gamma1):
         model = nn.init_model(small_config())
@@ -561,7 +594,7 @@ class TestModelFile:
             nn.MODEL_MAGIC + struct.pack("<IIII", nn.MODEL_VERSION, 5, 4, 3) + dims
             + struct.pack("<I", 2) + struct.pack("<II", 2, 4) + b"\0" * 64
         )
-        with pytest.raises(ValueError, match="model file truncated while reading branch weights"):
+        with pytest.raises(ValueError, match="model file truncated while reading arrays"):
             nn.load_model(path)
 
     def test_one_node_encoding_rejected(self, tmp_path):
@@ -601,7 +634,7 @@ def per_array_grads(model, z, y1, y2, pts):
 
     dbw, dbb = backward(model.branch_w, bacts, np.concatenate([g1 @ tout, g2 @ tout], axis=1))
     dtw, dtb = backward(model.trunk_w, tacts, g1.T @ bout[:, :p] + g2.T @ bout[:, p:])
-    return loss, [*dbw, *dbb, *dtw, *dtb, g1.sum(), g2.sum()]
+    return loss, [*dbw, *dtw, *dbb, *dtb, g1.sum(), g2.sum()]
 
 
 def per_array_train(dataset, config):
@@ -612,7 +645,8 @@ def per_array_train(dataset, config):
     f32 = np.float32
     rng = np.random.default_rng(config.seed)
     model = nn.init_model(config, rng)
-    feats, y1, y2 = nn._dataset_tensors(dataset, config.m_enc)
+    feats = np.stack([nn.encode_input(r, config.m_enc) for r in dataset.samples])
+    y1, y2 = nn._targets(dataset.samples, range(len(feats)), np.float64)
     tr, te = nn.split_indices(len(dataset.samples), config.train_fraction, config.seed)
     std = feats[tr].std(axis=0)
     model.feat_mean = feats[tr].mean(axis=0)
@@ -760,7 +794,8 @@ class TestPrecision:
         # differed by at most 1.1e-7 relative and the gradient by 2.7e-7 to
         # 3.8e-7 in relative 2-norm; the bound 1e-5 leaves a 25-fold margin
         data = Dataset(gamma_fit_data[0].m_coeff, 50, gamma_fit_data[0].samples[:64])
-        feats, y1, y2 = nn._dataset_tensors(data, 21)
+        feats = np.stack([nn.encode_input(r, 21) for r in data.samples])
+        y1, y2 = nn._targets(data.samples, range(len(feats)), np.float64)
         std = feats.std(axis=0)
         z = (feats - feats.mean(axis=0)) / np.where(std > 1e-12, std, 1.0)
         pts = nn._trunk_inputs(np.column_stack(TriangularGrid(50).node_coordinates()))
@@ -769,7 +804,7 @@ class TestPrecision:
         def loss_and_grad(dtype):
             model = nn.init_model(nn.TrainConfig(seed=seed))
             flat = flat64.astype(dtype)
-            model.branch_w, model.branch_b, model.trunk_w, model.trunk_b = nn._views(model, flat)
+            model.branch_w, model.trunk_w, model.branch_b, model.trunk_b = nn._views(flat, model.branch_dims, model.trunk_dims)
             model.b1, model.b2 = float(flat[-2]), float(flat[-1])
             trunk = nn._mlp_forward(model.trunk_w, model.trunk_b, pts.astype(dtype), keep=True)
             grad = np.empty_like(flat)
