@@ -308,12 +308,10 @@ def _targets(samples, idx, dtype):
     return out
 
 
-def relative_l2(pred: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted relative L2 distance; infinite if the truth has zero norm."""
-    denom = np.sqrt(weights @ truth**2)
-    if denom == 0:
-        return float("inf")
-    return float(np.sqrt(weights @ (pred - truth) ** 2) / denom)
+def relative_l2(pred: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted relative L2 distance of each row of pred from that of truth; inf where the truth has zero norm."""
+    num, den = (pred - truth) ** 2 @ weights, truth**2 @ weights
+    return np.sqrt(np.divide(num, den, out=np.full_like(num, np.inf), where=den > 0))
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHistory]:
@@ -333,7 +331,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[DeepONetModel, TrainHi
     are widened to float64, exactly, and the readout solve, the last epoch's
     held-out errors and the returned model are float64.
     The trunk output at the grid nodes is computed before each step and once
-    after the last (steps + 1 passes); every reader shares it.
+    after the last (steps + 1 passes); every reader shares it.  The readout
+    solve reads the targets only projected onto it (see _polish_readout).
     """
     if len(dataset.samples) == 0:
         raise ValueError("dataset is empty")
@@ -446,7 +445,9 @@ def _polish_readout(model: DeepONetModel, z_tr, y1_tr, y2_tr, tout) -> None:
     layer and the output biases, and the normal equations factor over the
     (sample, node) product grid, so the train MSE minimizer is available in
     closed form.  Adaptive-moment steps leave this layer far from optimal.
-    ``tout`` is the trunk output at the grid nodes.
+    ``tout`` is the trunk output at the grid nodes.  The targets Y enter only
+    as Y tout, so both alternations work on (hidden + 1, p) arrays (right-hand
+    side a_pen^T Y tout - b s_a s_t^T, bias mean(Y) - s_a^T W s_t / Y.size).
     """
     p = model.p
     acts = _mlp_forward(model.branch_w, model.branch_b, z_tr, keep=True)[1]
@@ -455,15 +456,15 @@ def _polish_readout(model: DeepONetModel, z_tr, y1_tr, y2_tr, tout) -> None:
     gt_val, gt_vec = np.linalg.eigh(tout.T @ tout)
     denom = np.outer(np.maximum(ga_val, 0.0), np.maximum(gt_val, 0.0))
     ridge = 1e-12 * max(denom.max(), 1.0)
-    for _ in range(2):  # alternate exact solves for (weights, bias)
-        for block, targets, bias in ((0, y1_tr, "b1"), (1, y2_tr, "b2")):
-            resid = targets - getattr(model, bias)
-            rhs = ga_vec.T @ (a_pen.T @ resid @ tout) @ gt_vec
-            w_tilde = ga_vec @ (rhs / (denom + ridge)) @ gt_vec.T
-            model.branch_w[-1][:, block * p : (block + 1) * p] = w_tilde[:-1]
-            model.branch_b[-1][block * p : (block + 1) * p] = w_tilde[-1]
-            pred = (a_pen @ w_tilde) @ tout.T
-            setattr(model, bias, float(np.mean(targets - pred)))
+    s_a, s_t = a_pen.sum(axis=0), tout.sum(axis=0)
+    for block, targets, bias in ((0, y1_tr, "b1"), (1, y2_tr, "b2")):
+        projected = a_pen.T @ (targets @ tout)
+        for _ in range(2):  # alternate exact solves for (weights, bias)
+            rhs = projected - getattr(model, bias) * np.outer(s_a, s_t)
+            w_tilde = ga_vec @ ((ga_vec.T @ rhs @ gt_vec) / (denom + ridge)) @ gt_vec.T
+            setattr(model, bias, float(targets.mean() - s_a @ w_tilde @ s_t / targets.size))
+        model.branch_w[-1][:, block * p : (block + 1) * p] = w_tilde[:-1]
+        model.branch_b[-1][block * p : (block + 1) * p] = w_tilde[-1]
 
 
 @dataclass
@@ -477,8 +478,8 @@ class EvalResult:
 def evaluate(model: DeepONetModel, dataset: Dataset) -> EvalResult:
     """Mean trapezoid-weighted relative L2 error per kernel over a dataset.
 
-    Samples whose true kernel has zero norm are skipped and counted; a
-    kernel value that is not finite is refused (see _targets).
+    Only samples whose true kernel has zero weighted norm are skipped (and
+    counted); a true kernel value that is not finite is refused (see _targets).
     """
     grid = TriangularGrid(dataset.n_grid)
     pts = _trunk_inputs(np.column_stack(grid.node_coordinates()))
@@ -490,15 +491,14 @@ def evaluate(model: DeepONetModel, dataset: Dataset) -> EvalResult:
 
 
 def _evaluate(model: DeepONetModel, z, y1, y2, tout, w) -> EvalResult:
-    """evaluate's result from normalized features, true kernels, the trunk output at the nodes and their weights."""
+    """evaluate's result, all samples at once, from normalized features, true kernels, the nodes' trunk output and weights."""
     bout = _mlp_forward(model.branch_w, model.branch_b, z)
     p = model.p
     means, skipped = [], []
     for pred, truth in ((bout[:, :p] @ tout.T + model.b1, y1), (bout[:, p:] @ tout.T + model.b2, y2)):
-        errs = [relative_l2(a, b, w) for a, b in zip(pred, truth)]
-        finite = [e for e in errs if np.isfinite(e)]
-        means.append(float(np.mean(finite)) if finite else float("nan"))
-        skipped.append(len(errs) - len(finite))
+        errs, scored = relative_l2(pred, truth, w), truth**2 @ w > 0
+        means.append(float(np.mean(errs[scored])) if scored.any() else float("nan"))
+        skipped.append(int(np.count_nonzero(~scored)))
     return EvalResult(means[0], means[1], skipped[0], skipped[1])
 
 

@@ -295,16 +295,22 @@ def test_c12_speedup(gamma1, trained_model):
     tgrid = TriangularGrid(100)
     igrid = g.IntervalGrid(100)
     t_solve = median_time(lambda: solve_kernels(gamma1, tgrid), 20)
-    cold = replace(model)  # the same weights with an empty trunk slot: its first call fills it
-    t0 = time.perf_counter()
-    nn.infer_gains(cold, gamma1, igrid)
-    t_cold = time.perf_counter() - t0
+
+    def cold_call():
+        cold = replace(model)  # the same weights with an empty trunk slot: its first call fills it
+        t0 = time.perf_counter()
+        nn.infer_gains(cold, gamma1, igrid)
+        return time.perf_counter() - t0
+
+    # one cold call is one sample of a noisy host: report the min and median of 20
+    t_cold = np.array([cold_call() for _ in range(20)])
     t_gains = median_time(lambda: nn.infer_gains(model, gamma1, igrid), 20)
     assert t_gains <= t_solve / 10
     report(
         "criterion 12 (speedup)",
         solve_ms=t_solve * 1e3, infer_ms=t_gains * 1e3, ratio=t_solve / t_gains,
-        cold_infer_ms=t_cold * 1e3, cold_ratio=t_solve / t_cold,
+        cold_infer_ms_min=t_cold.min() * 1e3, cold_infer_ms_median=np.median(t_cold) * 1e3,
+        cold_ratio_median=t_solve / np.median(t_cold),
     )
 
 
