@@ -69,7 +69,6 @@ class CoefficientFamily:
     kind: str
     gamma_range: tuple[float, float] = (0.5, 5.0)
     amplitude: float = 0.5
-    m: int = 101
 
     def __post_init__(self):
         if self.kind not in ("gamma", "random_smooth"):
@@ -79,8 +78,6 @@ class CoefficientFamily:
             raise ValueError("gamma_range must be a subset of (0, inf)")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
-        if self.m < 3:
-            raise ValueError(f"need at least 3 coefficient nodes, got m = {self.m}")
 
 
 def _gamma_shape(gamma: float, grid: IntervalGrid):
@@ -112,16 +109,18 @@ def gamma_family(gamma: float, m: int = 101) -> CoefficientSet:
     return CoefficientSet(grid, *_gamma_shape(gamma, grid))
 
 
-def sample_random(family: CoefficientFamily, seed: int) -> CoefficientSet:
-    """Deterministic draw from a family; a pure function of (family, seed)."""
+def sample_random(family: CoefficientFamily, seed: int, m: int = 101) -> CoefficientSet:
+    """Deterministic draw from a family on m uniform nodes; a pure function of (family, seed, m)."""
+    if m < 3:
+        raise ValueError(f"need at least 3 coefficient nodes, got m = {m}")
     rng = np.random.default_rng(splitmix64(seed & MASK64))
     lo, hi = family.gamma_range
     gamma = lo + (hi - lo) * rng.uniform()
     if family.kind == "gamma":
-        return gamma_family(gamma, family.m)
+        return gamma_family(gamma, m)
 
     # the gamma family's shape plus perturbations, validated once
-    grid = IntervalGrid(family.m - 1)
+    grid = IntervalGrid(m - 1)
     x = grid.points
     # sup of each perturbation is capped at 0.8 so lam >= 0.2 and mu >= 1.2
     cap = min(family.amplitude, 0.8)

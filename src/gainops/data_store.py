@@ -78,12 +78,11 @@ def generate(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    family = CoefficientFamily(family.kind, family.gamma_range, family.amplitude, m_coeff)
     grid = TriangularGrid(n_grid)
     samples = []
     for start in range(0, n_samples, BLOCK):
         block = [
-            sample_random(family, sample_seed(seed, i))
+            sample_random(family, sample_seed(seed, i), m_coeff)
             for i in range(start, min(start + BLOCK, n_samples))
         ]
         try:
@@ -101,14 +100,24 @@ def _check_header(n_samples: int, m_coeff: int, n_grid: int) -> None:
         raise ValueError(f"degenerate header: {n_samples} samples, m_coeff {m_coeff}, n_grid {n_grid}")
 
 
-def _check_records(records: np.ndarray, m_coeff: int) -> None:
+def _record_fields(m_coeff: int, n_grid: int) -> dict[str, slice]:
+    """Each field of a stored record and its columns, in file order: q, the seven
+    coefficient arrays (m_coeff values each), then k1 and k2 (one value per
+    node of the n_grid triangle)."""
+    t = (n_grid + 1) * (n_grid + 2) // 2
+    m = m_coeff
+    widths = {"q": 1, "lam": m, "mu": m, "sigma": m, "omega": m, "theta": m, "dlam": m, "dmu": m, "k1": t, "k2": t}
+    return {name: slice(end - w, end) for (name, w), end in zip(widths.items(), accumulate(widths.values()))}
+
+
+def _check_records(records: np.ndarray, fields: dict[str, slice]) -> None:
     """Raise ValueError for the first row of ``records`` that ``read`` refuses.
 
     A row is refused for a non-finite value or a transport speed lam or
     mu <= 0; one vectorized pass checks all rows, and the message names the
     row by index.
     """
-    lam, mu = records[:, 1 : 1 + m_coeff], records[:, 1 + m_coeff : 1 + 2 * m_coeff]
+    lam, mu = records[:, fields["lam"]], records[:, fields["mu"]]
     nonfinite = ~np.isfinite(records).all(axis=1)
     bad = np.flatnonzero(nonfinite | (lam <= 0).any(axis=1) | (mu <= 0).any(axis=1))
     if bad.size:
@@ -126,11 +135,11 @@ def write(dataset: Dataset, path) -> None:
     and leaves no file.
     """
     _check_header(len(dataset.samples), dataset.m_coeff, dataset.n_grid)
-    records = np.array(
-        [np.concatenate(([r.q], r.lam, r.mu, r.sigma, r.omega, r.theta, r.dlam, r.dmu, r.k1, r.k2)) for r in dataset.samples],
-        dtype="<f8",
-    )
-    _check_records(records, dataset.m_coeff)
+    fields = _record_fields(dataset.m_coeff, dataset.n_grid)
+    records = np.empty((len(dataset.samples), fields["k2"].stop), dtype="<f8")
+    for name, cols in fields.items():
+        records[:, cols] = [np.ravel(getattr(r, name)) for r in dataset.samples]
+    _check_records(records, fields)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IIII", VERSION, len(dataset.samples), dataset.m_coeff, dataset.n_grid))
@@ -151,26 +160,23 @@ def read(path) -> Dataset:
         if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
         _check_header(n_samples, m_coeff, n_grid)
-        t = (n_grid + 1) * (n_grid + 2) // 2
-        # a record is q, the seven coefficient arrays, then k1 and k2
-        edges = list(accumulate([0, 1] + [m_coeff] * 7 + [t, t]))
-        size = os.fstat(f.fileno()).st_size
-        if 8 * edges[-1] > size:  # before asking for that much memory
+        fields = _record_fields(m_coeff, n_grid)
+        n_cols = fields["k2"].stop
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if 8 * n_cols > left:  # before asking for that much memory
             raise ValueError("dataset file truncated inside record 0: the file is shorter than one record")
-        records = np.empty((min(n_samples, (size - f.tell()) // (8 * edges[-1])), edges[-1]), dtype="<f8")
+        records = np.empty((min(n_samples, left // (8 * n_cols)), n_cols), dtype="<f8")
         if f.readinto(records) != records.nbytes:
             raise ValueError("dataset file truncated while reading the records")
-        q, lam, mu, sigma, omega, theta, dlam, dmu, k1, k2 = (records[:, a:b] for a, b in zip(edges, edges[1:]))
-        _check_records(records, m_coeff)
+        _check_records(records, fields)
         if len(records) < n_samples:
             raise ValueError(
                 f"dataset file truncated inside record {len(records)}: dataset file truncated while reading the record"
             )
         if f.read(1):
             raise ValueError("dataset file has trailing bytes")
+    columns = {name: records[:, cols] for name, cols in fields.items()}
+    columns["q"] = columns["q"][:, 0].tolist()
     grid = IntervalGrid(m_coeff - 1)
-    samples = [
-        SampleRecord(grid, *arrays, float(qi), k1i, k2i)
-        for qi, *arrays, k1i, k2i in zip(q[:, 0], lam, dlam, mu, dmu, sigma, omega, theta, k1, k2)
-    ]
+    samples = [SampleRecord(grid=grid, **dict(zip(columns, row))) for row in zip(*columns.values())]
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)

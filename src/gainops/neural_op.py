@@ -5,8 +5,9 @@ coefficient encoding (five functions sampled at m_enc points plus q), the
 trunk consumes a query point (x, xi), and each kernel output is a dot product
 between one half of the branch output and the trunk output plus a scalar
 bias.  Training is plain minibatch MSE over all triangular-grid nodes with an
-adaptive-moment optimizer; everything is hand-rolled numpy so runs are
-bit-reproducible from the seed.
+adaptive-moment optimizer; everything is hand-rolled numpy, so at a fixed
+BLAS thread count runs are bit-reproducible from the seed (products with a
+long inner dimension, and so a fit, may round differently at another count).
 
 Precision: every adaptive-moment step of ``train`` runs in float32 (the
 forward and backward passes, the loss, the parameters, the gradient and the
@@ -71,31 +72,33 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class DeepONetModel:
-    """Weights of the branch and trunk nets plus frozen input normalization."""
+    """Weights of the branch and trunk nets plus frozen input normalization, in NOM1 order.
 
-    m_enc: int
-    p: int
-    branch_dims: tuple[int, ...]
-    trunk_dims: tuple[int, ...]
+    The arrays are the model: its layer dims, m_enc and p are read off their shapes.
+    """
+
     branch_w: list[np.ndarray]
-    branch_b: list[np.ndarray]
     trunk_w: list[np.ndarray]
+    branch_b: list[np.ndarray]
     trunk_b: list[np.ndarray]
-    b1: float
-    b2: float
     feat_mean: np.ndarray
     feat_scale: np.ndarray
+    b1: float
+    b2: float
     # the last trunk output and its key: dtype, shape and bytes of its points and trunk arrays (see forward)
     _trunk_memo: tuple | None = field(default=None, init=False, repr=False)
 
+    branch_dims = property(lambda self: _dims(self.branch_w))
+    trunk_dims = property(lambda self: _dims(self.trunk_w))
+    m_enc = property(lambda self: (self.branch_w[0].shape[0] - 1) // 5)
+    p = property(lambda self: self.trunk_w[-1].shape[1])
+
     def __post_init__(self):
-        if self.m_enc < 2:
-            raise ValueError("m_enc must be at least 2")
         bd, td = self.branch_dims, self.trunk_dims
-        _check_dims(self.p, bd, td)
+        _check_dims(bd, td)
         shapes = [np.shape(a) for a in (*self.parameters(), self.feat_mean, self.feat_scale)]
-        if bd[0] != 5 * self.m_enc + 1 or shapes != [*_layout(bd, td), (bd[0],), (bd[0],)]:
-            raise ValueError(f"inconsistent model: dims branch {bd}, trunk {td} and m_enc {self.m_enc} do not fit its arrays")
+        if shapes != [*_layout(bd, td), (bd[0],), (bd[0],)]:
+            raise ValueError(f"inconsistent model: its arrays do not chain into branch {bd} and trunk {td}")
         values = [*self.parameters(), self.feat_mean, self.feat_scale, [self.b1, self.b2]]
         if not all(np.all(np.isfinite(v)) for v in values):
             raise ValueError("model weights, biases and normalization must be finite")
@@ -107,19 +110,32 @@ class DeepONetModel:
         return [*self.branch_w, *self.trunk_w, *self.branch_b, *self.trunk_b]
 
 
+def _dims(ws) -> tuple[int, ...]:
+    """Layer dims of an MLP from its weights: the first one's rows, then each one's columns."""
+    if any(np.ndim(w) != 2 for w in ws):
+        raise ValueError(f"inconsistent model: weights must be 2-D arrays, got shapes {[np.shape(w) for w in ws]}")
+    return (ws[0].shape[0], *(w.shape[1] for w in ws)) if ws else ()
+
+
 def _layout(branch_dims, trunk_dims) -> list[tuple[int, ...]]:
     """Shapes of the weight and bias arrays in model-file order: branch w, trunk w, branch b, trunk b."""
     bd, td = branch_dims, trunk_dims
     return [*zip(bd, bd[1:]), *zip(td, td[1:]), *zip(bd[1:]), *zip(td[1:])]
 
 
-def _check_dims(p: int, branch_dims, trunk_dims) -> None:
-    """Refuse layer dims that no model fits; load_model calls it before it reads the arrays they size."""
+def _check_dims(branch_dims, trunk_dims) -> tuple[int, int]:
+    """The (m_enc, p) that layer dims imply: the trunk maps (x, xi) to p functions, the branch
+    5 m_enc + 1 features (m_enc >= 2) to 2p outputs.  Refuses dims that no model fits;
+    load_model calls it on a file's header before it reads the arrays the dims size."""
     nb, nt = len(branch_dims), len(trunk_dims)
     if nb < 2 or nt < 2:
         raise ValueError(f"model needs at least 2 branch and 2 trunk dims, got {nb} and {nt}")
-    if min(*branch_dims, *trunk_dims) < 1 or (trunk_dims[0], trunk_dims[-1], branch_dims[-1]) != (2, p, 2 * p):
-        raise ValueError(f"inconsistent model dims: branch {branch_dims}, trunk {trunk_dims}, p {p}")
+    m_enc, p = (branch_dims[0] - 1) // 5, trunk_dims[-1]
+    if min(*branch_dims, *trunk_dims) < 1 or (branch_dims[0], trunk_dims[0], branch_dims[-1]) != (5 * m_enc + 1, 2, 2 * p):
+        raise ValueError(f"inconsistent model dims: branch {branch_dims}, trunk {trunk_dims}")
+    if m_enc < 2:
+        raise ValueError("m_enc must be at least 2")
+    return m_enc, p
 
 
 def init_model(config: TrainConfig, rng: np.random.Generator | None = None) -> DeepONetModel:
@@ -142,20 +158,7 @@ def init_model(config: TrainConfig, rng: np.random.Generator | None = None) -> D
 
     bw, bb = make(branch_dims)
     tw, tb = make(trunk_dims)
-    return DeepONetModel(
-        m_enc=config.m_enc,
-        p=config.p,
-        branch_dims=branch_dims,
-        trunk_dims=trunk_dims,
-        branch_w=bw,
-        branch_b=bb,
-        trunk_w=tw,
-        trunk_b=tb,
-        b1=0.0,
-        b2=0.0,
-        feat_mean=np.zeros(d_in),
-        feat_scale=np.ones(d_in),
-    )
+    return DeepONetModel(bw, tw, bb, tb, np.zeros(d_in), np.ones(d_in), 0.0, 0.0)
 
 
 def encode_input(coeffs: CoefficientSet, m_enc: int) -> np.ndarray:
@@ -239,7 +242,7 @@ def forward(model: DeepONetModel, features: np.ndarray, points: np.ndarray) -> n
     with other points replaces it.
     """
     features = np.asarray(features, dtype=float)
-    if features.shape != (model.branch_dims[0],):
+    if features.shape != (model.branch_w[0].shape[0],):
         raise ValueError("feature length does not match the model")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -602,25 +605,12 @@ def load_model(path) -> DeepONetModel:
         branch_dims = struct.unpack(f"<{nb}I", read_exact(f, 4 * nb, "branch dims", "model file"))
         (nt,) = struct.unpack("<I", read_exact(f, 4, "trunk layer count", "model file"))
         trunk_dims = struct.unpack(f"<{nt}I", read_exact(f, 4 * nt, "trunk dims", "model file"))
-        _check_dims(p, branch_dims, trunk_dims)
+        if _check_dims(branch_dims, trunk_dims) != (m_enc, p):
+            raise ValueError(f"inconsistent model header: m_enc {m_enc}, p {p}, dims branch {branch_dims}, trunk {trunk_dims}")
         d = branch_dims[0]
         count = sum(map(math.prod, _layout(branch_dims, trunk_dims))) + 2 * d + 2
         values = np.frombuffer(read_exact(f, 8 * count, "arrays", "model file"), dtype="<f8").copy()
         if f.read(1):
             raise ValueError("model file has trailing bytes")
-    bw, tw, bb, tb = _views(values, branch_dims, trunk_dims)
     mean, scale = values[-2 - 2 * d : -2].reshape(2, d)
-    return DeepONetModel(
-        m_enc=m_enc,
-        p=p,
-        branch_dims=tuple(branch_dims),
-        trunk_dims=tuple(trunk_dims),
-        branch_w=bw,
-        branch_b=bb,
-        trunk_w=tw,
-        trunk_b=tb,
-        b1=float(values[-2]),
-        b2=float(values[-1]),
-        feat_mean=mean,
-        feat_scale=scale,
-    )
+    return DeepONetModel(*_views(values, branch_dims, trunk_dims), mean, scale, float(values[-2]), float(values[-1]))

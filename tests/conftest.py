@@ -75,12 +75,12 @@ def own_grid_plants(seeds=5):
     """Draws of both families at the default m and at m = 37, and one plant whose
     theta holds zeros of both signs, for checks made on a plant's own grid."""
     families = [
-        g.CoefficientFamily("gamma"),
-        g.CoefficientFamily("random_smooth"),
-        g.CoefficientFamily("gamma", m=37),
-        g.CoefficientFamily("random_smooth", (0.2, 3.0), 1.5, 37),
+        (g.CoefficientFamily("gamma"), 101),
+        (g.CoefficientFamily("random_smooth"), 101),
+        (g.CoefficientFamily("gamma"), 37),
+        (g.CoefficientFamily("random_smooth", (0.2, 3.0), 1.5), 37),
     ]
-    plants = [g.sample_random(f, seed) for f in families for seed in range(seeds)]
+    plants = [g.sample_random(f, seed, m) for f, m in families for seed in range(seeds)]
     c = plants[0]
     signed = np.where(np.arange(c.theta.size) % 2 == 0, 0.0, -0.0)
     return plants + [replace(c, theta=signed)]

@@ -102,16 +102,16 @@ class TestSampling:
 
     @pytest.mark.parametrize("m", [2, 0, -1])
     def test_fewer_than_three_nodes_rejected(self, m):
-        with pytest.raises(ValueError, match="at least 3 coefficient nodes"):
-            CoefficientFamily("random_smooth", m=m)
+        for kind in ("gamma", "random_smooth"):
+            with pytest.raises(ValueError, match="at least 3 coefficient nodes"):
+                sample_random(CoefficientFamily(kind), 0, m)
 
 
-def written_out_random_smooth(family, seed):
-    """Reference: a random_smooth draw with the base formulas written out."""
+def written_out_random_smooth(family, seed, m):
+    """Reference: a random_smooth draw on m nodes with the base formulas written out."""
     rng = np.random.default_rng(splitmix64(seed & MASK64))
     lo, hi = family.gamma_range
     gamma = lo + (hi - lo) * rng.uniform()
-    m = family.m
     grid = IntervalGrid(m - 1)
     x = grid.points
     cap = min(family.amplitude, 0.8)
@@ -144,14 +144,16 @@ def written_out_random_smooth(family, seed):
     )
 
 
+# each family with the node count it is drawn on
 @pytest.mark.parametrize(
     "family",
-    [CoefficientFamily("random_smooth"), CoefficientFamily("random_smooth", (0.2, 3.0), 1.5, 37)],
+    [(CoefficientFamily("random_smooth"), 101), (CoefficientFamily("random_smooth", (0.2, 3.0), 1.5), 37)],
 )
 def test_random_smooth_is_the_gamma_family_plus_perturbations_bitwise(family):
+    family, m = family
     fields = ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta")
     for seed in range(20):
-        got, want = sample_random(family, seed), written_out_random_smooth(family, seed)
+        got, want = sample_random(family, seed, m), written_out_random_smooth(family, seed, m)
         assert got.grid.points.tobytes() == want.grid.points.tobytes()
         for name in fields:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)

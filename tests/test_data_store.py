@@ -76,13 +76,29 @@ class TestGenerate:
     def test_generate_names_an_overflowing_sample(self, monkeypatch):
         from gainops import data_store
 
-        def draw(family, seed):
-            c = sample_random(family, seed)
+        def draw(family, seed, m):
+            c = sample_random(family, seed, m)
             return replace(c, theta=np.full(c.theta.size, 1e300)) if seed == sample_seed(7, 2) else c
 
         monkeypatch.setattr(data_store, "sample_random", draw)
         with pytest.raises(RuntimeError, match="sample 2 failed: plant 2: kernel marching produced non-finite"):
             generate(CoefficientFamily("gamma"), 4, m_coeff=21, n_grid=12, seed=7)
+
+    @pytest.mark.parametrize("kind", ["gamma", "random_smooth"])
+    def test_records_are_the_draws_on_m_coeff_nodes(self, kind):
+        fam = CoefficientFamily(kind)
+        ds = generate(fam, 3, m_coeff=37, n_grid=8, seed=4)
+        for i, r in enumerate(ds.samples):
+            c = sample_random(fam, sample_seed(4, i), 37)
+            assert r.grid.n == c.grid.n == 36
+            for name in ("lam", "dlam", "mu", "dmu", "sigma", "omega", "theta"):
+                assert getattr(r, name).tobytes() == getattr(c, name).tobytes(), (i, name)
+            assert np.float64(r.q).tobytes() == np.float64(c.q).tobytes()
+
+    @pytest.mark.parametrize("m_coeff", [2, 0])
+    def test_fewer_than_three_coefficient_nodes_rejected(self, m_coeff):
+        with pytest.raises(ValueError, match="at least 3 coefficient nodes"):
+            generate(CoefficientFamily("random_smooth"), 2, m_coeff=m_coeff, n_grid=4)
 
     def test_boundary_identities_hold(self, small_dataset):
         validate_boundary_identities(small_dataset)
@@ -91,6 +107,7 @@ class TestGenerate:
         fam = CoefficientFamily("gamma")
         with pytest.raises(ValueError):
             generate(fam, 0)
+        assert len(generate(fam, 1, m_coeff=11, n_grid=2).samples) == 1
 
 
 class TestRoundTrip:
@@ -196,6 +213,30 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="shorter than one record"):
             read(path)
 
+    def test_one_byte_short_of_one_record_rejected(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.bin"
+        write(Dataset(41, 16, small_dataset.samples[:1]), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="shorter than one record"):
+            read(path)
+
+    def test_smallest_accepted_shapes_roundtrip(self, tmp_path):
+        # one sample, 3 coefficient nodes and 2 grid cells: the least that read accepts
+        ds = generate(CoefficientFamily("random_smooth"), 1, m_coeff=3, n_grid=2, seed=8)
+        write(ds, tmp_path / "ds.bin")
+        back = read(tmp_path / "ds.bin")
+        assert (len(back.samples), back.m_coeff, back.n_grid) == (1, 3, 2)
+        assert back.samples[0].k2.tobytes() == ds.samples[0].k2.tobytes()
+
+    def test_speeds_in_zero_one_roundtrip(self, small_dataset, tmp_path):
+        r = small_dataset.samples[0]
+        slow = replace(r, lam=np.full(41, 1.0), mu=np.linspace(1e-3, 1.0, 41))
+        path = tmp_path / "ds.bin"
+        write(Dataset(41, 16, [r, slow]), path)
+        back = read(path).samples[1]
+        assert back.lam.tobytes() == slow.lam.tobytes()
+        assert back.mu.tobytes() == slow.mu.tobytes()
+
     def test_nan_q_rejected(self, small_dataset, tmp_path):
         path = tmp_path / "ds.bin"
         write(small_dataset, path)
@@ -206,13 +247,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="record 3 holds non-finite"):
             read(path)
 
-    @pytest.mark.parametrize("block, value", [(0, 0.0), (1, -1.0), (1, 0.0)], ids=["lam_zero", "mu_negative", "mu_zero"])
-    def test_nonpositive_speed_rejected(self, small_dataset, tmp_path, block, value):
+    @pytest.mark.parametrize(
+        "block, node, value",
+        [(0, 7, 0.0), (1, 7, -1.0), (1, 7, 0.0), (0, 0, -0.5), (1, 40, -0.5)],
+        ids=["lam_zero", "mu_negative", "mu_zero", "lam_first_node", "mu_last_node"],
+    )
+    def test_nonpositive_speed_rejected(self, small_dataset, tmp_path, block, node, value):
         path = tmp_path / "ds.bin"
         write(small_dataset, path)
         data = bytearray(path.read_bytes())
-        # node 7 of lam (block 0) or mu (block 1) in record 4
-        at = 20 + 4 * (expected_file_size(1, 41, 16) - 20) + 8 + 8 * (41 * block + 7)
+        # a node of lam (block 0) or mu (block 1) in record 4
+        at = 20 + 4 * (expected_file_size(1, 41, 16) - 20) + 8 + 8 * (41 * block + node)
         data[at : at + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="record 4 has a transport speed"):

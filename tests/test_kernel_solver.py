@@ -225,6 +225,18 @@ class TestMarchGeometry:
         diagonal = [np.sum(x[:i] + h * fast["lam"][:i] / fast["mu"][i] > x[i - 1]) for i in levels]
         assert sum(bottom) > 0 and max(diagonal) > 1
 
+    @pytest.mark.parametrize("n", [10, 50])
+    @pytest.mark.parametrize("lam", [1e15, 1e16, 1e300])
+    def test_crossing_rounded_onto_the_top_edge(self, lam, n):
+        # at lam / mu >= about 1e15 a diagonal crossing rounds to x = 1 exactly; without
+        # the crossing clamp in _geometry its lerp read one node past the grid (IndexError)
+        c, grid = g.gamma_family(1.0), TriangularGrid(n)
+        fast = replace(c, lam=np.full(101, lam), dlam=np.zeros(101), mu=np.ones(101), dmu=np.zeros(101))
+        ks, expected = solve_kernels(fast, grid), per_level_march([fast], grid)
+        assert ks.k1.values.tobytes() == expected[0, 0].tobytes()
+        assert ks.k2.values.tobytes() == expected[1, 0].tobytes()
+        assert np.isfinite(expected).all()
+
     @pytest.mark.parametrize("n", [3, 20, 100])
     def test_signed_zeros_bitwise(self, n):
         plants = []

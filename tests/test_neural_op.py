@@ -110,15 +110,53 @@ class TestForward:
         with pytest.raises(ValueError, match=r"points must be \(P, 2\) pairs"):
             nn.forward(model, np.zeros(model.branch_dims[0]), np.zeros(shape))
 
-    @pytest.mark.parametrize("hidden", [3, 0])
+    @pytest.mark.parametrize("hidden", [0])
     def test_model_whose_arrays_do_not_fit_its_dims_rejected(self, hidden):
-        # trunk weights (2, 5), (5, p) next to trunk dims (2, 3, p) used to fail
-        # only in forward, and a zero-width hidden layer to predict a constant
+        # a zero-width hidden layer used to predict a constant
         model = nn.init_model(small_config(trunk_hidden=(5,)))
         p = model.p
-        arrays = {} if hidden else dict(trunk_w=[np.zeros((2, 0)), np.zeros((0, p))], trunk_b=[np.zeros(0), np.zeros(p)])
         with pytest.raises(ValueError, match="inconsistent"):
-            replace(model, trunk_dims=(2, hidden, p), **arrays)
+            replace(model, trunk_w=[np.zeros((2, hidden)), np.zeros((hidden, p))], trunk_b=[np.zeros(hidden), np.zeros(p)])
+
+    @pytest.mark.parametrize(
+        "case, what",
+        [
+            ("unchained", "inconsistent model: its arrays"),
+            ("bias_width", "inconsistent model: its arrays"),
+            ("one_axis", "must be 2-D"),
+            ("scalar", "must be 2-D"),
+            ("three_axes", "must be 2-D"),
+            ("no_branch", "at least 2 branch"),
+            ("trunk_input", "inconsistent model dims"),
+            ("branch_output", "inconsistent model dims"),
+            ("branch_input", "inconsistent model dims"),
+            ("one_node_encoding", "m_enc must be at least 2"),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, case, what):
+        # dims, m_enc and p are read off the arrays, so every malformed layout is refused there
+        model = nn.init_model(small_config(trunk_hidden=(5,)))  # m_enc 5, p 8, branch hidden 16
+        p, z = model.p, np.zeros
+        arrays = {
+            "unchained": dict(trunk_w=[z((2, 5)), z((4, p))]),
+            "bias_width": dict(trunk_b=[z(4), z(p)]),
+            "one_axis": dict(trunk_w=[z(10), z((5, p))]),
+            "scalar": dict(trunk_w=[z(()), z((5, p))]),
+            "three_axes": dict(trunk_w=[z((2, 5, 1)), z((5, p))]),
+            "no_branch": dict(branch_w=[], branch_b=[]),
+            "trunk_input": dict(trunk_w=[z((3, 5)), z((5, p))]),
+            "branch_output": dict(branch_w=[z((26, 16)), z((16, 2 * p + 1))], branch_b=[z(16), z(2 * p + 1)]),
+            "branch_input": dict(branch_w=[z((27, 16)), z((16, 2 * p))], feat_mean=z(27), feat_scale=np.ones(27)),
+            "one_node_encoding": dict(branch_w=[z((6, 16)), z((16, 2 * p))], feat_mean=z(6), feat_scale=np.ones(6)),
+        }[case]
+        with pytest.raises(ValueError, match=what):
+            replace(model, **arrays)
+
+    def test_dims_are_read_off_the_arrays(self):
+        model = nn.init_model(small_config(branch_hidden=(16, 9), trunk_hidden=(5,)))
+        assert (model.m_enc, model.p) == (5, 8)
+        assert model.branch_dims == (26, 16, 9, 16)
+        assert model.trunk_dims == (2, 5, 8)
 
 
 class TestGradients:
@@ -630,6 +668,13 @@ class TestModelFile:
         with pytest.raises(ValueError, match="truncated"):
             nn.load_model(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nn.save_model(nn.init_model(small_config()), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="model file has trailing bytes"):
+            nn.load_model(path)
+
     def test_bad_version_rejected(self, tiny_dataset, tmp_path):
         model, _ = nn.train(tiny_dataset, small_config(epochs=2))
         path = tmp_path / "model.bin"
@@ -656,6 +701,18 @@ class TestModelFile:
         data[end - 4 : end] = struct.pack("<I", model.p + 1)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="inconsistent"):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("at", [8, 12], ids=["m_enc", "p"])
+    def test_header_that_disagrees_with_its_dims_rejected(self, tmp_path, at):
+        model = nn.init_model(small_config())
+        path = tmp_path / "model.bin"
+        nn.save_model(model, path)
+        data = bytearray(path.read_bytes())
+        (value,) = struct.unpack("<I", data[at : at + 4])
+        data[at : at + 4] = struct.pack("<I", value + 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="inconsistent model header"):
             nn.load_model(path)
 
     def test_non_finite_values_rejected(self, tmp_path):
@@ -694,11 +751,12 @@ class TestModelFile:
             replace(model, feat_scale=feat_scale)
 
     def test_dims_larger_than_file_rejected(self, tmp_path):
-        # 2**31 x 2**31 weights asked for more bytes than an index can hold
+        # (2**31 - 2) x 2**31 weights asked for more bytes than an index can hold;
+        # m_enc = (2**31 - 3) / 5 fits that input width
         path = tmp_path / "model.bin"
-        dims = struct.pack("<III", 2**31, 2**31, 8)
+        dims = struct.pack("<III", 2**31 - 2, 2**31, 8)
         path.write_bytes(
-            nn.MODEL_MAGIC + struct.pack("<IIII", nn.MODEL_VERSION, 5, 4, 3) + dims
+            nn.MODEL_MAGIC + struct.pack("<IIII", nn.MODEL_VERSION, (2**31 - 3) // 5, 4, 3) + dims
             + struct.pack("<I", 2) + struct.pack("<II", 2, 4) + b"\0" * 64
         )
         with pytest.raises(ValueError, match="model file truncated while reading arrays"):
@@ -962,6 +1020,8 @@ class TestTrainConfigBounds:
             # ... or the rate overflows float32
             ("learning_rate", 1e39, "learning_rate"),
             ("learning_rate", 3.402823466385289e38, "learning_rate"),
+            # the message states both bounds
+            ("learning_rate", 1e-50, r"must lie in \(3\.503e-43, 3\.403e\+38\]"),
             ("learning_rate", np.nan, "learning_rate"),
             ("train_fraction", 0.0, "train_fraction"),
             ("train_fraction", 1.0, "train_fraction"),
