@@ -50,7 +50,6 @@ from .plant_sim import (
     reference_initial_state,
     simulate,
     simulate_target,
-    trace_to_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -247,8 +247,11 @@ def fit_decay(trace: SimTrace, t_start: float = 0.0) -> StabilityReport:
     t = trace.times
     p = trace.phi
     sel = (t >= t_start) & (p > 0)
-    if sel.sum() < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} positive samples after t_start")
+    n_fit = int(np.count_nonzero(sel))
+    if n_fit < MIN_FIT_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_FIT_SAMPLES} positive samples at t >= t_start = {t_start:g}, found {n_fit}"
+        )
     ts, ys = t[sel], np.log(p[sel])
     A = np.column_stack([ts, np.ones_like(ts)])
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)

@@ -25,31 +25,26 @@ def _write_json(path, data, indent=2) -> None:
         json.dump(data, f, indent=indent)
 
 
-def cmd_solve(args) -> int:
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns to ``path`` as CSV: one header line, then rows of 17-digit values."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def cmd_solve(args) -> None:
     coeffs = gamma_family(args.gamma)
     ks = solve_kernels(coeffs, TriangularGrid(args.n))
     # the report first: it refuses grids the solver takes (n < 3), and a failed solve writes nothing
     report = analysis.residual_operators(coeffs, ks.k1, ks.k2)
-    cols = (*ks.grid.node_coordinates(), ks.k1.values, ks.k2.values)
-    np.savetxt(args.out, np.column_stack(cols), fmt="%.17g", delimiter=",", header="x,xi,k1,k2", comments="")
+    _write_csv(args.out, "x,xi,k1,k2", (*ks.grid.node_coordinates(), ks.k1.values, ks.k2.values))
     report_path = os.path.splitext(args.out)[0] + "_residuals.json"
     _write_json(report_path, report)
     print(f"kernels -> {args.out}")
     print(f"residuals -> {report_path} (sup pde1 {report.sup_pde1:.3e}, sup pde2 {report.sup_pde2:.3e})")
-    return 0
 
 
-def _family_from_args(args) -> CoefficientFamily:
-    return CoefficientFamily(
-        kind=args.family,
-        gamma_range=(args.gamma_min, args.gamma_max),
-        amplitude=args.amplitude,
-    )
-
-
-def cmd_dataset(args) -> int:
+def cmd_dataset(args) -> None:
     ds = data_store.generate(
-        _family_from_args(args),
+        CoefficientFamily(args.family, (args.gamma_min, args.gamma_max), args.amplitude),
         n_samples=args.n_samples,
         m_coeff=args.m_coeff,
         n_grid=args.n_grid,
@@ -67,10 +62,9 @@ def cmd_dataset(args) -> int:
     data_store.write(ds, args.out)
     _write_json(args.out + ".manifest.json", manifest)
     print(f"dataset ({args.n_samples} samples) -> {args.out}")
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     ds = data_store.read(args.dataset)
     config = neural_op.TrainConfig(
         epochs=args.epochs,
@@ -88,13 +82,14 @@ def cmd_train(args) -> int:
     _write_json(hist_path, curves, indent=None)
     print(f"model -> {args.out}")
     print(f"final train loss {history.train_loss[-1]:.3e}")
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
+    # the split of the training run: TrainConfig refuses the fractions that train refuses
+    config = neural_op.TrainConfig(seed=args.seed, train_fraction=args.train_fraction)
     ds = data_store.read(args.dataset)
     model = neural_op.load_model(args.model)
-    tr_idx, te_idx = neural_op.split_indices(len(ds.samples), args.train_fraction, args.seed)
+    tr_idx, te_idx = neural_op.split_indices(len(ds.samples), config.train_fraction, config.seed)
     subsets = {
         "train": data_store.Dataset(ds.m_coeff, ds.n_grid, [ds.samples[i] for i in tr_idx]),
         "test": data_store.Dataset(ds.m_coeff, ds.n_grid, [ds.samples[i] for i in te_idx]),
@@ -108,53 +103,37 @@ def cmd_eval(args) -> int:
         print(f"{name}: rel L2 k1 {res.rel_l2_k1:.3e}, k2 {res.rel_l2_k2:.3e}")
     if args.out:
         _write_json(args.out, out)
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    if args.fit_start >= args.T:
-        print(f"--fit-start {args.fit_start:g} must be less than --T {args.T:g}", file=sys.stderr)
-        return 1
+def cmd_simulate(args) -> None:
     coeffs = gamma_family(args.gamma)
     grid = IntervalGrid(args.n)
-    # the trace samples t = m T / n_steps from 0; the decay fit reads those at or after --fit-start
-    n_steps = plant_sim.step_count(coeffs, grid, args.T)
-    n_fit = int(np.count_nonzero(np.arange(n_steps + 1.0) * (args.T / n_steps) >= args.fit_start))
-    if n_fit < analysis.MIN_FIT_SAMPLES:
-        print(
-            f"--T {args.T:g} leaves {n_fit} samples at or after --fit-start {args.fit_start:g};"
-            f" the decay fit needs {analysis.MIN_FIT_SAMPLES}",
-            file=sys.stderr,
-        )
-        return 1
-    init = plant_sim.reference_initial_state(grid)
     if args.controller == "open":
         spec = plant_sim.ControllerSpec.open_loop()
     elif args.controller == "exact":
-        ks = solve_kernels(coeffs, TriangularGrid(args.n))
-        spec = plant_sim.ControllerSpec.feedback(gain_slice(ks))
+        spec = plant_sim.ControllerSpec.feedback(gain_slice(solve_kernels(coeffs, TriangularGrid(args.n))))
     else:
         if not args.model:
-            print("neural mode needs --model", file=sys.stderr)
-            return 1
+            raise ValueError("neural mode needs --model")
         model = neural_op.load_model(args.model)
         spec = plant_sim.ControllerSpec.feedback(neural_op.infer_gains(model, coeffs, grid))
-    trace = plant_sim.simulate(coeffs, init, spec, args.T)
-    plant_sim.trace_to_csv(trace, args.out)
-    report_path = os.path.splitext(args.out)[0] + "_stability.json"
+    trace = plant_sim.simulate(coeffs, plant_sim.reference_initial_state(grid), spec, args.T)
+    # the report before any write: fit_decay refuses too few positive samples from --fit-start on
     if trace.blew_up:
-        _write_json(report_path, {"blew_up": True, "t_end": float(trace.times[-1])})
-        print(f"trace -> {args.out} (blew up at t={trace.times[-1]:.4g})")
-        return 0
-    report = analysis.fit_decay(trace, t_start=args.fit_start)
-    _write_json(report_path, report)
-    print(f"trace -> {args.out}")
-    print(f"decay rate {report.c1_hat:.4g} (fit quality {report.fit_quality:.4f})")
-    return 0
+        report = {"blew_up": True, "t_end": float(trace.times[-1])}
+        summary = f"trace -> {args.out} (blew up at t={report['t_end']:.4g})"
+    else:
+        report = analysis.fit_decay(trace, t_start=args.fit_start)
+        summary = f"trace -> {args.out}\ndecay rate {report.c1_hat:.4g} (fit quality {report.fit_quality:.4f})"
+    _write_csv(args.out, "t,phi,u0,v0,U", (trace.times, trace.phi, trace.u_boundary, trace.v_boundary, trace.control))
+    _write_json(os.path.splitext(args.out)[0] + "_stability.json", report)
+    print(summary)
 
 
 def median_time(fn, repeats: int) -> float:
     """Median wall time in seconds of repeats calls of fn()."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -163,10 +142,7 @@ def median_time(fn, repeats: int) -> float:
     return float(np.median(times))
 
 
-def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        print("repeats must be at least 1", file=sys.stderr)
-        return 1
+def cmd_bench(args) -> None:
     coeffs = gamma_family(args.gamma)
     grid = TriangularGrid(args.n)
     model = neural_op.load_model(args.model)
@@ -174,9 +150,7 @@ def cmd_bench(args) -> int:
     xi_grid = IntervalGrid(args.n)
     t_solve = median_time(lambda: solve_kernels(coeffs, grid), args.repeats)
     # the loaded model's first gain update fills its trunk slot (see neural_op.forward)
-    t0 = time.perf_counter()
-    neural_op.infer_gains(model, coeffs, xi_grid)
-    t_cold = time.perf_counter() - t0
+    t_cold = median_time(lambda: neural_op.infer_gains(model, coeffs, xi_grid), 1)
     t_gains = median_time(lambda: neural_op.infer_gains(model, coeffs, xi_grid), args.repeats)
     t_dense = median_time(lambda: neural_op.predict_fields(model, features, grid), args.repeats)
     out = {
@@ -191,7 +165,6 @@ def cmd_bench(args) -> int:
     }
     _write_json(args.out, out)
     print(f"solve {t_solve*1e3:.2f} ms, gains {t_gains*1e3:.3f} ms (first call {t_cold*1e3:.3f} ms), ratio {out['ratio']:.1f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=neural_op.TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=neural_op.TrainConfig.batch_size)
     p.add_argument("--learning-rate", type=float, default=neural_op.TrainConfig.learning_rate)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=neural_op.TrainConfig.seed)
     p.add_argument("--train-fraction", type=float, default=neural_op.TrainConfig.train_fraction)
     p.add_argument("--out", default="model.bin")
     p.set_defaults(fn=cmd_train)
@@ -229,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="report per-kernel relative L2 errors")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=neural_op.TrainConfig.seed)
     p.add_argument("--train-fraction", type=float, default=neural_op.TrainConfig.train_fraction)
     p.add_argument("--out", default="")
     p.set_defaults(fn=cmd_eval)
@@ -255,12 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: 0 when it succeeds, 1 with one ``error:`` line on stderr when it raises."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except Exception as exc:  # surface solver/file errors as exit codes
+        args.fn(args)
+    except Exception as exc:  # every refusal and solver or file error takes this one exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -349,8 +349,3 @@ def simulate_target(
 
     return _trace(init, coeffs.q, *_step_matrix(coeffs, grid, T, cf, source=source), snapshot_stride)
 
-
-def trace_to_csv(trace: SimTrace, path) -> None:
-    """Write the per-step history as CSV: t,phi,u0,v0,U with 17 digits."""
-    cols = (trace.times, trace.phi, trace.u_boundary, trace.v_boundary, trace.control)
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", header="t,phi,u0,v0,U", comments="")

@@ -1,16 +1,27 @@
 import json
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gainops import data_store, plant_sim
-from gainops.cli import main
+from gainops.cli import _write_csv, build_parser, main, median_time
 from gainops.coefficients import CoefficientFamily, gamma_family
+from gainops.neural_op import TrainConfig
 from gainops.numerics import IntervalGrid
 
 from conftest import expected_file_size
+
+
+def refuse_written_dataset(monkeypatch):
+    """Make `dataset` generate a dataset whose record 1 data_store.write refuses (a NaN in k1)."""
+    good = data_store.generate(CoefficientFamily("gamma"), 2, m_coeff=11, n_grid=8, seed=1)
+    k1 = good.samples[1].k1.copy()
+    k1[3] = np.nan
+    bad = data_store.Dataset(11, 8, [good.samples[0], replace(good.samples[1], k1=k1)])
+    monkeypatch.setattr(data_store, "generate", lambda *args, **kwargs: bad)
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +91,7 @@ class TestDatasetTrainEval:
 
     def test_refused_dataset_leaves_no_files(self, tmp_path, capsys, monkeypatch):
         # a dataset that data_store.write refuses: no dataset file and no manifest
-        good = data_store.generate(CoefficientFamily("gamma"), 2, m_coeff=11, n_grid=8, seed=1)
-        k1 = good.samples[1].k1.copy()
-        k1[3] = np.nan
-        bad = data_store.Dataset(11, 8, [good.samples[0], replace(good.samples[1], k1=k1)])
-        monkeypatch.setattr(data_store, "generate", lambda *args, **kwargs: bad)
+        refuse_written_dataset(monkeypatch)
         rc = main(["dataset", "--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--out", str(tmp_path / "ds.bin")])
         assert rc == 1
         assert "record 1 holds non-finite values" in capsys.readouterr().err
@@ -131,20 +138,30 @@ class TestDatasetTrainEval:
         assert history["test_rel_l2_k1"] == history["test_rel_l2_k2"] == [None, None]
         assert all(np.isfinite(history["train_loss"])) and len(history["train_loss"]) == 2
 
+    def test_train_reports_its_last_loss(self, tmp_path, dataset_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--dataset", str(dataset_path), "--epochs", "3", "--out", str(out)]) == 0
+        last = json.loads((tmp_path / "m_history.json").read_text())["train_loss"][-1]
+        assert capsys.readouterr().out == f"model -> {out}\nfinal train loss {last:.3e}\n"
+
     def test_missing_dataset_errors(self, workdir):
         rc = main(["train", "--dataset", str(workdir / "nope.bin"), "--out", str(workdir / "m.bin")])
         assert rc == 1
 
 
 class TestSimulate:
-    def test_open_loop_blowup_reported(self, workdir):
+    def test_open_loop_blowup_reported(self, workdir, capsys):
+        # a run that blows up is never fitted, so a --fit-start past --T is not refused
         out = workdir / "open.csv"
         rc = main(["simulate", "--gamma", "5.0", "--controller", "open", "--T", "3",
-                   "--n", "60", "--out", str(out)])
+                   "--n", "60", "--fit-start", "5", "--out", str(out)])
         assert rc == 0
         report = json.loads((workdir / "open_stability.json").read_text())
         assert report.get("blew_up") is True
         assert out.read_text().startswith("t,phi,u0,v0,U")
+        # the run ends at the last traced time, the first with a non-finite state
+        assert report["t_end"] == np.loadtxt(out, delimiter=",", skiprows=1)[-1, 0]
+        assert capsys.readouterr().out == f"trace -> {out} (blew up at t={report['t_end']:.4g})\n"
 
     def test_exact_controller_decays(self, workdir):
         out = workdir / "exact.csv"
@@ -162,7 +179,7 @@ class TestSimulate:
                    "--n", "20", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"--fit-start 2 must be less than --T {horizon}" in err
+        assert "need at least 10 positive samples at t >= t_start = 2, found " in err
         assert list(tmp_path.iterdir()) == []
 
     def test_too_few_samples_to_fit_rejected(self, tmp_path, capsys):
@@ -174,13 +191,8 @@ class TestSimulate:
         rc = main(["simulate", "--gamma", "1.0", "--controller", "exact", "--T", "2.01", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "--T 2.01 leaves 5 samples at or after --fit-start 2; the decay fit needs 10" in err
+        assert "need at least 10 positive samples at t >= t_start = 2, found 5" in err
         assert list(tmp_path.iterdir()) == []
-
-    def test_neural_needs_model(self, workdir):
-        rc = main(["simulate", "--gamma", "1.0", "--controller", "neural",
-                   "--out", str(workdir / "n.csv")])
-        assert rc == 1
 
     def test_neural_controller_runs(self, workdir, model_path):
         out = workdir / "neural.csv"
@@ -190,12 +202,7 @@ class TestSimulate:
 
 
 class TestBench:
-    def test_rejects_zero_repeats(self, workdir, model_path):
-        rc = main(["bench", "--model", str(model_path), "--repeats", "0",
-                   "--out", str(workdir / "b.json")])
-        assert rc == 1
-
-    def test_reports_ratio(self, workdir, model_path):
+    def test_reports_ratio(self, workdir, model_path, capsys):
         out = workdir / "bench.json"
         rc = main(["bench", "--model", str(model_path), "--n", "40", "--repeats", "3",
                    "--out", str(out)])
@@ -203,3 +210,109 @@ class TestBench:
         data = json.loads(out.read_text())
         assert data["ratio"] > 0 and data["solve_median_s"] > 0
         assert data["infer_gains_cold_s"] > 0
+        assert data["ratio"] == data["solve_median_s"] / data["infer_gains_median_s"]
+        assert data["ratio_dense"] == data["solve_median_s"] / data["dense_forward_median_s"]
+        t_solve, t_gains, t_cold = (data[k] for k in ("solve_median_s", "infer_gains_median_s", "infer_gains_cold_s"))
+        assert capsys.readouterr().out == (
+            f"solve {t_solve*1e3:.2f} ms, gains {t_gains*1e3:.3f} ms (first call {t_cold*1e3:.3f} ms),"
+            f" ratio {data['ratio']:.1f}\n"
+        )
+
+    def test_median_time_is_wall_time(self):
+        assert 0.02 <= median_time(lambda: time.sleep(0.02), 3) < 1.0
+
+
+# each command's flags left at their defaults; the training flags read TrainConfig's
+DEFAULTS = {
+    "solve": (["--gamma", "1"], {"gamma": 1.0, "n": 100, "out": "kernels.csv"}),
+    "dataset": ([], {
+        "family": "gamma", "gamma_min": 0.5, "gamma_max": 5.0, "amplitude": 0.5, "n_samples": 1000,
+        "m_coeff": 101, "n_grid": 50, "seed": 0, "out": "dataset.bin",
+    }),
+    "train": (["--dataset", "d"], {
+        "dataset": "d", "epochs": TrainConfig.epochs, "batch_size": TrainConfig.batch_size,
+        "learning_rate": TrainConfig.learning_rate, "seed": TrainConfig.seed,
+        "train_fraction": TrainConfig.train_fraction, "out": "model.bin",
+    }),
+    "eval": (["--dataset", "d", "--model", "m"], {
+        "dataset": "d", "model": "m", "seed": TrainConfig.seed, "train_fraction": TrainConfig.train_fraction, "out": "",
+    }),
+    "simulate": (["--gamma", "1"], {
+        "gamma": 1.0, "controller": "exact", "model": "", "T": 10.0, "n": 100, "fit_start": 2.0, "out": "trace.csv",
+    }),
+    "bench": (["--model", "m"], {"gamma": 1.0, "n": 100, "model": "m", "repeats": 20, "out": "bench.json"}),
+}
+
+
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_defaults(command):
+    required, expected = DEFAULTS[command]
+    args = vars(build_parser().parse_args([command, *required]))
+    assert {k: v for k, v in args.items() if k not in ("command", "fn")} == expected
+
+
+# every refusal: its command line ({data}, {model} and {out} filled in) and a substring of its message
+REFUSALS = {
+    **{
+        f"eval-train-fraction-{fraction}": (
+            ["eval", "--dataset", "{data}", "--model", "{model}", "--train-fraction", fraction, "--out", "{out}/m.json"],
+            "train_fraction must lie in (0, 1)",
+        )
+        for fraction in ("0", "-2", "1.0", "1.5")
+    },
+    # phi underflows to 0 from t = 87.8 on: no positive sample from --fit-start 100 on
+    "simulate-underflowed-trace": (
+        ["simulate", "--gamma", "1", "--controller", "exact", "--n", "20", "--T", "150", "--fit-start", "100", "--out", "{out}/u.csv"],
+        "need at least 10 positive samples at t >= t_start = 100, found 0",
+    ),
+    "simulate-fit-start-past-horizon": (
+        ["simulate", "--gamma", "1", "--n", "20", "--T", "1", "--out", "{out}/u.csv"],
+        "at t >= t_start = 2, found 0",
+    ),
+    "simulate-too-few-samples": (
+        ["simulate", "--gamma", "1", "--T", "2.01", "--out", "{out}/u.csv"],
+        "at t >= t_start = 2, found 5",
+    ),
+    "simulate-neural-without-model": (
+        ["simulate", "--gamma", "1", "--controller", "neural", "--out", "{out}/u.csv"],
+        "neural mode needs --model",
+    ),
+    "bench-zero-repeats": (
+        ["bench", "--model", "{model}", "--repeats", "0", "--out", "{out}/b.json"],
+        "repeats must be at least 1",
+    ),
+    "solve-too-coarse": (["solve", "--gamma", "1", "--n", "2", "--out", "{out}/k.csv"], "n >= 3"),
+    "dataset-not-written": (
+        ["dataset", "--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--out", "{out}/ds.bin"],
+        "record 1 holds non-finite values",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_exits_one_way_before_writing(case, tmp_path, capsys, monkeypatch, dataset_path, model_path):
+    # each refusal: exit 1, one "error:" line on stderr, nothing on stdout, and no file
+    argv, message = REFUSALS[case]
+    if case == "dataset-not-written":
+        refuse_written_dataset(monkeypatch)
+    paths = {"data": dataset_path, "model": model_path, "out": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestWriteCsv:
+    def test_format(self, tmp_path):
+        # a trace's columns, then rows of signed zeros, nan and infinities, byte for byte as f"{x:.17g}" writes them
+        grid = IntervalGrid(50)
+        tr = plant_sim.simulate(gamma_family(1.0), plant_sim.reference_initial_state(grid), plant_sim.ControllerSpec.open_loop(), 0.05)
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
+        records = (tr.times, tr.phi, tr.u_boundary, tr.v_boundary, tr.control)
+        cols = [np.concatenate((r, np.roll(special, k))) for k, r in enumerate(records)]
+        path = tmp_path / "trace.csv"
+        _write_csv(path, "t,phi,u0,v0,U", cols)
+        rows = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == ("t,phi,u0,v0,U\n" + rows).encode()

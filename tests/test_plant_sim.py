@@ -1,6 +1,5 @@
 import hashlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -492,22 +491,3 @@ class TestSimulateTarget:
             err = np.sqrt(trapezoid_integral((beta_hat - trt.snapshots[m].v) ** 2, grid.h))
             assert err <= tol
 
-
-class TestTraceCsv:
-    def test_format(self, gamma1, tmp_path):
-        grid = g.IntervalGrid(50)
-        tr = g.simulate(gamma1, g.reference_initial_state(grid), g.ControllerSpec.open_loop(), 0.05)
-        path = tmp_path / "trace.csv"
-        g.trace_to_csv(tr, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,phi,u0,v0,U"
-        assert len(lines) == len(tr.times) + 1
-        first = [float(tok) for tok in lines[1].split(",")]
-        assert first[0] == tr.times[0] and first[1] == tr.phi[0]
-        # rows of signed zeros, nan and infinities, byte for byte as f"{x:.17g}" writes them
-        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
-        records = (tr.times, tr.phi, tr.u_boundary, tr.v_boundary, tr.control)
-        cols = [np.concatenate((r, np.roll(special, k))) for k, r in enumerate(records)]
-        g.trace_to_csv(replace(tr, times=cols[0], phi=cols[1], u_boundary=cols[2], v_boundary=cols[3], control=cols[4]), path)
-        rows = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in zip(*cols))
-        assert path.read_bytes() == ("t,phi,u0,v0,U\n" + rows).encode()
