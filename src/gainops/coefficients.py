@@ -81,13 +81,22 @@ class CoefficientFamily:
 
 
 def _gamma_shape(gamma: float, grid: IntervalGrid):
-    """The gamma family's seven arrays on ``grid``, in field order, and its q."""
+    """The gamma family's seven arrays on ``grid``, in field order, and its q.
+
+    A Gamma for which mu' = Gamma exp(Gamma x) overflows (above about 703)
+    is refused with a ValueError, and numpy warns of nothing.
+    """
     x = grid.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = np.exp(gamma * x)
+        dgrow = gamma * grow
+    if not np.isfinite(dgrow).all():
+        raise ValueError(f"gamma = {gamma:g} is too large: gamma * exp(gamma) overflows")
     return (
         gamma * x + 1.0,
         np.full(grid.n + 1, gamma),
-        np.exp(gamma * x) + 1.0,
-        gamma * np.exp(gamma * x),
+        grow + 1.0,
+        dgrow,
         gamma * (x + 1.0),
         5.0 * (np.cosh(x) + 1.0),
         gamma * (x + 1.0),

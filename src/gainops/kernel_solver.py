@@ -23,9 +23,11 @@ rule) are products that :func:`target_couplings` forms where read.
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,147 +116,249 @@ class PlantError(ValueError):
         self.index = index
 
 
-# Rows of the stacked coefficient table.  The k1 foot reads rows 2:5, the
-# diagonal crossing rows 0:5 and the k2 foot rows 5:7.
+# Rows of the stacked coefficient table.  The diagonal crossing reads rows 0:5,
+# the k2 foot at the bottom edge rows 5:7.
 _TABLE = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
 # Node-plant pairs of march geometry computed at a time; bounds memory only.  A
 # pair is a k1 node and the k2 node to its right: 8 gather indices and 8 folded
-# weights (128 bytes) outlive _geometry, plus compact crossing data.
+# weights (128 bytes) outlive _geometry.  The diagonal crossings of a group of
+# runs are computed at once for at most as many candidate pairs.
 GEOMETRY_NODES = 2048
+
+
+class _Plan(NamedTuple):
+    """The march's node-only arrays on one grid, (pairs, k1/k2) each, read-only.
+
+    Entry (p, k) is the k1 node j (k = 0) or the k2 node j + 1 (k = 1) of
+    pair p, pair p being node j of level i in canonical order, so that the
+    pairs of levels a..b-1 are the rows a(a-1)/2 : b(b-1)/2.  Each entry
+    has its own copy of what the pair's two nodes share, so that no
+    product with a per-node array broadcasts over k.
+    """
+
+    level: np.ndarray  # i
+    rows: np.ndarray  # j and n + 2 + j, the rows of h lam(xi_j) and -h mu(xi_j+1) in the speed table
+    xi: np.ndarray  # xi_j and xi_j+1, the nodes' own xi
+    x_prev: np.ndarray  # x_i-1
+    last: np.ndarray  # i - 2, the last left lerp end on level i - 1
+    v_cells: np.ndarray  # cells of V at the left lerp end xi_0 on level i - 1, in blocks of the batch size
+    z_cells: np.ndarray  # and of Z
+
+
+@lru_cache(maxsize=4)
+def _plan(grid: TriangularGrid) -> _Plan:
+    """:class:`_Plan` of ``grid``, built once: 112 bytes a node pair whatever the batch size (0.57 MB at n = 100, 36 MB at 800).
+
+    The arrays live in an anonymous mapping of their own, outside the
+    malloc heap: cached arrays inside it split the space that every run's
+    temporaries reuse, and the heap then grew and was trimmed again run
+    after run (330 to 380 page faults per 8-plant solve at n = 50, 15% of
+    bench datagen's throughput, when each run's arrays were cached there).
+    """
+    rows, j = np.tril_indices(grid.n)
+    x, pairs = grid.points, rows.size
+    block = mmap.mmap(-1, 7 * 2 * 8 * pairs)
+    dtypes = (np.intp, np.intp, np.float64, np.float64, np.intp, np.intp, np.intp)
+    plan = _Plan(*(np.frombuffer(block, t, 2 * pairs, 16 * pairs * k).reshape(pairs, 2) for k, t in enumerate(dtypes)))
+    slot0 = 2 * (rows * (rows + 1) // 2 + 1)  # cell block of k1 at (i-1, 0)
+    # filled column by column: a (pairs, 1) operand broadcast over k runs 2-element loops
+    plan.level[:, 0] = plan.level[:, 1] = rows + 1
+    plan.rows[:, 0], plan.rows[:, 1] = j, j + grid.n + 2
+    plan.xi[:, 0], plan.xi[:, 1] = x[j], x[j + 1]
+    plan.x_prev[:, 0] = plan.x_prev[:, 1] = x[rows]
+    plan.last[:, 0] = plan.last[:, 1] = rows - 1
+    plan.v_cells[:, 0] = plan.z_cells[:, 1] = slot0  # V is the node's own kernel, Z the other one
+    plan.v_cells[:, 1] = plan.z_cells[:, 0] = slot0 - 1
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _lerp(table: np.ndarray, at: np.ndarray, frac: np.ndarray, stride: int) -> np.ndarray:
     """Linear interpolation of every row of ``table`` between flat indices at and at + stride."""
     out = table.take(at, axis=1)
     out *= 1.0 - frac
-    right = table.take(at + stride, axis=1)
+    right = table[:, stride:].take(at, axis=1)
     right *= frac
     out += right
     return out
 
 
-def _level_groups(n: int, plants: int):
-    """Runs [a, b) of levels 1..n whose nodes times plants stay within GEOMETRY_NODES."""
-    a = 1
-    while a <= n:
-        b, size = a + 1, a
-        while b <= n and (size + b) * plants <= GEOMETRY_NODES:
-            size += b
+@lru_cache(maxsize=64)
+def _schedule(n: int, plants: int, reach: int, budget: int) -> tuple[tuple[int, int, int], ...]:
+    """The runs [a, b) of levels 1..n, each of at most ``budget`` node-plant pairs or of one level.
+
+    With each run comes the end c of the levels a..c-1 whose diagonal
+    crossings :func:`_crossings` computes at once from it, as many as
+    ``budget`` candidate node-plant pairs allow (a level has ``reach``
+    candidates at most), and 0 for a run that such a group already covers.
+    """
+
+    def end(a, width):
+        b, size = a + 1, width(a)
+        while b <= n and (size + width(b)) * plants <= budget:
+            size += width(b)
             b += 1
-        yield a, b
+        return b
+
+    runs, a, covered = [], 1, 1
+    while a <= n:
+        b = end(a, lambda i: i)
+        group = 0
+        if b > covered:
+            covered = group = end(a, lambda i: min(i, reach))
+        runs.append((a, b, group))
         a = b
+    return tuple(runs)
 
 
-def _geometry(table: np.ndarray, x: np.ndarray, h: float, a: int, b: int, ratio: np.ndarray, values: np.ndarray):
+@lru_cache(maxsize=64)
+def _candidates(grid: TriangularGrid, a: int, b: int, reach: int):
+    """The last ``reach`` nodes j of each level i of a..b-1: i, j, their pair and x_j, x_i-1, x_i, read-only."""
+    x = grid.points
+    levels = np.arange(a, b)
+    count = np.minimum(levels, reach)
+    i = np.repeat(levels, count)
+    j = np.arange(i.size) - np.repeat(np.cumsum(count) - levels, count)
+    arrays = (i, j, i * (i - 1) // 2 + j, x[j], x[i - 1], x[i])
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _crossings(table: np.ndarray, speeds: np.ndarray, grid: TriangularGrid, a: int, b: int, reach: int, values: np.ndarray):
+    """The k1 nodes of levels a..b-1 whose characteristic crossed the diagonal.
+
+    A foot beyond x_i-1 needs i - 1 - j < lam(xi_j)/mu(x_i), so only the
+    last ``reach`` nodes of a level, one more than sup lam / inf mu for
+    rounding, are tested, with the foot computed as :func:`_geometry`
+    computes it.  A crossing node reads V = bc exactly,
+    w = (1, 0) on its own cell, into which bc is prefilled here; Z is k2 at
+    (i-1, i-1), read exactly too, P = lam' + sigma and Q = theta at the
+    crossing, and T the remaining arc.  Returns their pairs and plants in
+    pair order, and their cells and folded weights, (4 lerp ends, nodes).
+    """
+    n, h = grid.n, grid.h
+    plants = table.shape[2]
+    i, j, pair, x_j, x_prev, x_i = _candidates(grid, a, b, reach)
+    mu_i = table[1].take(i, axis=0)
+    foot = speeds.take(j, axis=0)
+    foot /= mu_i
+    foot += x_j[:, None]
+    crossed = foot > x_prev[:, None]
+    if a == 1:  # a level-1 characteristic starts on node (0, 0), also where its foot underflows to 0
+        crossed[0] = True
+    kk, pp = np.nonzero(crossed)
+    i, j, pair, xc_i, mu_c = i[kk], j[kk], pair[kk], x_i[kk], mu_i[kk, pp]
+    slope = table[0][j, pp] / mu_c
+    xc = (x_j[kk] + slope * xc_i) / (1.0 + slope)
+    t = xc / h
+    ic = np.minimum(t.astype(int), n - 1)
+    lam_c, mu_cc, dlam_c, sig_c, tht_c = _lerp(table.reshape(len(_TABLE), -1)[:5], ic * plants + pp, t - ic, plants)
+    bc = -tht_c / (lam_c + mu_cc)
+    arc = (xc_i - xc) / mu_c
+    own = 2 * (pair + i + 1) * plants + pp  # k1 at (i, j)
+    values.reshape(-1)[own] = bc
+    diag = own - (2 * j + 3) * plants  # k2 at (i-1, i-1)
+    src = np.stack([dlam_c + sig_c, tht_c])
+    src *= arc
+    src[0] += 1.0
+    return pair, pp, np.stack([own, diag, own, diag]), np.multiply.outer((1.0, 0.0), src).reshape(4, -1)
+
+
+def _geometry(table, speeds, sources, grid, a, b, ratio, crossings):
     """Everything levels a..b-1 of the march compute without the previous level.
 
-    ``table`` is the node-major (7, n+1, B) coefficient table; ``values`` is
-    the march's output buffer (see :func:`solve_kernels_batch`), whose flat
-    cells all indices here address.  Pair o + j holds the k1 node j and the
-    k2 node j + 1 of level i, o being the sum of the levels before it in the
-    run, and every returned array is (..., pairs, B).
+    ``table`` is the node-major (7, n+1, B) coefficient table, ``speeds`` and
+    ``sources`` its rows per kernel (see :func:`solve_kernels_batch`) and
+    ``crossings`` what :func:`_crossings` returned for a group of runs that
+    holds this one.  The node-only arrays are the run's slice of the grid's
+    cached :class:`_Plan`; what is computed here is their products with the
+    batch size and what depends on the coefficients.  Element (p, k, b) is the
+    plan's entry (p, k) for plant b, and the elements of a level are, in
+    order, the march's output cells of that level.
 
     Each node's update V + T*(P*V + Q*Z), V and Z being lerps
     e_l*w_l + e_r*w_r of two cells, is folded into the weights: a V cell
     weighs w*(1 + T*P) and a Z cell w*(T*Q), so the node is the sum of its
     four weighted cells.  A regular node lerps the previous level at its
     foot: V is its own kernel there, Z the other one, T = h/mu(x_i) and P,
-    Q its sources at the foot.  A k1 node whose characteristic crossed the
-    diagonal reads V = bc exactly, w = (1, 0) on its own cell, into which bc
-    is prefilled here; Z is k2 at (i-1, i-1), read exactly too,
-    P = lam' + sigma and Q = theta at the crossing, and T the remaining arc.
-    Only crossing nodes compute the crossing lerps.
+    Q its sources at the foot, lerped off one table of rows (lam' | -mu',
+    sigma | -0.0, theta | omega), k1's columns and then k2's: P is the sum
+    of the first two, and -mu' + -0.0 is -mu' itself.  The diagonal
+    crossings overwrite their nodes' cells and weights.
 
-    Returns ``at``, the cells (left/right, V/Z, k1/k2, pairs, B), the folded
-    ``weight`` of the same shape, and a map from each level where k2
-    characteristics leave through the bottom edge to its fix-up: the k1
-    cells at (i-1, 0) and (i, 0), the k2 cells to overwrite, and (keep,
-    frac, arc, q lam(0)/mu(0), -mu'(0), omega(0)) for each of them.
+    Returns ``at``, the cells (lerp ends (l, V), (l, Z), (r, V), (r, Z),
+    elements), the folded ``weight`` of the same shape, and a map from each
+    level where k2 characteristics leave through the bottom edge to its
+    fix-up: the k1 cells at (i-1, 0) and (i, 0), the k2 cells to overwrite,
+    and (keep, frac, arc, q lam(0)/mu(0), -mu'(0), omega(0)) for each of them.
     """
-    _, m, plants = table.shape
-    n = m - 1
-    flat = table.reshape(len(_TABLE), -1)
-    lam, mu = table[:2]
-    k2_of = values[1].size - plants  # from the cell of k1 at a node to that of k2
-    levels = np.arange(a, b)
-    level = np.repeat(levels, levels)
-    j = np.arange(level.size) - np.repeat(np.cumsum(levels) - levels, levels)
+    n, h, x = grid.n, grid.h, grid.points
+    plants = ratio.size
+    lo, hi = a * (a - 1) // 2, b * (b - 1) // 2
+    level, rows, xi, x_prev, last, v_cells, z_cells = (array[lo:hi] for array in _plan(grid))
     col = np.arange(plants)
-    mu_i = mu[level]
-    x_i, x_prev = x[level], x[level - 1][:, None]
-    prev0 = (level * (level - 1) // 2 + 1)[:, None] * plants + col  # cell of k1 at (i-1, 0)
-    here0 = prev0 + level[:, None] * plants  # cell of k1 at (i, 0)
+    mu = table[1]
+    mu_i = mu.take(level, axis=0)
 
-    # --- feet of the k1 node j and the k2 node j + 1, (k1/k2, pairs, B) ---
-    foot = np.empty((2, level.size, plants))
-    np.divide(h * lam[j], mu_i, out=foot[0])
-    foot[0] += x[j][:, None]
-    np.divide(h * mu[j + 1], mu_i, out=foot[1])
-    np.subtract(x[j + 1][:, None], foot[1], out=foot[1])
-    crossed, bottom = foot[0] > x_prev, foot[1] < 0.0
-    t = np.minimum(np.maximum(foot, 0.0, out=foot), x_prev, out=foot)
+    # --- feet of the k1 node j and the k2 node j + 1, (pairs, k1/k2, B) ---
+    t = speeds.take(rows, axis=0)
+    t /= mu_i
+    t += xi[..., None]
+    bottom = t[:, 1] < 0.0
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, x_prev[..., None], out=t)
     t /= h
     it = t.astype(int)
-    ik = np.minimum(it, (level - 2)[:, None])
-    weight = np.empty((2, 2, 2, level.size, plants))
-    weight[1] = t - ik
-    np.subtract(1.0, weight[1], out=weight[0])
-    ik *= plants
-    ik += prev0
-    cells = np.array([[0, k2_of], [k2_of, 0]])  # (V/Z, k1/k2) offsets from k1 at the left end
-    at = np.add(ik, np.stack([cells, cells + plants])[..., None, None])
+    ik = np.minimum(it, last[..., None])
+    w = np.empty((2, *t.shape))
+    np.subtract(t, ik, out=w[1])
+    np.subtract(1.0, w[1], out=w[0])
+    ik *= 2 * plants
+    ik += col
+    at = np.empty((2, *w.shape), dtype=ik.dtype)  # (l/r, V/Z, pairs, k1/k2, B)
+    np.add(ik, (v_cells * plants)[..., None], out=at[0, 0])
+    np.add(ik, (z_cells * plants)[..., None], out=at[0, 1])
+    np.add(at[0], 2 * plants, out=at[1])
     ic = np.minimum(it, n - 1, out=it)
     frac = np.subtract(t, ic, out=t)
+    ic[:, 1] += n + 1
     ic *= plants
     ic += col
-    dlam_f, sig_f, tht_f = _lerp(flat[2:5], ic[0], frac[0], plants)
-    dmu_f, omg_f = _lerp(flat[5:7], ic[1], frac[1], plants)
-    src = np.empty((3, 2, level.size, plants))
-    np.add(dlam_f, sig_f, out=src[0, 0])
-    np.negative(dmu_f, out=src[0, 1])
-    src[1] = tht_f, omg_f
-    src[2] = h / mu_i
+    src = _lerp(sources, ic, frac, plants)
+    src[0] += src[1]
+    fold = src[::2]  # (P, Q) -> (1 + T*P, T*Q)
+    fold *= h / mu_i
+    fold[0] += 1.0
+    if a == 1:  # the k2 node of level 1 reads node (0, 0) exactly
+        at[:, :, 0, 1] = np.array([1, 2])[:, None] * plants + col
+        w[:, 0, 1] = ((1.0,), (0.0,))
+    at = at.reshape(4, -1)
+    weight = np.multiply(w[:, None], fold).reshape(4, -1)
 
     # --- k1 nodes whose characteristic crossed the diagonal ---
-    if a == 1:  # a level-1 characteristic starts on node (0, 0), also where its foot underflows to 0
-        crossed[0] = True
-    kk, pp = np.nonzero(crossed)
-    jc, xc_i, mu_c = j[kk], x_i[kk], mu_i[kk, pp]
-    slope = lam[jc, pp] / mu_c
-    xc = (x[jc] + slope * xc_i) / (1.0 + slope)
-    t = xc / h
-    ic = np.minimum(t.astype(int), n - 1)
-    lam_c, mu_cc, dlam_c, sig_c, tht_c = _lerp(flat[:5], ic * plants + pp, t - ic, plants)
-    bc = -tht_c / (lam_c + mu_cc)
-    arc = (xc_i - xc) / mu_c
-    own = here0[kk, pp] + jc * plants
-    values.reshape(-1)[own] = bc
-    at[:, 0, 0, kk, pp] = own
-    at[:, 1, 0, kk, pp] = here0[kk, pp] - plants + k2_of
-    weight[:, :, 0, kk, pp] = ((1.0,),), ((0.0,),)
-    src[:, 0, kk, pp] = dlam_c + sig_c, tht_c, arc
-    if a == 1:  # the k2 node of level 1 reads node (0, 0) exactly
-        at[:, :, 1, 0] = col + plants + k2_of, col + plants
-        weight[:, :, 1, 0] = ((1.0,),), ((0.0,),)
-
-    # --- the update folded in: V cells weigh w*(1 + T*P), Z cells w*(T*Q) ---
-    src[:2] *= src[2]
-    src[0] += 1.0
-    weight *= src[:2]
+    pair, pp, at_c, weight_c = crossings
+    s, e = np.searchsorted(pair, (lo, hi))
+    crossed = (pair[s:e] - lo) * (2 * plants) + pp[s:e]
+    at[:, crossed] = at_c[:, s:e]
+    weight[:, crossed] = weight_c[:, s:e]
 
     # --- k2 nodes whose characteristic crossed the bottom edge ---
     kk, pp = np.nonzero(bottom)
     if not kk.size:
         return at, weight, {}
-    jc, xc_i, mu_c = j[kk] + 1, x_i[kk], mu_i[kk, pp]
-    xc = xc_i - x[jc] * mu_c / mu[jc, pp]
-    frac = np.minimum(np.maximum((xc - x_prev[kk, 0]) / h, 0.0), 1.0)
-    cells = np.stack([prev0[kk, pp], here0[kk, pp]])
-    dst = here0[kk, pp] + jc * plants + k2_of
+    i, jc, mu_c = level[kk, 1], rows[kk, 1] - (n + 1), mu_i[kk, 1, pp]
+    xc_i = x[i]
+    xc = xc_i - xi[kk, 1] * mu_c / mu[jc, pp]
+    frac = np.minimum(np.maximum((xc - x_prev[kk, 1]) / h, 0.0), 1.0)
+    left = (i * (i - 1) + 2) * plants + pp  # k1 at (i-1, 0)
+    ends = np.stack([left, left + 2 * i * plants])  # and at (i, 0)
+    dst = left + (2 * (i + jc) - 1) * plants  # k2 at (i, j + 1)
     data = np.stack([1.0 - frac, frac, (xc_i - xc) / mu_c, ratio[pp], -table[5, 0, pp], table[6, 0, pp]])
-    starts = np.flatnonzero(np.diff(level[kk], prepend=0))
+    starts = np.flatnonzero(np.diff(i, prepend=0))
     fixes = {
-        int(level[kk[s]]): (cells[:, s:e], dst[s:e], data[:, s:e])
+        int(i[s]): (ends[:, s:e], dst[s:e], data[:, s:e])
         for s, e in zip(starts, [*starts[1:], kk.size])
     }
     return at, weight, fixes
@@ -265,19 +369,21 @@ def _march(values: np.ndarray, ratio: np.ndarray, a: int, b: int, at, weight, fi
 
     A level is one gather of its cells, one product with their folded
     weights and one sum of the four terms of each node, in the fixed order
-    (l, V), (l, Z), (r, V), (r, Z).  The sum starts from -0.0, not from
+    (l, V), (l, Z), (r, V), (r, Z), written to the level's contiguous
+    output cells; then k2 at node 0.  The sum starts from -0.0, not from
     add's identity +0.0, so that a first term of -0.0 stays -0.0.
     """
+    plants = ratio.size
     cells = values.reshape(-1)
-    o = 0
+    lo = 0
     for i in range(a, b):
-        s = slice(o, o + i)
-        o += i
-        r = i * (i + 1) // 2 + 1  # slot of k1 at (i, 0) and of k2 at (i, 1)
-        terms = cells.take(at[:, :, :, s])
-        terms *= weight[:, :, :, s]
-        np.add.reduce(terms.reshape(4, *terms.shape[2:]), out=values[:, r : r + i], initial=-0.0)
-        np.multiply(ratio, values[0, r], out=values[1, r - 1])
+        hi = lo + 2 * i * plants
+        r = (i * (i + 1) + 2) * plants  # cell of k1 at (i, 0); k2 at (i, 0) is the block before it
+        terms = cells.take(at[:, lo:hi])
+        terms *= weight[:, lo:hi]
+        np.add.reduce(terms, out=cells[r : r + hi - lo], initial=-0.0)
+        np.multiply(ratio, cells[r : r + plants], out=cells[r - plants : r])
+        lo = hi
         if i in fixes:  # k2 from the bottom data, lerped between k1 at (i-1, 0) and (i, 0)
             at_b, dst, (keep, frac, arc, ratio_b, ndmu0, omg0) = fixes[i]
             left, right = cells.take(at_b)
@@ -306,47 +412,61 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     updates functions of the previous level only.
 
     All plants march together, one level at a time, in place in one buffer:
-    ``values[0, q + 1]`` is k1 and ``values[1, q]`` is k2 at flat node q,
-    node-major as (node, plant), so that the k1 nodes j = 0..i-1 and the k2
-    nodes j = 1..i of level i share the slots of one slice.  The k1
-    diagonal is prefilled.  :func:`_geometry` computes what depends only on
-    the coefficients for a run of levels at once (at most GEOMETRY_NODES
-    node-plant pairs, or one level that alone has more), with the update
+    ``values[q + 1, 0]`` is k1 and ``values[q, 1]`` is k2 at flat node q,
+    plants last, so that the k1 node j and the k2 node j + 1 of level i
+    share slot i(i+1)/2 + 1 + j and a level's nodes fill one contiguous
+    block.  The k1 diagonal is prefilled.
+
+    Planned once per grid and cached: the node-only :class:`_Plan` of
+    every level, which each run of levels reads a slice of, and, per batch
+    size, the runs themselves (at most GEOMETRY_NODES node-plant pairs, or
+    one level that alone has more).  Once per solve: the tables of speeds
+    and sources per kernel, how many nodes next to the diagonal have k1
+    characteristics that can cross it, and, in :func:`_crossings`, the
+    diagonal crossings of as many runs as GEOMETRY_NODES candidate pairs
+    allow, all of them on small batches.  Once per run, :func:`_geometry`
+    computes what depends only on the coefficients, with the update
     V + T*(P*V + Q*Z) folded into the weights of the lerp cells of V and
-    Z.  So :func:`_march` updates every node of a level with one gather of
-    those cells from the previous level, one product with their weights
-    and one sum written to both rows; then k2 at node 0.  The k2 nodes
-    whose characteristics cross the bottom edge need this level's k1 at
-    node 0, so they are recomputed after it, only at levels that have
-    them.  Every operation is elementwise, and the sum of a node's four
-    terms runs in one fixed order, so each plant's kernels are
-    bit-identical however the batch is composed.  A plant with lam + mu
-    <= 0 somewhere or non-finite kernels raises :class:`PlantError` naming
-    its index; an overflow inside the march is left to that check.
+    Z.  So :func:`_march`
+    updates every node of a level with one gather of those cells from the
+    previous level, one product with their weights and one sum into the
+    level's block; then k2 at node 0.  The k2 nodes whose characteristics
+    cross the bottom edge need this level's k1 at node 0, so they are
+    recomputed after it, only at levels that have them.  Every operation is
+    elementwise, and the sum of a node's four terms runs in one fixed order,
+    so each plant's kernels are bit-identical however the batch is
+    composed.  A plant with lam + mu <= 0 somewhere or non-finite kernels
+    raises :class:`PlantError` naming its index; an overflow inside the
+    march is left to that check.
     """
     n, h = grid.n, grid.h
     plants = len(coeffs)
-    fields = [resample(c, n) for c in coeffs]
-    table = np.stack([np.stack([f[name] for f in fields], axis=1) for name in _TABLE])
+    table = np.stack([[f[name] for name in _TABLE] for f in (resample(c, n) for c in coeffs)], axis=-1)
     lam, mu, tht = table[0], table[1], table[4]
     bad = np.flatnonzero(np.any(lam + mu <= 0, axis=0))
     if bad.size:
         raise PlantError(int(bad[0]), "lam + mu must be positive on the whole grid")
 
-    values = np.empty((2, grid.node_count + 1, plants))
-    values[0, 0] = values[1, -1] = 0.0  # the slots no node uses
+    values = np.empty((grid.node_count + 1, 2, plants))  # values[0, 0] and values[-1, 1] are no node's
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = np.array([c.q for c in coeffs]) * lam[0] / mu[0]
         diag = np.arange(n + 1)
-        values[0, diag * (diag + 3) // 2 + 1] = -tht / (lam + mu)
-        values[1, 0] = ratio * values[0, 1]
-        for a, b in _level_groups(n, plants):
-            _march(values, ratio, a, b, *_geometry(table, grid.points, h, a, b, ratio, values))
+        values[diag * (diag + 3) // 2 + 1, 0] = -tht / (lam + mu)
+        values[0, 1] = ratio * values[1, 0]
+        speeds = np.concatenate([h * lam, -h * mu])
+        sources = np.concatenate([table[2:5], [-table[5], np.full_like(lam, -0.0), table[6]]], axis=1).reshape(3, -1)
+        # a k1 characteristic crosses the diagonal only within sup lam / inf mu nodes of it
+        lam_max, mu_min = lam.max(), mu.min()
+        reach = int(np.ceil(lam_max / mu_min)) + 1 if 0 < lam_max < n * mu_min else n
+        for a, b, group in _schedule(n, plants, reach, GEOMETRY_NODES):
+            if group:
+                crossings = _crossings(table, speeds, grid, a, group, reach, values)
+            _march(values, ratio, a, b, *_geometry(table, speeds, sources, grid, a, b, ratio, crossings))
 
-    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=(0, 1)))
-    if bad.size:
+    values = np.stack([values[1:, 0].T, values[:-1, 1].T])
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.all(np.isfinite(values), axis=(0, 2)))
         raise PlantError(int(bad[0]), "kernel marching produced non-finite values")
-    values = np.stack([values[0, 1:].T, values[1, :-1].T])
     return [KernelSet(k1=KernelField(grid, v1), k2=KernelField(grid, v2)) for v1, v2 in zip(*values)]
 
 

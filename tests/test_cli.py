@@ -182,18 +182,6 @@ class TestSimulate:
         assert "need at least 10 positive samples at t >= t_start = 2, found " in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_too_few_samples_to_fit_rejected(self, tmp_path, capsys):
-        # a run to T = 2.01 at n = 100 has 5 samples at t >= 2, whatever its controller
-        init = plant_sim.reference_initial_state(IntervalGrid(100))
-        trace = plant_sim.simulate(gamma_family(1.0), init, plant_sim.ControllerSpec.open_loop(), 2.01)
-        assert np.count_nonzero(trace.times >= 2.0) == 5
-        out = tmp_path / "trace.csv"
-        rc = main(["simulate", "--gamma", "1.0", "--controller", "exact", "--T", "2.01", "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "need at least 10 positive samples at t >= t_start = 2, found 5" in err
-        assert list(tmp_path.iterdir()) == []
-
     def test_neural_controller_runs(self, workdir, model_path):
         out = workdir / "neural.csv"
         rc = main(["simulate", "--gamma", "1.0", "--controller", "neural",
@@ -269,6 +257,7 @@ REFUSALS = {
         ["simulate", "--gamma", "1", "--n", "20", "--T", "1", "--out", "{out}/u.csv"],
         "at t >= t_start = 2, found 0",
     ),
+    # the sample count of an open-loop run to the same T (test_too_few_samples_match_an_open_loop_run)
     "simulate-too-few-samples": (
         ["simulate", "--gamma", "1", "--T", "2.01", "--out", "{out}/u.csv"],
         "at t >= t_start = 2, found 5",
@@ -282,6 +271,8 @@ REFUSALS = {
         "repeats must be at least 1",
     ),
     "solve-too-coarse": (["solve", "--gamma", "1", "--n", "2", "--out", "{out}/k.csv"], "n >= 3"),
+    # exp(Gamma x) overflows: one line, no numpy warning before it
+    "solve-gamma-overflows": (["solve", "--gamma", "800", "--n", "10", "--out", "{out}/k.csv"], "gamma = 800 is too large"),
     "dataset-not-written": (
         ["dataset", "--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--out", "{out}/ds.bin"],
         "record 1 holds non-finite values",
@@ -302,6 +293,14 @@ def test_refusal_exits_one_way_before_writing(case, tmp_path, capsys, monkeypatc
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
     assert list(tmp_path.iterdir()) == []
+
+
+def test_too_few_samples_match_an_open_loop_run():
+    # a run to T = 2.01 at n = 100 has 5 samples at t >= 2, whatever its controller
+    init = plant_sim.reference_initial_state(IntervalGrid(100))
+    trace = plant_sim.simulate(gamma_family(1.0), init, plant_sim.ControllerSpec.open_loop(), 2.01)
+    assert np.count_nonzero(trace.times >= 2.0) == 5
+    assert REFUSALS["simulate-too-few-samples"][1].endswith("found 5")
 
 
 class TestWriteCsv:

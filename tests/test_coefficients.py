@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,22 @@ class TestGammaFamily:
             gamma_family(0.0)
         with pytest.raises(ValueError):
             gamma_family(-1.0)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            pytest.param(lambda: gamma_family(800.0), id="gamma_family"),
+            pytest.param(lambda: sample_random(CoefficientFamily("gamma", (800.0, 900.0)), 1), id="sample-gamma"),
+            pytest.param(lambda: sample_random(CoefficientFamily("random_smooth", (800.0, 900.0)), 1), id="sample-random_smooth"),
+        ],
+    )
+    def test_overflowing_gamma_refused_without_warnings(self, draw):
+        # exp(Gamma x) overflows above Gamma = 709.8: one ValueError, and no RuntimeWarning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma = 8[0-9]+(\\.[0-9]+)? is too large"):
+                draw()
+            assert np.isfinite(gamma_family(700.0).dmu).all()
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,14 @@ def crossing_plants():
     return [replace(c, mu=c.mu[::-1].copy(), dmu=-c.dmu[::-1]), replace(c, lam=4.0 * c.lam, dlam=4.0 * c.dlam)]
 
 
+def integer_ratio_plant():
+    """Constant speeds lam = 2 mu: a k1 foot two cells below the previous diagonal lands on
+    it, and rounding alone decides whether it crossed (it does at 2 to 18 nodes up to n = 137)."""
+    c = g.gamma_family(1.0)
+    one = np.ones_like(c.lam)
+    return replace(c, lam=2.0 * one, dlam=0.0 * one, mu=one, dmu=0.0 * one)
+
+
 def per_level_march(coeffs, grid, fold=True):
     """The batched march with every coefficient-only quantity recomputed at each
     level, plant-major; kernels (2, B, nodes) that solve_kernels_batch must
@@ -206,6 +214,32 @@ class TestMarchGeometry:
             for b, ks in enumerate(solve_kernels_batch(batch, grid)):
                 assert ks.k1.values.tobytes() == expected[0, b].tobytes()
                 assert ks.k2.values.tobytes() == expected[1, b].tobytes()
+
+    def test_reused_plans_bitwise_equal_to_per_level_march(self):
+        # grids and batch sizes interleaved: every solve after the first on a grid reads the plan that one built
+        pool = crossing_plants() + [integer_ratio_plant()] + mixed_plants(256)
+        kernel_solver._plan.cache_clear()
+        steps = [(50, 256), (50, 1), (100, 1), (137, 1), (50, 8), (100, 9), (50, 1), (100, 1), (137, 9), (100, 256), (137, 8)]
+        for k, (n, size) in enumerate(steps):
+            batch, grid = pool[k % 3 : k % 3 + size], TriangularGrid(n)
+            expected = per_level_march(batch, grid)
+            for b, ks in enumerate(solve_kernels_batch(batch, grid)):
+                assert ks.k1.values.tobytes() == expected[0, b].tobytes()
+                assert ks.k2.values.tobytes() == expected[1, b].tobytes()
+        assert kernel_solver._plan.cache_info().misses == 3
+
+    def test_plan_read_only_and_one_per_grid_whatever_the_batch_size(self):
+        # 112 bytes a node pair, built by the first solve on the grid
+        grid = TriangularGrid(50)
+        kernel_solver._plan.cache_clear()
+        for plants in (1, 8, 256):
+            solve_kernels_batch(mixed_plants(plants), grid)
+        info, plan = kernel_solver._plan.cache_info(), kernel_solver._plan(grid)
+        assert info.misses == info.currsize == 1
+        assert sum(array.nbytes for array in plan) == 112 * 50 * 51 // 2
+        assert not any(array.flags.writeable for array in plan + kernel_solver._candidates(grid, 1, 51, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            plan.level[0, 0] = 0
 
     @pytest.mark.parametrize("n", [3, 50, 137])
     def test_fold_changes_rounding_only(self, n):
