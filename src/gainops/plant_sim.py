@@ -7,10 +7,11 @@ u(0) = q v(0) and v(1) = U hold exactly.  The target system is the same
 scheme with theta = 0 and the c/kappa integral terms as a source in the u
 equation.
 
-Both runs are linear with a fixed dt.  ``_step_matrix`` assembles a run's
-step once, as a dense 2n x 2n matrix S over the free unknowns
-y = (u[1:], v[:-1]) (the update applied to the identity), with the closure
-row a of the actuated v(1).  ``_trace`` only runs S: a long run raises S to
+Both runs are linear with a fixed dt.  ``_step_matrix`` writes a run's step
+once, as a dense 2n x 2n matrix S over the free unknowns y = (u[1:], v[:-1]),
+with the closure row a of the actuated v(1): the scheme is written entry by
+entry on its stencil bands (``_stencil``), and the target system's integral
+rows are one dense source block.  ``_trace`` only runs S: a long run raises S to
 P = S^BLOCK and fills each block of BLOCK states with one matrix product
 from the block before it; a short run steps with S itself, one product per
 state.  States go into a buffer of at most CHUNK states; u(0), the actuated
@@ -22,6 +23,7 @@ snapshots, its steps on the stride and the run's last step, are built by one
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +37,6 @@ BLOWUP_THRESHOLD = 1e12
 CFL_NUMBER = 0.9
 CHUNK = 1024  # states a run holds at a time; bounds memory only
 BLOCK = 64  # states filled by one product with S^BLOCK in a long run
-# rows of the step matrix assembled at a time, for speed: a one-step simulate (Gamma 1, one BLAS
-# thread, Xeon) took 0.56 / 5.8 ms at n = 100 / 400 with 32 rows, 0.80 / 13.6 ms with all at once
-ASSEMBLY_ROWS = 32
 
 
 @dataclass(eq=False)
@@ -106,27 +105,6 @@ def reference_initial_state(grid: IntervalGrid) -> PlantState:
     return PlantState(grid, np.ones(grid.n + 1), np.sin(grid.points))
 
 
-def _advance(u, v, dt, cf, q, h, source=-0.0):
-    """One explicit upwind step without the actuated boundary value.
-
-    Acts on the last axis, so a stack of states advances in one call.
-    ``source`` is added to the local coupling of u at nodes 1 .. n; the
-    default -0.0 leaves every sum as it is, signed zeros included.
-    """
-    lam, mu = cf["lam"], cf["mu"]
-    sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
-    un = u.copy()
-    vn = v.copy()
-    un[..., 1:] = (
-        u[..., 1:]
-        - dt * lam[1:] * (u[..., 1:] - u[..., :-1]) / h
-        + dt * (sig[1:] * u[..., 1:] + omg[1:] * v[..., 1:] + source)
-    )
-    vn[..., :-1] = v[..., :-1] + dt * mu[:-1] * (v[..., 1:] - v[..., :-1]) / h + dt * tht[:-1] * u[..., :-1]
-    un[..., 0] = q * vn[..., 0]
-    return un, vn
-
-
 def _free(u, v):
     """The free unknowns y = (u[1:], v[:-1]) of states on the last axis."""
     return np.concatenate((u[..., 1:], v[..., :-1]), axis=-1)
@@ -155,32 +133,63 @@ def _block_length(n_steps: int, n: int) -> int:
     return BLOCK if n_steps >= 8 * n else 1
 
 
-def _step_matrix(coeffs: CoefficientSet, grid: IntervalGrid, T: float, cf, actuate=None, source=None):
+@functools.cache
+def _stencil(n: int):
+    """The entries of S that a nonzero input can reach: (rows, nodes) of u(1 .. n), then of v(0 .. n-1).
+
+    Row k of S is the step of unit k of y.  u(i) reads u(i), u(i-1) and v(i),
+    v(j) reads v(j), v(j+1) and u(j); u(0) = q v(0) is in row n, and the
+    actuated v(1) in every row.  An entry listed twice is written twice.
+    """
+    i, rows = np.arange(1, n + 1), np.arange(2 * n)
+    u_row = np.r_[n, :n]  # the row of u(x), x = 0 .. n
+    v_row = np.r_[n : 2 * n, 2 * n - 1]  # of v(x); v(n)'s rows are all listed
+    ru = np.concatenate((u_row[i], u_row[i - 1], v_row[i], rows))
+    rv = np.concatenate((v_row[i - 1], v_row[i], u_row[i - 1], rows))
+    nodes = np.concatenate((i, i, i, np.full(2 * n, n)))
+    return ru, nodes, rv, nodes - 1
+
+
+def _step_matrix(coeffs: CoefficientSet, grid: IntervalGrid, T: float, cf, a=None, src=None):
     """The step of a run to time T as a matrix: (S, a, dt, n_steps).
 
-    The step is ``_advance`` on the resampled coefficients ``cf`` with dt
-    at the CFL bound, with the u-equation source ``source(u, v)`` (the
-    values at nodes 1 .. n) when given.  ``actuate(u, v)`` returns the
-    actuated value v(1), 0 when ``actuate`` is None.  Both act on the last
-    axis and are linear.  The step is applied once, to the identity: that
-    assembles it as a dense 2n x 2n matrix S over the free unknowns
-    y = (u[1:], v[:-1]), y_next = y @ S, and the closure row a,
-    v(1) = y @ a (a is None without an actuator, and v(1) is +0.0).
+    S is the explicit upwind step on the resampled coefficients ``cf``, dt
+    at the CFL bound, over the free unknowns y = (u[1:], v[:-1]):
+    y_next = y @ S, and row k of S steps unit k of y with u(0) = q v(0) and
+    v(1) = y @ a (``a`` the closure row; None: v(1) is +0.0).  Row k of
+    ``src`` (2n x n), if given, is unit k's u-equation source at nodes 1 .. n.
+
+    S is written, not stepped: an entry that no nonzero input reaches
+    (``_stencil``) is what the step gives it, 0.0 + dt * src, and every other
+    entry is the step's expression on its unit's inputs, in its operation
+    order.  So S is bitwise the step applied to the identity, signed zeros
+    included (a test holds it to ``_advance`` in ``tests/conftest.py``).
     """
     n_steps = step_count(coeffs, grid, T)
     n, h, q = grid.n, grid.h, coeffs.q
     dt = T / n_steps
+    lam, mu = cf["lam"], cf["mu"]
+    sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
+    ak = np.zeros(2 * n) if a is None else a
 
-    # row k of S (of a) is the next state (the control) of unknown k alone,
-    # assembled ASSEMBLY_ROWS rows at a time, which keeps the temporaries small and fast
-    S = np.empty((2 * n, 2 * n))
-    a = np.empty(2 * n) if actuate else None
-    for k in range(0, 2 * n, ASSEMBLY_ROWS):
-        u, v = _full(np.eye(min(ASSEMBLY_ROWS, 2 * n - k), 2 * n, k), q, 0.0)
-        if actuate:
-            a[k : k + len(u)] = v[:, -1] = actuate(u, v)
-        src = source(u, v) if source else -0.0
-        S[k : k + len(u)] = _free(*_advance(u, v, dt, cf, q, h, src))
+    def u(k, x):  # u(x) of unit k, u(0) = q v(0)
+        return np.where(x == 0, q * (k == n), k == x - 1)
+
+    def v(k, x):  # v(x) of unit k, v(n) = y @ a
+        return np.where(x == n, ak[k], k == n + x)
+
+    # off the stencil sigma * 0 + omega * 0 adds a signed zero only; written in place,
+    # as np.zeros or temporaries of this size fault per page (0.2 ms at n = 100)
+    S = np.full((2 * n, 2 * n), 0.0)
+    if src is not None:
+        np.multiply(src, dt, out=S[:, :n])
+        S[:, :n] += 0.0
+    ru, i, rv, j = _stencil(n)
+    ui = u(ru, i)
+    s = src[ru, i - 1] if src is not None else -0.0
+    S[ru, i - 1] = ui - dt * lam[i] * (ui - u(ru, i - 1)) / h + dt * (sig[i] * ui + omg[i] * v(ru, i) + s)
+    vj = v(rv, j)
+    S[rv, n + j] = vj + dt * mu[j] * (v(rv, j + 1) - vj) / h + dt * tht[j] * u(rv, j)
     return S, a, dt, n_steps
 
 
@@ -301,7 +310,7 @@ def simulate(
     """
     grid = init.grid
     n, h = grid.n, grid.h
-    actuate = None
+    q, a = coeffs.q, None
     if controller.kind == "feedback":
         w = trapezoid_weights(n + 1, h)
         gains = controller.gains.resample(grid)
@@ -309,11 +318,11 @@ def simulate(
         closure = 1.0 - w[-1] * g2[-1]
         if abs(closure) < 1e-12:
             raise ZeroDivisionError("feedback closure is singular on this grid")
+        # quadrature(g1 u) + quadrature(g2 v) of each unit of y, u(0) = q v(0) with v(0)'s;
+        # + 0.0 makes a zero entry +0.0, as those sums of products give it
+        a = (np.concatenate(((g1 * w)[1:], [g1[0] * q * w[0] + g2[0] * w[0]], (g2 * w)[1:n])) + 0.0) / closure
 
-        def actuate(u, v):
-            return ((g1 * u) @ w + (g2[:-1] * v[..., :-1]) @ w[:-1]) / closure
-
-    return _trace(init, coeffs.q, *_step_matrix(coeffs, grid, T, resample(coeffs, n), actuate), snapshot_stride)
+    return _trace(init, q, *_step_matrix(coeffs, grid, T, resample(coeffs, n), a), snapshot_stride)
 
 
 def simulate_target(
@@ -340,12 +349,12 @@ def simulate_target(
     cf = resample(coeffs, n)
     cf["theta"] = np.zeros(n + 1)
 
-    # fold the row-wise trapezoid weights into the kernel matrices once
+    # the integral rows u @ c_wt + beta @ kap_wt under the row-wise trapezoid
+    # rule, of each unit of y (u(0) = q beta(0) with beta(0)'s)
     wtri = row_weights(n, h)
     c_wt, kap_wt = ((f * wtri).T for f in target_couplings(cf["omega"], kernels))
-
-    def source(u, beta):
-        return (u @ c_wt + beta @ kap_wt)[..., 1:]
-
-    return _trace(init, coeffs.q, *_step_matrix(coeffs, grid, T, cf, source=source), snapshot_stride)
+    src = np.concatenate((c_wt[1:], [coeffs.q * c_wt[0] + kap_wt[0]], kap_wt[1:n]))[:, 1:]
+    step = _step_matrix(coeffs, grid, T, cf, src=src)
+    del wtri, c_wt, kap_wt, src  # the run needs S only
+    return _trace(init, coeffs.q, *step, snapshot_stride)
 

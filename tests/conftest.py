@@ -10,7 +10,7 @@ from gainops.data_store import Dataset
 from gainops.kernel_solver import KernelField, KernelSet
 from gainops.neural_op import DeepONetModel, _loss_and_grads, _mlp_forward, _trunk_inputs, _views, get_flat_params
 from gainops.numerics import TriangularGrid, trapezoid_integral, trapezoid_weights
-from gainops.plant_sim import PlantState, _advance, cfl_dt
+from gainops.plant_sim import PlantState, _free, _full, cfl_dt, step_count
 
 
 @pytest.fixture(scope="session")
@@ -86,10 +86,51 @@ def own_grid_plants(seeds=5):
     return plants + [replace(c, theta=signed)]
 
 
-# References that only the tests use: the simulator's stencil and feedback
-# closure one step at a time, the transformed-state norm, the kernel boundary
-# identities, the dataset file size, and the loss/gradient through the flat
-# parameter vector.
+# References that only the tests use: the simulator's stencil, its step
+# matrix pushed through that stencil, and its feedback closure one step at a
+# time, the transformed-state norm, the kernel boundary identities, the
+# dataset file size, and the loss/gradient through the flat parameter vector.
+
+
+def _advance(u, v, dt, cf, q, h, source=-0.0):
+    """One explicit upwind step without the actuated boundary value: the scheme
+    that ``plant_sim._step_matrix`` writes into S band by band.
+
+    Acts on the last axis, so a stack of states advances in one call.
+    ``source`` is added to the local coupling of u at nodes 1 .. n; the
+    default -0.0 leaves every sum as it is, signed zeros included.
+    """
+    lam, mu = cf["lam"], cf["mu"]
+    sig, omg, tht = cf["sigma"], cf["omega"], cf["theta"]
+    un = u.copy()
+    vn = v.copy()
+    un[..., 1:] = (
+        u[..., 1:]
+        - dt * lam[1:] * (u[..., 1:] - u[..., :-1]) / h
+        + dt * (sig[1:] * u[..., 1:] + omg[1:] * v[..., 1:] + source)
+    )
+    vn[..., :-1] = v[..., :-1] + dt * mu[:-1] * (v[..., 1:] - v[..., :-1]) / h + dt * tht[:-1] * u[..., :-1]
+    un[..., 0] = q * vn[..., 0]
+    return un, vn
+
+
+def pushed_step_matrix(coeffs, grid, T, cf, actuate=None, source=None, advance=_advance):
+    """(S, a, dt, n_steps) as ``_step_matrix`` returns them, by stepping the identity.
+
+    Each unit of the free unknowns y = (u[1:], v[:-1]) is completed to a state
+    with u(0) = q v(0) and v(1) = ``actuate(u, v)`` (+0.0 without it), and
+    ``advance`` steps all of them at once with the u-equation source
+    ``source(u, v)``: row k of S is the next y of unit k, and a[k] its v(1).
+    """
+    n_steps = step_count(coeffs, grid, T)
+    n, h, q = grid.n, grid.h, coeffs.q
+    dt = T / n_steps
+    u, v = _full(np.eye(2 * n), q, 0.0)
+    a = None
+    if actuate:
+        a = v[:, -1] = actuate(u, v)
+    src = source(u, v) if source else -0.0
+    return _free(*advance(u, v, dt, cf, q, h, src)), a, dt, n_steps
 
 
 def step(state: PlantState, coeffs: CoefficientSet, U: float, dt: float) -> PlantState:

@@ -3,8 +3,9 @@
 Each mutant flips one operator (arithmetic, augmented assignment, comparison
 or unary minus) or changes one numeric constant of the module.  It is written
 into a temporary copy of ``src`` and ``tests`` and run against the module's
-tests plus the non-slow acceptance tests; a mutant that every test passes
-survives.  Run from the repository root:
+tests, every other test file that imports the module by name, and the
+non-slow acceptance tests; a mutant that every test passes survives.  Run
+from the repository root:
 
     python tests/mutation_sample.py analysis --count 30 --seed 1
 
@@ -68,6 +69,24 @@ def mutant_source(source, k=None):
     return ast.unparse(tree)
 
 
+def importers(module):
+    """The test files that import ``gainops.<module>`` by name (``import``, ``from ... import``)."""
+    name = f"gainops.{module}"
+    found = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name == name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == name or node.module == "gainops" and any(a.name == module for a in node.names)
+            else:
+                continue
+            if hit:
+                found.append(f"tests/{path.name}")
+                break
+    return found
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="module name under src/gainops, e.g. analysis")
@@ -80,8 +99,8 @@ def main(argv=None):
     lines = source.splitlines()
     found = sites(ast.parse(source))
     picks = sorted(random.Random(args.seed).sample(range(len(found)), min(args.count, len(found))))
-    tests = [f"tests/test_{args.module}.py", "tests/test_acceptance.py"]
-    print(f"{args.module}: {len(found)} sites, {len(picks)} mutants, seed {args.seed}", flush=True)
+    tests = list(dict.fromkeys([f"tests/test_{args.module}.py", *importers(args.module), "tests/test_acceptance.py"]))
+    print(f"{args.module}: {len(found)} sites, {len(picks)} mutants, seed {args.seed}; {' '.join(tests)}", flush=True)
 
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,12 +6,13 @@ import pytest
 
 import gainops as g
 from gainops import plant_sim
-from gainops.controller import forward_transform
+from gainops.controller import GainVector, forward_transform
 from gainops.coefficients import resample
+from gainops.kernel_solver import target_couplings
 from gainops.numerics import row_weights, trapezoid_integral, trapezoid_weights
 from gainops.plant_sim import BLOCK, CHUNK, _block_length
 
-from conftest import control_value, make_coeffs, step
+from conftest import control_value, make_coeffs, pushed_step_matrix, step
 
 
 def transport_coeffs():
@@ -305,6 +306,11 @@ def test_stride_one_snapshots_stop_at_the_blowup(gamma5):
     assert np.array([s.v[-1] for s in tr.snapshots]).tobytes() == tr.control.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 100, 400])
+def test_runs_block_from_8n_steps_on(n):
+    assert (_block_length(8 * n - 1, n), _block_length(8 * n, n)) == (1, BLOCK)
+
+
 def test_overflowing_block_matrix_stops_as_a_blowup():
     # one step multiplies u by about 1 + dt sigma = 4.5e5, so S^BLOCK overflows
     c = make_coeffs(m=101, sigma=lambda x: 1e7)
@@ -371,21 +377,93 @@ def separate_target_stencil(coeffs, kernels, grid):
     return advance
 
 
+def step_of_next_run(monkeypatch):
+    """Make the next ``simulate`` or ``simulate_target`` call return its (S, a, dt, n_steps) instead of running it."""
+    monkeypatch.setattr(plant_sim, "_trace", lambda init, q, S, a, dt, n_steps, snapshot_stride: (S, a, dt, n_steps))
+
+
 @pytest.mark.parametrize("steps, block", [(100, 1), (1000, BLOCK)])
 def test_target_run_is_the_separate_target_stencil_bitwise(monkeypatch, gamma1, kernels_g1_n100, steps, block):
     n = 100
     grid = g.IntervalGrid(n)
     init = g.reference_initial_state(grid)
     T = (steps - 0.5) * g.cfl_dt(gamma1, grid)
+    run = plant_sim._trace
     got = g.simulate_target(gamma1, kernels_g1_n100, init, T, snapshot_stride=9)
-    monkeypatch.setattr(plant_sim, "_advance", separate_target_stencil(gamma1, kernels_g1_n100, grid))
-    want = g.simulate_target(gamma1, kernels_g1_n100, init, T, snapshot_stride=9)
+    step_of_next_run(monkeypatch)
+    S, a, dt, n_steps = g.simulate_target(gamma1, kernels_g1_n100, init, T)
+    advance = separate_target_stencil(gamma1, kernels_g1_n100, grid)
+    want_step = pushed_step_matrix(gamma1, grid, T, resample(gamma1, n), advance=advance)
+    assert S.tobytes() == want_step[0].tobytes() and a is None is want_step[1]
+    assert (dt, n_steps) == want_step[2:]
+    want = run(init, gamma1.q, *want_step, 9)
     assert len(got.times) == steps + 1 and _block_length(steps, n) == block
     for name in ("times", "phi", "u_boundary", "v_boundary", "control"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert len(got.snapshots) == len(want.snapshots)
     for a, b in zip(got.snapshots, want.snapshots):
         assert (a.u.tobytes(), a.v.tobytes(), a.t) == (b.u.tobytes(), b.v.tobytes(), b.t)
+
+
+STENCIL_PLANTS = {
+    "gamma1": lambda: g.gamma_family(1.0),
+    "gamma5": lambda: g.gamma_family(5.0),
+    "random_smooth_7": lambda: g.sample_random(g.CoefficientFamily("random_smooth"), 7),
+    "random_smooth_8": lambda: g.sample_random(g.CoefficientFamily("random_smooth"), 8),
+    # u(0) = q v(0) and sigma * u carry negative zeros
+    "negative_q_signed_sigma": lambda: make_coeffs(q=-0.7, sigma=lambda x: -0.0),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 100])
+@pytest.mark.parametrize("plant", STENCIL_PLANTS)
+def test_step_matrix_is_the_identity_pushed_through_the_stencil_bitwise(monkeypatch, plant, n):
+    # every run's S and closure row a, signed zeros included, against the
+    # step applied to the identity with the feedback and the target source
+    # as the callbacks that the simulators once passed
+    coeffs = STENCIL_PLANTS[plant]()
+    grid = g.IntervalGrid(n)
+    kernels = g.solve_kernels(coeffs, g.TriangularGrid(n))
+    gains = g.gain_slice(kernels)
+    # zero gains: 0 * g1 holds negative zeros wherever g1 < 0
+    zero = GainVector(grid, 0.0 * gains.g1, 0.0 * gains.g2)
+    w = trapezoid_weights(n + 1, grid.h)
+
+    def actuate(gv):
+        g1, g2 = gv.g1, gv.g2
+        closure = 1.0 - w[-1] * g2[-1]
+        return lambda u, v: ((g1 * u) @ w + (g2[:-1] * v[..., :-1]) @ w[:-1]) / closure
+
+    cf = resample(coeffs, n)
+    wtri = row_weights(n, grid.h)
+    c_wt, kap_wt = ((f * wtri).T for f in target_couplings(cf["omega"], kernels))
+
+    def source(u, beta):
+        return (u @ c_wt + beta @ kap_wt)[..., 1:]
+
+    T = 0.37
+    init = g.reference_initial_state(grid)
+    step_of_next_run(monkeypatch)
+    runs = {
+        "open": (g.simulate(coeffs, init, g.ControllerSpec.open_loop(), T), pushed_step_matrix(coeffs, grid, T, cf)),
+        "feedback": (
+            g.simulate(coeffs, init, g.ControllerSpec.feedback(gains), T),
+            pushed_step_matrix(coeffs, grid, T, cf, actuate(gains)),
+        ),
+        "zero_gains": (
+            g.simulate(coeffs, init, g.ControllerSpec.feedback(zero), T),
+            pushed_step_matrix(coeffs, grid, T, cf, actuate(zero)),
+        ),
+        "target": (
+            g.simulate_target(coeffs, kernels, init, T),
+            pushed_step_matrix(coeffs, grid, T, {**cf, "theta": np.zeros(n + 1)}, source=source),
+        ),
+    }
+    for name, ((S, a, dt, n_steps), (S_ref, a_ref, dt_ref, n_ref)) in runs.items():
+        assert S.tobytes() == S_ref.tobytes(), name
+        assert (a is None and a_ref is None) or a.tobytes() == a_ref.tobytes(), name
+        assert (dt, n_steps) == (dt_ref, n_ref), name
+    assert runs["zero_gains"][0][1].tobytes() == np.zeros(2 * n).tobytes()
 
 
 @pytest.mark.parametrize(
