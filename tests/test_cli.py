@@ -63,6 +63,12 @@ class TestSolve:
         assert list(report) == ["sup_bc_diag", "sup_bc_bottom", "sup_pde1", "sup_pde2", "epsilon_estimate"]
         assert report["sup_pde1"] > 0
 
+    def test_too_coarse_grid_rejected_before_writing(self, tmp_path, capsys):
+        # the solver takes n = 2, the residual report does not: no kernels.csv is left behind
+        assert main(["solve", "--gamma", "1", "--n", "2", "--out", str(tmp_path / "kernels.csv")]) == 1
+        assert "n >= 3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_nonpositive_gamma(self, workdir):
         assert main(["solve", "--gamma", "0", "--out", str(workdir / "x.csv")]) == 1
 
@@ -82,6 +88,14 @@ class TestDatasetTrainEval:
             "m_coeff": 41, "n_grid": 16, "seed": 3,
         }
         assert sidecar.read_text().startswith('{\n  "n_samples": 12,\n')
+
+    def test_refused_dataset_leaves_no_files(self, tmp_path, capsys, monkeypatch):
+        # a dataset that data_store.write refuses: no dataset file and no manifest
+        refuse_written_dataset(monkeypatch)
+        rc = main(["dataset", "--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--out", str(tmp_path / "ds.bin")])
+        assert rc == 1
+        assert "record 1 holds non-finite values" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_twice_same_seed_identical_files(self, workdir, dataset_path):
         a = workdir / "m1.bin"
@@ -158,6 +172,17 @@ class TestSimulate:
         assert list(report) == ["c1_hat", "fit_quality", "c2_hat"]
         assert report["c1_hat"] > 0
 
+    @pytest.mark.parametrize("horizon", ["1", "2"])
+    def test_fit_start_not_before_horizon_rejected(self, tmp_path, capsys, horizon):
+        # the default --fit-start 2 past or at --T: no trace file is left behind
+        out = tmp_path / "trace.csv"
+        rc = main(["simulate", "--gamma", "1.0", "--controller", "exact", "--T", horizon,
+                   "--n", "20", "--out", str(out)])
+        assert rc == 1
+        found = {"1": 0, "2": 1}[horizon]
+        assert f"need at least 10 positive samples at t >= t_start = 2, found {found}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_neural_controller_runs(self, workdir, model_path):
         out = workdir / "neural.csv"
         rc = main(["simulate", "--gamma", "1.0", "--controller", "neural",
@@ -229,14 +254,10 @@ REFUSALS = {
         ["simulate", "--gamma", "1", "--controller", "exact", "--n", "20", "--T", "150", "--fit-start", "100", "--out", "{out}/u.csv"],
         "need at least 10 positive samples at t >= t_start = 100, found 0",
     ),
-    # the default --fit-start 2 past or at --T: no trace file is left behind
-    **{
-        f"simulate-fit-start-{where}-horizon": (
-            ["simulate", "--gamma", "1", "--controller", "exact", "--n", "20", "--T", horizon, "--out", "{out}/u.csv"],
-            f"need at least 10 positive samples at t >= t_start = 2, found {found}",
-        )
-        for where, horizon, found in (("past", "1", 0), ("at", "2", 1))
-    },
+    "simulate-fit-start-past-horizon": (
+        ["simulate", "--gamma", "1", "--n", "20", "--T", "1", "--out", "{out}/u.csv"],
+        "at t >= t_start = 2, found 0",
+    ),
     # the sample count of an open-loop run to the same T (test_too_few_samples_match_an_open_loop_run)
     "simulate-too-few-samples": (
         ["simulate", "--gamma", "1", "--T", "2.01", "--out", "{out}/u.csv"],
@@ -250,11 +271,9 @@ REFUSALS = {
         ["bench", "--model", "{model}", "--repeats", "0", "--out", "{out}/b.json"],
         "repeats must be at least 1",
     ),
-    # the solver takes n = 2, the residual report does not: no kernels.csv is left behind
     "solve-too-coarse": (["solve", "--gamma", "1", "--n", "2", "--out", "{out}/k.csv"], "n >= 3"),
     # exp(Gamma x) overflows: one line, no numpy warning before it
     "solve-gamma-overflows": (["solve", "--gamma", "800", "--n", "10", "--out", "{out}/k.csv"], "gamma = 800 is too large"),
-    # a dataset that data_store.write refuses: no dataset file and no manifest
     "dataset-not-written": (
         ["dataset", "--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--out", "{out}/ds.bin"],
         "record 1 holds non-finite values",
