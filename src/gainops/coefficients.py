@@ -74,10 +74,10 @@ class CoefficientFamily:
         if self.kind not in ("gamma", "random_smooth"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         lo, hi = self.gamma_range
-        if not (0 < lo <= hi):
-            raise ValueError("gamma_range must be a subset of (0, inf)")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not (0 < lo <= hi < np.inf):
+            raise ValueError(f"gamma_range must satisfy 0 < lo <= hi < inf, got {self.gamma_range}")
+        if not (0 <= self.amplitude < np.inf):
+            raise ValueError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
 
 
 def _gamma_shape(gamma: float, grid: IntervalGrid):
@@ -110,8 +110,8 @@ def gamma_family(gamma: float, m: int = 101) -> CoefficientSet:
     lam = Gamma*x + 1, mu = exp(Gamma*x) + 1, sigma = theta = Gamma*(x + 1),
     omega = 5*(cosh(x) + 1), q = Gamma/2.  Derivatives are filled analytically.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (0 < gamma < np.inf):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if m < 3:
         raise ValueError(f"need at least 3 coefficient nodes, got m = {m}")
     grid = IntervalGrid(m - 1)

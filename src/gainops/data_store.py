@@ -28,8 +28,6 @@ from .numerics import IntervalGrid, TriangularGrid, read_exact
 
 MAGIC = b"HKDS"
 VERSION = 2
-# plants solved per batched march; bounds the march's working memory
-BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,26 +69,20 @@ def generate(
 ) -> Dataset:
     """Draw coefficients and solve their kernels, one derived seed per sample.
 
-    Sample i uses splitmix64(splitmix64(seed) XOR i).  Kernels are solved in
-    batches of BLOCK plants, and a plant's kernels do not depend on its
-    batch, so the content is a function of (family, shapes, seed) alone.
-    Solver failures abort with the failing index.
+    Sample i uses splitmix64(splitmix64(seed) XOR i).  All kernels come
+    from one :func:`solve_kernels_batch` call, which marches them in batches
+    of its own; a plant's kernels do not depend on its batch, so the content
+    is a function of (family, shapes, seed) alone.  Solver failures abort
+    with the failing index.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    grid = TriangularGrid(n_grid)
-    samples = []
-    for start in range(0, n_samples, BLOCK):
-        block = [
-            sample_random(family, sample_seed(seed, i), m_coeff)
-            for i in range(start, min(start + BLOCK, n_samples))
-        ]
-        try:
-            kernels = solve_kernels_batch(block, grid)
-        except PlantError as exc:
-            raise RuntimeError(f"sample {start + exc.index} failed: {exc}") from exc
-        for c, k in zip(block, kernels):
-            samples.append(SampleRecord(**vars(c), k1=k.k1.values, k2=k.k2.values))
+    plants = [sample_random(family, sample_seed(seed, i), m_coeff) for i in range(n_samples)]
+    try:
+        kernels = solve_kernels_batch(plants, TriangularGrid(n_grid))
+    except PlantError as exc:
+        raise RuntimeError(f"sample {exc.index} failed: {exc}") from exc
+    samples = [SampleRecord(**vars(c), k1=k.k1.values, k2=k.k2.values) for c, k in zip(plants, kernels)]
     return Dataset(m_coeff=m_coeff, n_grid=n_grid, samples=samples)
 
 

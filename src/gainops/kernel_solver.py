@@ -109,7 +109,7 @@ class KernelSet:
 
 
 class PlantError(ValueError):
-    """A plant of a batch that cannot be solved; ``index`` is its place in the batch."""
+    """A plant that cannot be solved; ``index`` is its place in the plants of the solver call."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(f"plant {index}: {reason}")
@@ -119,10 +119,10 @@ class PlantError(ValueError):
 # Rows of the stacked coefficient table.  The diagonal crossing reads rows 0:5,
 # the k2 foot at the bottom edge rows 5:7.
 _TABLE = ("lam", "mu", "dlam", "sigma", "theta", "dmu", "omega")
-# Node-plant pairs of march geometry computed at a time; bounds memory only.  A
-# pair is a k1 node and the k2 node to its right: 8 gather indices and 8 folded
-# weights (128 bytes) outlive _geometry.  The diagonal crossings of a group of
-# runs are computed at once for at most as many candidate pairs.
+# The march's one memory budget, in node-plant pairs: a batch has as many plants
+# as its widest level (n pairs a plant) allows, and a run of levels at most as
+# many pairs, or one level.  A pair is a k1 node and the k2 node to its right:
+# 8 gather indices and 8 folded weights (128 bytes) outlive _geometry.
 GEOMETRY_NODES = 2048
 
 
@@ -185,38 +185,24 @@ def _lerp(table: np.ndarray, at: np.ndarray, frac: np.ndarray, stride: int) -> n
 
 
 @lru_cache(maxsize=64)
-def _schedule(n: int, plants: int, reach: int, budget: int) -> tuple[tuple[int, int, int], ...]:
-    """The runs [a, b) of levels 1..n, each of at most ``budget`` node-plant pairs or of one level.
-
-    With each run comes the end c of the levels a..c-1 whose diagonal
-    crossings :func:`_crossings` computes at once from it, as many as
-    ``budget`` candidate node-plant pairs allow (a level has ``reach``
-    candidates at most), and 0 for a run that such a group already covers.
-    """
-
-    def end(a, width):
-        b, size = a + 1, width(a)
-        while b <= n and (size + width(b)) * plants <= budget:
-            size += width(b)
-            b += 1
-        return b
-
-    runs, a, covered = [], 1, 1
+def _schedule(n: int, plants: int, budget: int) -> tuple[tuple[int, int], ...]:
+    """The runs [a, b) of levels 1..n, each of at most ``budget`` node-plant pairs or of one level."""
+    runs, a = [], 1
     while a <= n:
-        b = end(a, lambda i: i)
-        group = 0
-        if b > covered:
-            covered = group = end(a, lambda i: min(i, reach))
-        runs.append((a, b, group))
+        b, size = a + 1, a
+        while b <= n and (size + b) * plants <= budget:
+            size += b
+            b += 1
+        runs.append((a, b))
         a = b
     return tuple(runs)
 
 
-@lru_cache(maxsize=64)
-def _candidates(grid: TriangularGrid, a: int, b: int, reach: int):
-    """The last ``reach`` nodes j of each level i of a..b-1: i, j, their pair and x_j, x_i-1, x_i, read-only."""
+@lru_cache(maxsize=16)
+def _candidates(grid: TriangularGrid, reach: int):
+    """The last ``reach`` nodes j of each level i of 1..n: i, j, their pair and x_j, x_i-1, x_i, read-only."""
     x = grid.points
-    levels = np.arange(a, b)
+    levels = np.arange(1, grid.n + 1)
     count = np.minimum(levels, reach)
     i = np.repeat(levels, count)
     j = np.arange(i.size) - np.repeat(np.cumsum(count) - levels, count)
@@ -226,8 +212,8 @@ def _candidates(grid: TriangularGrid, a: int, b: int, reach: int):
     return arrays
 
 
-def _crossings(table: np.ndarray, speeds: np.ndarray, grid: TriangularGrid, a: int, b: int, reach: int, values: np.ndarray):
-    """The k1 nodes of levels a..b-1 whose characteristic crossed the diagonal.
+def _crossings(table: np.ndarray, speeds: np.ndarray, grid: TriangularGrid, reach: int, values: np.ndarray):
+    """The k1 nodes of every level whose characteristic crossed the diagonal, found in one pass.
 
     A foot beyond x_i-1 needs i - 1 - j < lam(xi_j)/mu(x_i), so only the
     last ``reach`` nodes of a level, one more than sup lam / inf mu for
@@ -240,14 +226,13 @@ def _crossings(table: np.ndarray, speeds: np.ndarray, grid: TriangularGrid, a: i
     """
     n, h = grid.n, grid.h
     plants = table.shape[2]
-    i, j, pair, x_j, x_prev, x_i = _candidates(grid, a, b, reach)
+    i, j, pair, x_j, x_prev, x_i = _candidates(grid, reach)
     mu_i = table[1].take(i, axis=0)
     foot = speeds.take(j, axis=0)
     foot /= mu_i
     foot += x_j[:, None]
     crossed = foot > x_prev[:, None]
-    if a == 1:  # a level-1 characteristic starts on node (0, 0), also where its foot underflows to 0
-        crossed[0] = True
+    crossed[0] = True  # a level-1 characteristic starts on node (0, 0), also where its foot underflows to 0
     kk, pp = np.nonzero(crossed)
     i, j, pair, xc_i, mu_c = i[kk], j[kk], pair[kk], x_i[kk], mu_i[kk, pp]
     slope = table[0][j, pp] / mu_c
@@ -270,11 +255,11 @@ def _geometry(table, speeds, sources, grid, a, b, ratio, crossings):
     """Everything levels a..b-1 of the march compute without the previous level.
 
     ``table`` is the node-major (7, n+1, B) coefficient table, ``speeds`` and
-    ``sources`` its rows per kernel (see :func:`solve_kernels_batch`) and
-    ``crossings`` what :func:`_crossings` returned for a group of runs that
-    holds this one.  The node-only arrays are the run's slice of the grid's
-    cached :class:`_Plan`; what is computed here is their products with the
-    batch size and what depends on the coefficients.  Element (p, k, b) is the
+    ``sources`` its rows per kernel (see :func:`_solve_batch`) and
+    ``crossings`` what :func:`_crossings` returned for the batch.  The
+    node-only arrays are the run's slice of the grid's cached
+    :class:`_Plan`; what is computed here is their products with the batch
+    size and what depends on the coefficients.  Element (p, k, b) is the
     plan's entry (p, k) for plant b, and the elements of a level are, in
     order, the march's output cells of that level.
 
@@ -411,6 +396,20 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     values at the foot, which makes the scheme first-order and keeps all
     updates functions of the previous level only.
 
+    Any number of plants is taken.  They march in consecutive batches of
+    max(1, GEOMETRY_NODES // n) plants, so that the widest level of a batch
+    fits the one memory budget, and a plant's kernels do not depend on its
+    batch.  A plant with lam + mu <= 0 somewhere or non-finite kernels
+    raises :class:`PlantError` naming its index in ``coeffs``; an overflow
+    inside the march is left to that check.
+    """
+    size = max(1, GEOMETRY_NODES // grid.n)
+    return [ks for start in range(0, len(coeffs), size) for ks in _solve_batch(coeffs[start : start + size], grid, start)]
+
+
+def _solve_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid, first: int) -> list[KernelSet]:
+    """One batch of :func:`solve_kernels_batch`, its plants numbered from ``first`` in errors.
+
     All plants march together, one level at a time, in place in one buffer:
     ``values[q + 1, 0]`` is k1 and ``values[q, 1]`` is k2 at flat node q,
     plants last, so that the k1 node j and the k2 node j + 1 of level i
@@ -420,24 +419,20 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     Planned once per grid and cached: the node-only :class:`_Plan` of
     every level, which each run of levels reads a slice of, and, per batch
     size, the runs themselves (at most GEOMETRY_NODES node-plant pairs, or
-    one level that alone has more).  Once per solve: the tables of speeds
+    one level that alone has more).  Once per batch: the tables of speeds
     and sources per kernel, how many nodes next to the diagonal have k1
-    characteristics that can cross it, and, in :func:`_crossings`, the
-    diagonal crossings of as many runs as GEOMETRY_NODES candidate pairs
-    allow, all of them on small batches.  Once per run, :func:`_geometry`
-    computes what depends only on the coefficients, with the update
-    V + T*(P*V + Q*Z) folded into the weights of the lerp cells of V and
-    Z.  So :func:`_march`
-    updates every node of a level with one gather of those cells from the
-    previous level, one product with their weights and one sum into the
-    level's block; then k2 at node 0.  The k2 nodes whose characteristics
-    cross the bottom edge need this level's k1 at node 0, so they are
-    recomputed after it, only at levels that have them.  Every operation is
-    elementwise, and the sum of a node's four terms runs in one fixed order,
-    so each plant's kernels are bit-identical however the batch is
-    composed.  A plant with lam + mu <= 0 somewhere or non-finite kernels
-    raises :class:`PlantError` naming its index; an overflow inside the
-    march is left to that check.
+    characteristics that can cross it, and, in one pass of
+    :func:`_crossings`, the diagonal crossings of every level.  Once per
+    run, :func:`_geometry` computes what depends only on the coefficients,
+    with the update V + T*(P*V + Q*Z) folded into the weights of the lerp
+    cells of V and Z.  So :func:`_march` updates every node of a level
+    with one gather of those cells from the previous level, one product
+    with their weights and one sum into the level's block; then k2 at node
+    0.  The k2 nodes whose characteristics cross the bottom edge need this
+    level's k1 at node 0, so they are recomputed after it, only at levels
+    that have them.  Every operation is elementwise, and the sum of a
+    node's four terms runs in one fixed order, so each plant's kernels are
+    bit-identical however the batch is composed.
     """
     n, h = grid.n, grid.h
     plants = len(coeffs)
@@ -445,7 +440,7 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
     lam, mu, tht = table[0], table[1], table[4]
     bad = np.flatnonzero(np.any(lam + mu <= 0, axis=0))
     if bad.size:
-        raise PlantError(int(bad[0]), "lam + mu must be positive on the whole grid")
+        raise PlantError(first + int(bad[0]), "lam + mu must be positive on the whole grid")
 
     values = np.empty((grid.node_count + 1, 2, plants))  # values[0, 0] and values[-1, 1] are no node's
     with np.errstate(over="ignore", invalid="ignore"):
@@ -458,15 +453,14 @@ def solve_kernels_batch(coeffs: Sequence[CoefficientSet], grid: TriangularGrid) 
         # a k1 characteristic crosses the diagonal only within sup lam / inf mu nodes of it
         lam_max, mu_min = lam.max(), mu.min()
         reach = int(np.ceil(lam_max / mu_min)) + 1 if 0 < lam_max < n * mu_min else n
-        for a, b, group in _schedule(n, plants, reach, GEOMETRY_NODES):
-            if group:
-                crossings = _crossings(table, speeds, grid, a, group, reach, values)
+        crossings = _crossings(table, speeds, grid, reach, values)
+        for a, b in _schedule(n, plants, GEOMETRY_NODES):
             _march(values, ratio, a, b, *_geometry(table, speeds, sources, grid, a, b, ratio, crossings))
 
     values = np.stack([values[1:, 0].T, values[:-1, 1].T])
     if not np.isfinite(values).all():
         bad = np.flatnonzero(~np.all(np.isfinite(values), axis=(0, 2)))
-        raise PlantError(int(bad[0]), "kernel marching produced non-finite values")
+        raise PlantError(first + int(bad[0]), "kernel marching produced non-finite values")
     return [KernelSet(k1=KernelField(grid, v1), k2=KernelField(grid, v2)) for v1, v2 in zip(*values)]
 
 

@@ -274,6 +274,16 @@ REFUSALS = {
     "solve-too-coarse": (["solve", "--gamma", "1", "--n", "2", "--out", "{out}/k.csv"], "n >= 3"),
     # exp(Gamma x) overflows: one line, no numpy warning before it
     "solve-gamma-overflows": (["solve", "--gamma", "800", "--n", "10", "--out", "{out}/k.csv"], "gamma = 800 is too large"),
+    "solve-gamma-nan": (["solve", "--gamma", "nan", "--n", "10", "--out", "{out}/k.csv"], "gamma must be finite and positive, got nan"),
+    # the manifest would hold a bare NaN, which is no JSON
+    "dataset-amplitude-nan": (
+        ["dataset", "--family", "gamma", "--n-samples", "2", "--amplitude", "nan", "--out", "{out}/ds.bin"],
+        "amplitude must be nonnegative and finite, got nan",
+    ),
+    "dataset-gamma-max-inf": (
+        ["dataset", "--n-samples", "2", "--gamma-max", "inf", "--out", "{out}/ds.bin"],
+        "gamma_range must satisfy 0 < lo <= hi < inf, got (0.5, inf)",
+    ),
     "dataset-not-written": (
         ["dataset", "--n-samples", "2", "--m-coeff", "11", "--n-grid", "8", "--out", "{out}/ds.bin"],
         "record 1 holds non-finite values",

@@ -37,10 +37,10 @@ class TestGammaFamily:
         assert np.allclose(c.theta, 2 * (x + 1))
 
     def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            gamma_family(0.0)
-        with pytest.raises(ValueError):
-            gamma_family(-1.0)
+        # also non-finite ones, which the overflow check would refuse for the wrong reason
+        for gamma in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"gamma must be finite and positive, got {gamma}"):
+                gamma_family(gamma)
 
     @pytest.mark.parametrize(
         "draw",
@@ -110,13 +110,33 @@ class TestSampling:
             CoefficientFamily("bogus")
 
     def test_bad_gamma_range_rejected(self):
-        with pytest.raises(ValueError):
-            CoefficientFamily("gamma", (-1.0, 2.0))
+        for gamma_range in ((-1.0, 2.0), (0.0, 2.0), (1.0, np.inf), (np.nan, 2.0), (1.0, np.nan), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="gamma_range must satisfy 0 < lo <= hi < inf"):
+                CoefficientFamily("gamma", gamma_range)
+
+    def test_one_point_gamma_range_draws_that_gamma(self):
+        fam = CoefficientFamily("gamma", (2.0, 2.0))
+        assert sample_random(fam, 5).q == 1.0
+
+    def test_defaults(self):
+        fam = CoefficientFamily("random_smooth")
+        assert (fam.gamma_range, fam.amplitude) == ((0.5, 5.0), 0.5)
+
+    def test_splitmix64_published_vector(self):
+        # the reference generator's outputs from state 1234567, each next state 0x9E3779B97F4A7C15 on
+        expected = [6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821]
+        states = [(1234567 + k * 0x9E3779B97F4A7C15) & MASK64 for k in range(5)]
+        assert [splitmix64(z) for z in states] == expected
 
     def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError, match="amplitude must be nonnegative"):
-            CoefficientFamily("random_smooth", amplitude=-1e-9)
+        for amplitude in (-1e-9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="amplitude must be nonnegative and finite"):
+                CoefficientFamily("random_smooth", amplitude=amplitude)
         assert CoefficientFamily("random_smooth", amplitude=0.0).amplitude == 0.0
+
+    @pytest.mark.parametrize("kind", ["gamma", "random_smooth"])
+    def test_three_nodes_accepted(self, kind):
+        assert sample_random(CoefficientFamily(kind), 0, 3).grid.n == 2
 
     @pytest.mark.parametrize("m", [2, 0, -1])
     def test_fewer_than_three_nodes_rejected(self, m):

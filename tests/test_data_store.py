@@ -14,7 +14,7 @@ from gainops.data_store import (
     sample_seed,
     write,
 )
-from gainops.kernel_solver import PlantError, solve_kernels, solve_kernels_batch
+from gainops.kernel_solver import GEOMETRY_NODES, PlantError, solve_kernels, solve_kernels_batch
 from gainops.numerics import TriangularGrid
 
 from conftest import expected_file_size, validate_boundary_identities
@@ -29,6 +29,12 @@ def small_dataset():
 class TestGenerate:
     def test_sample_count(self, small_dataset):
         assert len(small_dataset.samples) == 10
+
+    def test_defaults(self):
+        fam = CoefficientFamily("gamma")
+        ds = generate(fam, 1)
+        assert (ds.m_coeff, ds.n_grid) == (101, 50)
+        assert ds.samples[0].q == sample_random(fam, sample_seed(0, 0), 101).q
 
     def test_deterministic(self, small_dataset):
         fam = CoefficientFamily("random_smooth", (0.5, 5.0), 0.5)
@@ -65,24 +71,27 @@ class TestGenerate:
                 assert not draws[a] & draws[b], (a, b)
 
     def test_batch_failure_names_the_plant(self):
-        # no np.errstate: an overflow inside the march must surface as the PlantError
+        # no np.errstate: an overflow inside the march must surface as the PlantError,
+        # named by its index in the call also beyond the solver's first batch
         ok = gamma_family(1.0)
-        for theta in (1e155, 1e200, 1e300):
+        for theta, index in ((1e155, 2), (1e200, 2), (1e300, 2), (1e300, GEOMETRY_NODES // 12 + 3)):
             overflow = replace(ok, theta=np.full(ok.lam.size, theta))
-            with pytest.raises(PlantError, match="plant 2: kernel marching produced non-finite") as info:
-                solve_kernels_batch([ok, ok, overflow, ok], TriangularGrid(12))
-            assert info.value.index == 2
+            with pytest.raises(PlantError, match=f"plant {index}: kernel marching produced non-finite") as info:
+                solve_kernels_batch([ok] * index + [overflow, ok], TriangularGrid(12))
+            assert info.value.index == index
 
     def test_generate_names_an_overflowing_sample(self, monkeypatch):
         from gainops import data_store
 
-        def draw(family, seed, m):
-            c = sample_random(family, seed, m)
-            return replace(c, theta=np.full(c.theta.size, 1e300)) if seed == sample_seed(7, 2) else c
+        for index in (2, GEOMETRY_NODES // 12 + 3):  # the second one beyond the solver's first batch
 
-        monkeypatch.setattr(data_store, "sample_random", draw)
-        with pytest.raises(RuntimeError, match="sample 2 failed: plant 2: kernel marching produced non-finite"):
-            generate(CoefficientFamily("gamma"), 4, m_coeff=21, n_grid=12, seed=7)
+            def draw(family, seed, m):
+                c = sample_random(family, seed, m)
+                return replace(c, theta=np.full(c.theta.size, 1e300)) if seed == sample_seed(7, index) else c
+
+            monkeypatch.setattr(data_store, "sample_random", draw)
+            with pytest.raises(RuntimeError, match=f"sample {index} failed: plant {index}: kernel marching produced non-finite"):
+                generate(CoefficientFamily("gamma"), index + 2, m_coeff=21, n_grid=12, seed=7)
 
     @pytest.mark.parametrize("kind", ["gamma", "random_smooth"])
     def test_records_are_the_draws_on_m_coeff_nodes(self, kind):

@@ -23,8 +23,9 @@ from gainops.numerics import TriangularGrid, flatten_lower, trapezoid_weights, u
 from conftest import check_boundary_conditions, mixed_plants
 from picard_oracle import picard_kernels
 
-# traced peak of one solve_kernels_batch call at n = 50, by batch size (MB)
-MARCH_PEAK_MB = {10: 2.0, 256: 18.0}
+# traced peak of one solve_kernels_batch call at n = 50, by batch size (MB); 1024
+# plants may take 1.2 times the 8-byte k1 and k2 values that the call hands out
+MARCH_PEAK_MB = {10: 2.0, 256: 8.0, 1024: 1.2 * 1024 * 2 * 8 * TriangularGrid(50).node_count / 1e6}
 
 
 def zero_theta_coeffs():
@@ -205,7 +206,8 @@ class TestMarchGeometry:
     @pytest.mark.parametrize("budget", [kernel_solver.GEOMETRY_NODES, 64])
     @pytest.mark.parametrize("n", [2, 3, 50, 100, 137])
     def test_bitwise_equal_to_per_level_march(self, monkeypatch, n, budget):
-        # budget 64 puts every level of 7 or more plants above n = 9 in a run of its own
+        # budget 64 marches 64 // n plants at a time: the 38 plants in two batches at n = 2
+        # and 3, one plant a batch from n = 33 on, and from n = 64 on a level alone exceeds it
         monkeypatch.setattr(kernel_solver, "GEOMETRY_NODES", budget)
         plants, crossing = mixed_plants(36), crossing_plants()
         grid = TriangularGrid(n)
@@ -237,7 +239,7 @@ class TestMarchGeometry:
         info, plan = kernel_solver._plan.cache_info(), kernel_solver._plan(grid)
         assert info.misses == info.currsize == 1
         assert sum(array.nbytes for array in plan) == 112 * 50 * 51 // 2
-        assert not any(array.flags.writeable for array in plan + kernel_solver._candidates(grid, 1, 51, 3))
+        assert not any(array.flags.writeable for array in plan + kernel_solver._candidates(grid, 3))
         with pytest.raises(ValueError, match="read-only"):
             plan.level[0, 0] = 0
 
@@ -302,14 +304,19 @@ class TestMarchGeometry:
             assert np.abs(a.values - b.values).max() <= 1e-11
 
     def test_rejects_nonpositive_speed_sum_by_index(self):
-        # CoefficientSet itself rejects lam <= 0, so a plain namespace stands in
+        # CoefficientSet itself rejects lam <= 0, so a plain namespace stands in; the
+        # second index lies in the second batch, which numbers its plants from its start
         ok = g.gamma_family(1.0)
         fields = ("grid", "lam", "dlam", "mu", "dmu", "sigma", "omega", "theta", "q")
         bad = SimpleNamespace(**{f: getattr(ok, f) for f in fields})
         bad.lam = -2.0 * ok.mu
-        with pytest.raises(kernel_solver.PlantError, match="plant 1: lam \\+ mu must be positive") as info:
-            solve_kernels_batch([ok, bad, ok], TriangularGrid(10))
-        assert info.value.index == 1
+        for index in (1, kernel_solver.GEOMETRY_NODES // 10 + 3):
+            with pytest.raises(kernel_solver.PlantError, match=f"plant {index}: lam \\+ mu must be positive") as info:
+                solve_kernels_batch([ok] * index + [bad, ok], TriangularGrid(10))
+            assert info.value.index == index
+
+    def test_empty_batch(self):
+        assert solve_kernels_batch([], TriangularGrid(10)) == []
 
     @pytest.mark.parametrize("plants", sorted(MARCH_PEAK_MB))
     def test_peak_memory(self, plants):
