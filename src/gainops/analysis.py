@@ -242,27 +242,40 @@ def fit_decay(trace: SimTrace, t_start: float = 0.0) -> StabilityReport:
 
     Fits a line through (t, ln phi) over the positive-phi samples; c1_hat is
     minus the slope and c2_hat the largest ratio phi(t) e^(c1_hat t) / phi(0)
-    over the whole trace.
+    over the whole trace.  With Stt, Sty and Syy the centred sums of
+    products of t and y = ln phi over the fitted samples, the slope is
+    Sty / Stt and fit_quality = 1 - (Syy - slope Sty) / Syy.  A non-finite
+    phi is refused with a ValueError that names its first index.
     """
     t = trace.times
     p = trace.phi
+    if not np.isfinite(p).all():
+        i = int(np.argmin(np.isfinite(p)))
+        raise ValueError(f"phi must be finite to fit a decay rate; phi[{i}] = {p[i]}")
     sel = (t >= t_start) & (p > 0)
     n_fit = int(np.count_nonzero(sel))
     if n_fit < MIN_FIT_SAMPLES:
         raise ValueError(
             f"need at least {MIN_FIT_SAMPLES} positive samples at t >= t_start = {t_start:g}, found {n_fit}"
         )
-    ts, ys = t[sel], np.log(p[sel])
-    A = np.column_stack([ts, np.ones_like(ts)])
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    resid = ys - A @ coef
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    c1 = -float(coef[0])
+    ts, ys = t[sel], p[sel]
+    del sel
+    np.log(ys, out=ys)
+    ts -= ts.mean()
+    ys -= ys.mean()
+    stt, sty, syy = float(ts @ ts), float(ts @ ys), float(ys @ ys)
+    del ts, ys  # the overshoot below takes two arrays of its own
+    slope = sty / stt
+    r2 = 1.0 if syy == 0 else 1.0 - (syy - slope * sty) / syy
+    c1 = -slope
     pos = p > 0
     if p[0] > 0:
         # overshoot in log space; super-exponential decay can overflow exp
-        log_ratio = np.max(np.log(p[pos]) - np.log(p[0]) + c1 * t[pos])
+        log_ratio, tc = np.log(p[pos]), t[pos]
+        log_ratio -= np.log(p[0])
+        tc *= c1
+        log_ratio += tc
+        log_ratio = np.max(log_ratio)
         c2 = float(np.exp(log_ratio)) if log_ratio < 700 else float("inf")
     else:
         c2 = float("nan")

@@ -16,9 +16,12 @@ P = S^BLOCK and fills each block of BLOCK states with one matrix product
 from the block before it; a short run steps with S itself, one product per
 state.  States go into a buffer of at most CHUNK states; u(0), the actuated
 v(1), phi, the snapshots and the blow-up stop are computed from the states
-of a chunk at once, and the trajectory itself is never kept.  A chunk's
-snapshots, its steps on the stride and the run's last step, are built by one
-``_full`` call on those buffer rows and hold row views of its result.
+of a chunk at once, and the trajectory itself is never kept: the records
+go straight into one (4, n_steps + 1) table, reserved with ``np.empty``
+(pages are committed as the run writes them) before the first step.  A
+chunk's snapshots, its steps on the stride and the run's last step, are
+built by one ``_full`` call on those buffer rows and hold row views of its
+result.
 """
 
 from __future__ import annotations
@@ -205,11 +208,15 @@ def _trace(init: PlantState, q: float, S, a, dt: float, n_steps: int, snapshot_s
     that each block of b states is one product with P of the b states
     before it, the last block possibly short.  With b = 1, P is S and every
     state is one product.  States go into a buffer of at most CHUNK states
-    that carries the last b across chunks.  Once per chunk the run records
-    phi, u(0) = q v(0), v(0) and the control v(1) and takes the snapshots; it
-    stops with ``blew_up`` set at the first step whose phi exceeds 1e12 or
-    is non-finite.  Only those four records and the snapshots outlive a
-    chunk.
+    that carries the last b across chunks.  Once per chunk the run writes
+    phi, u(0) = q v(0), v(0) and the control v(1) into the chunk's columns
+    of the record table and takes the snapshots; it stops with ``blew_up``
+    set at the first step whose phi exceeds 1e12 or is non-finite.  Only the
+    records and the snapshots outlive a chunk.  The trace's records are the
+    rows of that table; a blown-up run's are rows of a copy of the columns
+    it wrote, so that the trace does not pin the rest.  A table that cannot
+    be reserved refuses the run, before its first step, with a ValueError
+    that names the step count and the bytes.
 
     Snapshots are taken at step 0, at every step that is a multiple of
     ``snapshot_stride`` and at the last step (none if the stride is not
@@ -224,18 +231,23 @@ def _trace(init: PlantState, q: float, S, a, dt: float, n_steps: int, snapshot_s
     w = trapezoid_weights(n + 1, h)
     wy = np.concatenate((w[1:], w[:-1]))
 
-    def records(Y):
-        """phi, u(0), v(0) and v(1) of the states in the rows of Y."""
-        v0 = Y[:, n].copy()
+    def records(Y, out):
+        """Write phi, u(0), v(0) and v(1) of the states in the rows of Y into the columns of ``out``."""
+        v0 = Y[:, n]
         u0 = q * v0
         U = Y @ a if a is not None else np.zeros(len(Y))
-        return np.stack((np.einsum("ij,ij,j->i", Y, Y, wy) + w[0] * u0 * u0 + w[-1] * U * U, u0, v0, U))
+        out[0] = np.einsum("ij,ij,j->i", Y, Y, wy) + w[0] * u0 * u0 + w[-1] * U * U
+        out[1:] = u0, v0, U
 
     def snapshots_at(Y, U, steps):
         """Snapshots of the states in the rows of Y at the given steps, from one ``_full`` call."""
         us, vs = _full(Y, q, U)
         return [PlantState(grid, u, v, init.t + m * dt) for u, v, m in zip(us, vs, steps.tolist())]
 
+    try:
+        table = np.empty((4, n_steps + 1))
+    except (MemoryError, ValueError):  # ValueError: more elements than an array can index
+        raise ValueError(f"a run of {n_steps:.6g} steps needs {32 * (n_steps + 1):.3g} bytes for its records, more than can be reserved") from None
     # rows 0 .. block - 1 hold the last block states, up to state done in row
     # block - 1 (only state 0 before the first chunk); new state done + i
     # goes to row block - 1 + i
@@ -243,14 +255,14 @@ def _trace(init: PlantState, q: float, S, a, dt: float, n_steps: int, snapshot_s
     rows = min(CHUNK, n_steps)
     buf = np.empty((block + rows, 2 * n))
     buf[block - 1] = _free(init.u, init.v)
-    chunks = [records(buf[block - 1 : block])]
+    records(buf[block - 1 : block], table[:, :1])
     # a stride past the run snapshots what n_steps does: step 0 and the last
     stride = min(snapshot_stride, n_steps)
     shots = np.append(np.arange(0, n_steps, stride), n_steps) if stride > 0 else np.zeros(0, int)
-    snapshots = snapshots_at(buf[block - 1 : block], chunks[0][3, :1], shots[:1])
+    snapshots = snapshots_at(buf[block - 1 : block], table[3, :1], shots[:1])
     done = 0
     blew_up = False
-    # past a blow-up the rest of its chunk may overflow; it is not recorded.
+    # past a blow-up the rest of its chunk may overflow; its columns are cut.
     # P overflows only if states can grow by 1e308 in BLOCK steps: such a run
     # blows up in its first BLOCK - 1 states or at its first non-finite block.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,20 +274,21 @@ def _trace(init: PlantState, q: float, S, a, dt: float, n_steps: int, snapshot_s
             for i in range(0, m, lag):
                 j, b = block + i, min(lag, m - i)
                 np.dot(buf[j - lag : j - lag + b], M, out=buf[j : j + b])
-            rec = records(buf[block : block + m])
+            rec = table[:, done + 1 : done + 1 + m]
+            records(buf[block : block + m], rec)
             bad = np.flatnonzero(~np.isfinite(rec[0]) | (rec[0] > BLOWUP_THRESHOLD))
             if bad.size:
                 blew_up = True
                 m = int(bad[0]) + 1
-                rec = rec[:, :m]
-            chunks.append(rec)
             # the chunk's snapshot steps done + i, 0 < i <= m, are rows block - 1 + i
             i = shots[np.searchsorted(shots, done, "right") : np.searchsorted(shots, done + m, "right")] - done
             snapshots += snapshots_at(buf[block - 1 + i], rec[3, i - 1], done + i)
             done += m
             buf[:block] = buf[m : m + block]
 
-    phi, u0, v0, control = np.concatenate(chunks, axis=1)
+    if blew_up:
+        table = table[:, : done + 1].copy()
+    phi, u0, v0, control = table
     times = np.arange(done + 1.0)  # init.t + m * dt, without temporaries
     times *= dt
     times += init.t

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -481,6 +482,33 @@ def synthetic_trace(times, phis):
     return SimTrace(times=times, phi=phis, u_boundary=z, v_boundary=z, control=z, dt=times[1] - times[0])
 
 
+def lstsq_fit(trace, t_start):
+    """(c1_hat, fit_quality, c2_hat) from np.linalg.lstsq on the design matrix [t, 1]: fit_decay's reference."""
+    t, p = trace.times, trace.phi
+    sel = (t >= t_start) & (p > 0)
+    ts, ys = t[sel], np.log(p[sel])
+    A = np.column_stack([ts, np.ones_like(ts)])
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    ss_res = float(np.sum((ys - A @ coef) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    c1 = -float(coef[0])
+    pos = p > 0
+    c2 = float(np.exp(np.max(np.log(p[pos]) - np.log(p[0]) + c1 * t[pos])))
+    return c1, 1.0 - ss_res / ss_tot, c2
+
+
+def assert_fit_matches_lstsq(trace, t_start):
+    # the sums and lstsq round differently: c1_hat and fit_quality agree to
+    # rel 1e-12; c2_hat's exponent holds c1_hat t, so its error grows with
+    # c1_hat t_end and it agrees to rel 1e-10
+    rep = fit_decay(trace, t_start)
+    c1, r2, c2 = lstsq_fit(trace, t_start)
+    assert rep.c1_hat == pytest.approx(c1, rel=1e-12)
+    assert rep.fit_quality == pytest.approx(r2, rel=1e-12)
+    assert rep.c2_hat == pytest.approx(c2, rel=1e-10)
+    return rep
+
+
 class TestFitDecay:
     def test_exact_exponential(self):
         t = np.linspace(0, 5, 200)
@@ -546,3 +574,55 @@ class TestFitDecay:
         rep = fit_decay(synthetic_trace(t, p))
         assert rep.c1_hat == pytest.approx(1.0, abs=1e-9)
         assert np.isnan(rep.c2_hat)
+
+    @pytest.mark.parametrize("log_ratio, c2", [(699.0, np.exp(699.0)), (700.0, np.inf)])
+    def test_overshoot_is_inf_from_a_log_ratio_of_700_on(self, log_ratio, c2):
+        # phi = 1 from t_start on fits c1_hat = -0.0 exactly, so the largest log-ratio is that of the earlier sample
+        t = np.linspace(0, 5, 50)
+        p = np.ones_like(t)
+        p[3] = np.exp(log_ratio)
+        assert np.log(p[3]) == log_ratio
+        rep = fit_decay(synthetic_trace(t, p), t_start=t[4])
+        assert rep.c1_hat == 0.0 and rep.c2_hat == c2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_lstsq_on_noisy_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0, rng.uniform(2, 20), int(rng.integers(50, 20000)))
+        noise = rng.normal(0, rng.uniform(1e-6, 0.5), t.size)
+        p = rng.uniform(0.1, 100) * np.exp(-rng.uniform(0.5, 20) * t + noise)
+        assert_fit_matches_lstsq(synthetic_trace(t, p), t_start=rng.uniform(0, t[-1] / 2))
+
+    def test_matches_lstsq_on_gamma5_runs(self, gamma5):
+        grid = g.IntervalGrid(100)
+        init = g.reference_initial_state(grid)
+        gains = g.gain_slice(solve_kernels(gamma5, TriangularGrid(100)))
+        closed = g.simulate(gamma5, init, g.ControllerSpec.feedback(gains), 10.0)
+        assert assert_fit_matches_lstsq(closed, t_start=2.0).c1_hat > 0
+        # a blow-up that stops on a finite phi above 1e12 is fitted as any trace
+        blown = g.simulate(gamma5, init, g.ControllerSpec.open_loop(), 3.0)
+        assert blown.blew_up and 1e12 < blown.phi[-1] < np.inf
+        assert assert_fit_matches_lstsq(blown, t_start=0.0).c1_hat == pytest.approx(-19.534014, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_phi_is_refused(self, bad):
+        # before any arithmetic on it, so without numpy's RuntimeWarning (an error under pytest)
+        t = np.linspace(0, 5, 100)
+        p = np.exp(-t)
+        p[60] = bad
+        p[-1] = np.inf
+        with pytest.raises(ValueError, match=rf"phi must be finite to fit a decay rate; phi\[60\] = {bad}"):
+            fit_decay(synthetic_trace(t, p))
+
+    def test_memory_is_a_few_copies_of_the_fitted_samples(self):
+        # 150 001 samples fitted from t = 2 of 10, as the closed loops are: the
+        # line holds the fitted times and ln phi, the overshoot two arrays over
+        # the positive samples; c = 3 bounds the peak at c * 8 bytes per fitted sample
+        t = np.linspace(0, 10, 150001)
+        trace = synthetic_trace(t, np.exp(-3 * t + 0.1 * np.sin(7 * t)))
+        n_fit = np.count_nonzero(t >= 2.0)
+        tracemalloc.start()
+        fit_decay(trace, t_start=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 3 * 8 * n_fit

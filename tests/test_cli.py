@@ -263,6 +263,11 @@ REFUSALS = {
         ["simulate", "--gamma", "1", "--T", "2.01", "--out", "{out}/u.csv"],
         "at t >= t_start = 2, found 5",
     ),
+    # Gamma 5 at n = 100: 1.66e13 steps, refused before the first
+    "simulate-records-cannot-be-reserved": (
+        ["simulate", "--controller", "open", "--gamma", "5", "--T", "1e9", "--out", "{out}/u.csv"],
+        "a run of 1.66015e+13 steps needs 5.31e+14 bytes for its records",
+    ),
     "simulate-neural-without-model": (
         ["simulate", "--gamma", "1", "--controller", "neural", "--out", "{out}/u.csv"],
         "neural mode needs --model",

@@ -120,6 +120,28 @@ class TestSimulate:
         # the stop is the first crossing
         assert np.all(tr.phi[:-1] <= 1e12)
 
+    @pytest.mark.parametrize("T", [0.3, 3.0])
+    def test_records_are_the_rows_of_one_table_of_the_steps_run(self, gamma5, T):
+        # a finished run's table is the reserved one; a blown-up run's a copy of the columns it wrote
+        grid = g.IntervalGrid(100)
+        tr = g.simulate(gamma5, g.reference_initial_state(grid), g.ControllerSpec.open_loop(), T)
+        assert tr.blew_up == (T == 3.0)
+        table = tr.phi.base
+        assert table.base is None and table.shape == (4, len(tr.times))
+        for k, r in enumerate((tr.phi, tr.u_boundary, tr.v_boundary, tr.control)):
+            assert r.base is table and np.shares_memory(r, table[k])
+
+    @pytest.mark.parametrize("T", [1e12, 1e300])
+    def test_horizon_whose_records_cannot_be_reserved_is_refused(self, gamma5, T):
+        # Gamma 5, n = 100, T = 1e12: 1.66e16 steps, whose 5.3e17-byte table is
+        # past even a 57-bit address space; T = 1e300: more elements than an array can index
+        init = g.reference_initial_state(g.IntervalGrid(100))
+        kernels = g.solve_kernels(gamma5, g.TriangularGrid(100))
+        with pytest.raises(ValueError, match=r"steps needs .* bytes for its records, more than can be reserved"):
+            g.simulate(gamma5, init, g.ControllerSpec.open_loop(), T)
+        with pytest.raises(ValueError, match=r"steps needs .* bytes for its records, more than can be reserved"):
+            g.simulate_target(gamma5, kernels, init, T)
+
     def test_blowup_is_read_off_phi_not_u0(self):
         # q = 0 pins u(0) = q v(0) to 0, while sigma drives u, and phi, past 1e12
         c = make_coeffs(m=101, sigma=lambda x: 1e3, q=0.0)
@@ -176,8 +198,10 @@ class TestSimulate:
             tracemalloc.stop()
             assert len(tr.times) == steps + 1
             del tr
-        # five 8-byte records per step, each possibly held twice while joined
-        assert peaks[40000] - peaks[4000] <= 2 * 5 * 8 * 36000
+        # five 8-byte records per step, each held once: the four rows of the
+        # record table and the times; no slack (the 4000-step peak already
+        # holds every per-run constant)
+        assert peaks[40000] - peaks[4000] <= 5 * 8 * 36000
 
 
 def reference_trace(coeffs, init, gains, T, snapshot_stride):
