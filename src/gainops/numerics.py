@@ -42,8 +42,8 @@ class TriangularGrid(IntervalGrid):
         return (self.n + 1) * (self.n + 2) // 2
 
     def node_indices(self):
-        """Row and column indices of every node in canonical order (read-only)."""
-        return lower_indices(self.n + 1)
+        """Row and column indices of every node in canonical order."""
+        return np.nonzero(lower_mask(self.n + 1))
 
     def node_coordinates(self):
         """(x, xi) of every node in canonical order."""
@@ -52,20 +52,12 @@ class TriangularGrid(IntervalGrid):
 
 
 @functools.lru_cache(maxsize=32)
-def lower_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.tril_indices(size)``, built once per size and returned read-only."""
-    rows, cols = np.tril_indices(size)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-@functools.lru_cache(maxsize=32)
 def lower_mask(size: int) -> np.ndarray:
     """``np.tri(size, dtype=bool)``, the lower triangle and its diagonal, built once per size and read-only.
 
     A boolean mask selects in row-major order, which is the canonical order
-    of :func:`lower_indices`, and indexes about three times faster than that
-    index pair.
+    of ``np.tril_indices(size)``, and indexes about three times faster than
+    that index pair.
     """
     mask = np.tri(size, dtype=bool)
     mask.flags.writeable = False

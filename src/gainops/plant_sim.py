@@ -26,7 +26,6 @@ result.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,10 +96,13 @@ def cfl_dt(coeffs: CoefficientSet, grid: IntervalGrid) -> float:
 
 
 def step_count(coeffs: CoefficientSet, grid: IntervalGrid, T: float) -> int:
-    """Steps of a run to time T; its step T / step_count is at most cfl_dt."""
+    """Steps of a run to time T; its step T / step_count is at most cfl_dt, and a count that overflows is refused."""
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and positive, got T = {T}")
-    return max(1, int(np.ceil(T / cfl_dt(coeffs, grid))))
+    steps = np.ceil(T / cfl_dt(coeffs, grid))
+    if not np.isfinite(steps):
+        raise ValueError(f"T = {T} takes more steps than can be counted")
+    return max(1, int(steps))
 
 
 def reference_initial_state(grid: IntervalGrid) -> PlantState:
@@ -136,7 +138,6 @@ def _block_length(n_steps: int, n: int) -> int:
     return BLOCK if n_steps >= 8 * n else 1
 
 
-@functools.cache
 def _stencil(n: int):
     """The entries of S that a nonzero input can reach: (rows, nodes) of u(1 .. n), then of v(0 .. n-1).
 
@@ -334,6 +335,7 @@ def simulate(
         # quadrature(g1 u) + quadrature(g2 v) of each unit of y, u(0) = q v(0) with v(0)'s;
         # + 0.0 makes a zero entry +0.0, as those sums of products give it
         a = (np.concatenate(((g1 * w)[1:], [g1[0] * q * w[0] + g2[0] * w[0]], (g2 * w)[1:n])) + 0.0) / closure
+        del gains, g1, g2  # the run needs a only
 
     return _trace(init, q, *_step_matrix(coeffs, grid, T, resample(coeffs, n), a), snapshot_stride)
 

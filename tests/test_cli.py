@@ -268,6 +268,11 @@ REFUSALS = {
         ["simulate", "--controller", "open", "--gamma", "5", "--T", "1e9", "--out", "{out}/u.csv"],
         "a run of 1.66015e+13 steps needs 5.31e+14 bytes for its records",
     ),
+    # Gamma 5 at n = 100: T / dt overflows to inf
+    "simulate-step-count-overflows": (
+        ["simulate", "--controller", "open", "--gamma", "5", "--T", "1e308", "--out", "{out}/u.csv"],
+        "T = 1e+308 takes more steps than can be counted",
+    ),
     "simulate-neural-without-model": (
         ["simulate", "--gamma", "1", "--controller", "neural", "--out", "{out}/u.csv"],
         "neural mode needs --model",

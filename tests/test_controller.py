@@ -49,7 +49,8 @@ class TestControlValue:
         ref = w @ (g1f * np.ones(1001)) + w @ (g2f * np.sin(fine))
         assert u0 == pytest.approx(ref, abs=1e-3)
 
-    @pytest.mark.parametrize("n", [25, 37, 50, 400])
+    # n = 100 is the gains' own grid
+    @pytest.mark.parametrize("n", [25, 37, 50, 100, 400])
     def test_gain_resample_bitwise_equal_to_interp_linear(self, kernels_g1_n100, n):
         gains = g.gain_slice(kernels_g1_n100)
         grid = g.IntervalGrid(n)

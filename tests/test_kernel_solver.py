@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -327,6 +330,31 @@ class TestMarchGeometry:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= MARCH_PEAK_MB[plants] * 1e6
+
+    def test_warm_solves_fault_no_pages(self):
+        # _plan's arrays live outside the malloc heap; on heap arrays these solves
+        # read 430-470 (8 plants, n = 50) and 150-170 (one plant, n = 100) minor
+        # page faults a solve, here 0
+        script = """
+import resource
+import gainops as g
+from gainops.kernel_solver import solve_kernels_batch
+families = (g.CoefficientFamily("gamma"), g.CoefficientFamily("random_smooth"))
+cases = [([g.sample_random(families[k % 2], k) for k in range(plants)], g.TriangularGrid(n)) for plants, n in ((8, 50), (1, 100))]
+for _ in range(20):
+    for batch, grid in cases:
+        solve_kernels_batch(batch, grid)
+for batch, grid in cases:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(100):
+        solve_kernels_batch(batch, grid)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+"""
+        src = os.path.dirname(os.path.dirname(g.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120)
+        faults = [float(line) for line in out.stdout.split()]
+        assert len(faults) == 2 and max(faults) <= 1.0
 
 
 def symmetry_plants():

@@ -7,7 +7,6 @@ from gainops.numerics import (
     IntervalGrid,
     TriangularGrid,
     flatten_lower,
-    lower_indices,
     lower_mask,
     row_weights,
     trapezoid_integral,
@@ -125,15 +124,15 @@ class TestGridsAndFlattening:
             unflatten_lower(np.zeros(size), 10)
 
     @pytest.mark.parametrize("n", [2, 7, 100])
-    def test_lower_indices_built_once_and_read_only(self, n):
-        rows, cols = lower_indices(n + 1)
-        assert lower_indices(n + 1)[0] is rows and TriangularGrid(n).node_indices()[1] is cols
+    def test_node_indices_are_tril_indices(self, n):
+        rows, cols = TriangularGrid(n).node_indices()
         expected = np.tril_indices(n + 1)
         assert rows.tobytes() == expected[0].tobytes() and cols.tobytes() == expected[1].tobytes()
-        for a in (rows, cols):
-            with pytest.raises(ValueError):
-                a[0] = 1
-        flat = np.random.default_rng(n).normal(size=rows.size)
+        # they select in the order of lower_mask, which flattens
+        rng = np.random.default_rng(n)
+        dense = rng.normal(size=(n + 1, n + 1))
+        assert dense[rows, cols].tobytes() == flatten_lower(dense).tobytes()
+        flat = rng.normal(size=rows.size)
         assert flatten_lower(unflatten_lower(flat, n)).tobytes() == flat.tobytes()
 
     @pytest.mark.parametrize("n", [2, 7, 100])
@@ -143,11 +142,12 @@ class TestGridsAndFlattening:
         assert mask.dtype == bool and mask.tobytes() == np.tri(n + 1, dtype=bool).tobytes()
         with pytest.raises(ValueError):
             mask[0, 1] = True
-        # the mask selects in the canonical order of lower_indices
+        # the mask selects in the canonical order of np.tril_indices
         dense = np.random.default_rng(n).normal(size=(n + 1, n + 1))
-        assert flatten_lower(dense).tobytes() == dense[lower_indices(n + 1)].tobytes()
+        lower = np.tril_indices(n + 1)
+        assert flatten_lower(dense).tobytes() == dense[lower].tobytes()
         expected = np.zeros_like(dense)
-        expected[lower_indices(n + 1)] = dense[lower_indices(n + 1)]
+        expected[lower] = dense[lower]
         assert unflatten_lower(flatten_lower(dense), n).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [2, 7, 100])

@@ -142,6 +142,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"steps needs .* bytes for its records, more than can be reserved"):
             g.simulate_target(gamma5, kernels, init, T)
 
+    def test_horizon_whose_step_count_overflows_is_refused(self, gamma5):
+        # Gamma 5, n = 100: T / dt overflows to inf at T = 1e308, where 1e300 is
+        # refused by its record table above
+        init = g.reference_initial_state(g.IntervalGrid(100))
+        kernels = g.solve_kernels(gamma5, g.TriangularGrid(100))
+        with pytest.raises(ValueError, match=r"^T = 1e\+308 takes more steps than can be counted$"):
+            g.simulate(gamma5, init, g.ControllerSpec.open_loop(), 1e308)
+        with pytest.raises(ValueError, match=r"^T = 1e\+308 takes more steps than can be counted$"):
+            g.simulate_target(gamma5, kernels, init, 1e308)
+
     def test_blowup_is_read_off_phi_not_u0(self):
         # q = 0 pins u(0) = q v(0) to 0, while sigma drives u, and phi, past 1e12
         c = make_coeffs(m=101, sigma=lambda x: 1e3, q=0.0)
